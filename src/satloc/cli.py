@@ -1,8 +1,9 @@
 """Command line front end: saturate, query, verify, oracle.
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
-unsaturated query, 3 input errors (parse, arity, non-ground query),
-4 verification violations.
+unsaturated query, 3 input errors (parse, arity, non-ground query, terms
+nested deeper than the interpreter's recursion limit), 4 verification
+violations.
 """
 
 from __future__ import annotations
@@ -141,6 +142,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        # parsing, substitution and the orderings recurse on term depth
+        print("error: input nested too deeply", file=sys.stderr)
         return 3
 
 

@@ -18,12 +18,11 @@ from .terms import (
     Atom,
     Clause,
     Subst,
+    Var,
     atom_key,
-    compose,
     freeze,
     is_ground,
     match_onto,
-    rename_apart,
     substitute,
     vars_of,
 )
@@ -55,31 +54,69 @@ class LocalCertificate:
 def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) -> set[Clause]:
     """All ground instances of the clauses whose atoms lie in the universe.
 
-    Backtracking match-join: clause atoms are matched one by one against
-    universe members under the accumulated substitution, fewest-variables
-    first.  Every clause variable occurs in some atom, so survivors are
-    ground.
+    Backtracking match-join over a per-call index of the universe by
+    predicate.  A clause with a predicate absent from the universe has no
+    instance and is skipped.  Atoms are joined in a fixed plan per clause:
+    an atom whose variables are all bound by earlier atoms is tested by set
+    membership; otherwise the atom with the fewest same-predicate members is
+    matched against just those members.  Every clause variable occurs in
+    some atom, so survivors are ground.  The cost follows the matches the
+    universe admits, not |universe| to the power of the clause's atoms.
     """
+    by_pred: dict[str, list[Atom]] = {}
     for a in universe:
         if not is_ground(a):
             raise ValueError(f"universe must be ground, got {a}")
-    members = sorted(universe, key=atom_key)
+        by_pred.setdefault(a.pred, []).append(a)
     out: set[Clause] = set()
     for d in clauses:
-        atoms = sorted(d.atoms(), key=lambda a: (len(vars_of(a)), atom_key(a)))
+        atoms = d.atoms()
+        if any(a.pred not in by_pred for a in atoms):
+            continue
+        plan = _join_plan(atoms, by_pred)
 
         def join(i: int, sigma: Subst) -> None:
-            if i == len(atoms):
+            if i == len(plan):
                 out.add(substitute(sigma, d))
                 return
-            pattern = substitute(sigma, atoms[i])
-            for target in members:
+            atom, bound = plan[i]
+            pattern = substitute(sigma, atom)
+            if bound:
+                if pattern in universe:
+                    join(i + 1, sigma)
+                return
+            for target in by_pred[atom.pred]:
                 m = match_onto(pattern, target)
                 if m is not None:
-                    join(i + 1, compose(sigma, m))
+                    join(i + 1, {**sigma, **m})
 
         join(0, {})
     return out
+
+
+def _join_plan(atoms: tuple[Atom, ...], by_pred: dict[str, list[Atom]]) -> list[tuple[Atom, bool]]:
+    """Join order for a clause's atoms: (atom, all variables bound before it).
+
+    Fully bound atoms go first, since a membership test never branches;
+    otherwise the atom with the smallest predicate bucket, then the fewest
+    variables still unbound.
+    """
+    plan: list[tuple[Atom, bool]] = []
+    bound: set[Var] = set()
+    todo = [(a, vars_of(a)) for a in atoms]
+    while todo:
+        best = min(
+            range(len(todo)),
+            key=lambda i: (
+                not todo[i][1] <= bound,
+                len(by_pred[todo[i][0].pred]),
+                len(todo[i][1] - bound),
+            ),
+        )
+        atom, vs = todo.pop(best)
+        plan.append((atom, vs <= bound))
+        bound |= vs
+    return plan
 
 
 def ground_sat(clauses: Iterable[Clause]) -> dict[Atom, bool] | None:
@@ -254,8 +291,13 @@ def inference_redundant(
 
 
 def subsumes(d: Clause, c: Clause) -> bool:
-    """True iff some substitution embeds d's sides into c's sides."""
-    d = rename_apart(d, vars_of(c))
+    """True iff some substitution embeds d's sides into c's sides.
+
+    Each pattern atom of d is matched as it stands, and the match is kept
+    only if it agrees with the bindings made so far.  Only d's variables are
+    ever bound, so c's variables stay fixed even where their names clash
+    with d's, and no renaming apart is needed.
+    """
     goals = [(d.antecedent, c.antecedent), (d.succedent, c.succedent)]
 
     def bt(side: int, i: int, sigma: Subst) -> bool:
@@ -264,10 +306,11 @@ def subsumes(d: Clause, c: Clause) -> bool:
         pats, targets = goals[side]
         if i == len(pats):
             return bt(side + 1, 0, sigma)
-        pattern = substitute(sigma, pats[i])
         for target in targets:
-            m = match_onto(pattern, target)
-            if m is not None and bt(side, i + 1, compose(sigma, m)):
+            m = match_onto(pats[i], target)
+            if m is None or any(sigma.get(v, t) != t for v, t in m.items()):
+                continue
+            if bt(side, i + 1, {**sigma, **m}):
                 return True
         return False
 

@@ -8,6 +8,7 @@ only descend and each step is a matched instance of finitely many rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .orderings import Ordering
@@ -80,6 +81,8 @@ class RewriteSystem:
         return cls(frozenset(out))
 
     def __or__(self, other: "RewriteSystem") -> "RewriteSystem":
+        if other.rules <= self.rules:
+            return self  # keeps the rule index already built
         return RewriteSystem(self.rules | other.rules)
 
     def __le__(self, other: "RewriteSystem") -> bool:
@@ -93,6 +96,18 @@ class RewriteSystem:
 
     def __iter__(self) -> Iterator[RewriteRule]:
         return iter(self.sorted_rules())
+
+    @cached_property
+    def by_predicate(self) -> dict[str, tuple[RewriteRule, ...]]:
+        """Rules grouped by the predicate of their left side, built on first use.
+
+        The system is immutable, so the index never goes stale; building it
+        twice from two threads yields equal values.
+        """
+        index: dict[str, list[RewriteRule]] = {}
+        for rule in self.rules:
+            index.setdefault(rule.lhs.pred, []).append(rule)
+        return {pred: tuple(rules) for pred, rules in index.items()}
 
 
 def rules_of(ordering: Ordering, clauses: Iterable[Clause]) -> RewriteSystem:
@@ -108,9 +123,13 @@ def rules_of(ordering: Ordering, clauses: Iterable[Clause]) -> RewriteSystem:
 
 
 def rewrite_one(system: RewriteSystem, a: Atom) -> set[Atom]:
-    """All single-step rewrites of an atom."""
+    """All single-step rewrites of an atom.
+
+    Only rules whose left side has the atom's predicate can match, so just
+    that bucket of the system's predicate index is tried.
+    """
     out: set[Atom] = set()
-    for rule in system.sorted_rules():
+    for rule in system.by_predicate.get(a.pred, ()):
         sigma = match_onto(rule.lhs, a)
         if sigma is not None:
             out.add(substitute(sigma, rule.rhs))

@@ -49,15 +49,30 @@ class Atom:
         return f"{self.pred}({','.join(str(a) for a in self.args)})"
 
 
-def term_key(t: Term):
-    """Total syntactic order key; variables sort before applications."""
-    if isinstance(t, Var):
-        return (0, t.name)
-    return (1, t.name, tuple(term_key(a) for a in t.args))
+def atom_key(a: Atom) -> tuple:
+    """Total syntactic order key; variables sort before applications.
 
-
-def atom_key(a: Atom):
-    return (a.pred, tuple(term_key(t) for t in a.args))
+    A flat preorder tuple: the predicate, then (0, name) for each variable
+    and (1, name, arity) for each application, arguments after their head.
+    The arity keeps distinct atoms apart whatever the signature.  With one
+    arity per symbol (the parser enforces it) the arity never decides a
+    comparison and each term's encoding is prefix-free, so this orders
+    atoms exactly like the nested key (pred, ((tag, name, (args...)), ...))
+    while comparing in time linear in the atoms' size instead of quadratic
+    in their depth.
+    """
+    out: list = [a.pred]
+    stack = list(a.args[::-1])
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out += (0, t.name)
+        else:
+            args = t.args
+            out += (1, t.name, len(args))
+            if args:
+                stack += args[::-1]
+    return tuple(out)
 
 
 @dataclass(frozen=True, init=False)

@@ -12,9 +12,14 @@ from satloc import (
     Fn,
     Ordering,
     Var,
+    compose,
+    is_ground,
+    match_onto,
     parse_clause_text,
+    substitute,
+    vars_of,
 )
-from satloc.terms import Term
+from satloc.terms import Term, atom_key
 
 
 def cl(text: str) -> Clause:
@@ -72,6 +77,46 @@ def ref_atom_greater(rank: dict[str, int], a: Atom, b: Atom) -> bool:
 def rank_of(ordering: Ordering) -> dict[str, int]:
     chain = ordering.symbols()
     return {name: len(chain) - i for i, name in enumerate(chain)}
+
+
+# ---------------------------------------------------------------------------
+# Reference syntactic order: the nested key the flat atom_key must agree with.
+
+def ref_term_key(t: Term):
+    if isinstance(t, Var):
+        return (0, t.name)
+    return (1, t.name, tuple(ref_term_key(a) for a in t.args))
+
+
+def ref_atom_key(a: Atom):
+    return (a.pred, tuple(ref_term_key(t) for t in a.args))
+
+
+# ---------------------------------------------------------------------------
+# Reference local-instance enumeration: every clause atom is matched against
+# every universe member, the indexed enumeration's differential oracle.
+
+def ref_enumerate_local_instances(clauses, universe) -> set[Clause]:
+    for a in universe:
+        if not is_ground(a):
+            raise ValueError(f"universe must be ground, got {a}")
+    members = sorted(universe, key=atom_key)
+    out: set[Clause] = set()
+    for d in clauses:
+        atoms = sorted(d.atoms(), key=lambda a: (len(vars_of(a)), atom_key(a)))
+
+        def join(i: int, sigma) -> None:
+            if i == len(atoms):
+                out.add(substitute(sigma, d))
+                return
+            pattern = substitute(sigma, atoms[i])
+            for target in members:
+                m = match_onto(pattern, target)
+                if m is not None:
+                    join(i + 1, compose(sigma, m))
+
+        join(0, {})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -122,3 +122,16 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["saturate", str(tmp_path / "missing.p")]) == 3
     capsys.readouterr()
+
+
+def test_deep_term_exits_3(tmp_path, capsys):
+    problem = write(tmp_path, "demo.p", WORKED)
+    state = write(tmp_path, "demo.state", "")
+    assert main(["saturate", problem, "--out", state]) == 0
+    capsys.readouterr()
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    assert main(["query", state, f"-> p({deep})"]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+    deep_problem = write(tmp_path, "deep.p", f"clause: -> p({deep})\n")
+    assert main(["saturate", deep_problem]) == 3
+    assert "nested too deeply" in capsys.readouterr().err

@@ -7,7 +7,11 @@ import pytest
 from helpers import (
     at,
     cl,
+    ground_terms_up_to,
+    rand_clause,
+    rand_ground_atom,
     rand_ground_clause,
+    ref_enumerate_local_instances,
     sig_ordering,
     truth_table_satisfiable,
 )
@@ -23,7 +27,9 @@ from satloc import (
     inference_redundant,
     negated_units,
     rules_of,
+    substitute,
     subsumes,
+    vars_of,
 )
 
 FG = Ordering(["f", "g", "a"])
@@ -43,6 +49,48 @@ def test_enumerate_local_instances_examples():
 
 def test_enumerate_includes_empty_clause():
     assert enumerate_local_instances([Clause()], set()) == {Clause()}
+
+
+def _grounded_universe(rng, clauses, space):
+    """Ground instances of random clause atoms plus noise, some dropped."""
+    universe = set()
+    for d in clauses:
+        for _ in range(rng.randint(0, 3)):
+            sigma = {v: rng.choice(space) for v in vars_of(d)}
+            universe |= {substitute(sigma, a) for a in d.atoms() if rng.random() < 0.9}
+    universe |= {rand_ground_atom(rng, depth=1) for _ in range(rng.randint(0, 4))}
+    return universe
+
+
+def test_enumerate_agrees_with_scan_reference():
+    rng = random.Random(127)
+    space = ground_terms_up_to(1, funcs=[("f", 1), ("g", 2)], consts=["a", "b"])
+    fixed = [
+        cl("-> q(W,W)"),  # repeated variable
+        cl("p(g(W,W)) -> q(W,f(W))"),
+        Clause(),  # the empty clause
+        cl("p(X), q(X,Y), q(Y,Z) -> r(Z)"),  # a join over three atoms
+        cl("p(X), s -> r(X)"),
+    ]
+    produced = 0
+    for _ in range(300):
+        clauses = rng.sample(fixed, rng.randint(0, 2))
+        clauses += [rand_clause(rng, max_side=3, depth=1) for _ in range(rng.randint(1, 3))]
+        universe = _grounded_universe(rng, clauses, space)
+        got = enumerate_local_instances(clauses, universe)
+        assert got == ref_enumerate_local_instances(clauses, universe), (
+            [str(c) for c in clauses],
+            sorted(map(str, universe)),
+        )
+        produced += len(got)
+    assert produced > 1000
+
+
+def test_enumerate_skips_predicates_missing_from_universe():
+    uni = {at("p(a)"), at("p(b)")}
+    assert enumerate_local_instances([cl("p(X) -> r(X)")], uni) == set()
+    assert enumerate_local_instances([cl("p(X), q(X,Y) ->")], uni) == set()
+    assert enumerate_local_instances([cl("p(X) ->")], uni) == {cl("p(a) ->"), cl("p(b) ->")}
 
 
 def test_enumerate_rejects_nonground_universe():
@@ -163,6 +211,19 @@ def test_subsumes_examples():
     assert subsumes(c, c)
     assert subsumes(cl("-> p(X), p(Y)"), cl("-> p(a)"))  # set semantics collapse
     assert not subsumes(cl("p(a) -> q(a,a)"), cl("p(a) ->"))
+    # variable names shared between the two clauses do not interfere
+    assert subsumes(cl("q(X,Y) ->"), cl("q(Y,X) ->"))
+    assert subsumes(cl("q(X,Y) -> p(Y)"), cl("q(Y,X) -> p(X)"))
+    assert not subsumes(cl("q(X,Y) -> p(X)"), cl("q(Y,X) -> p(X)"))
+
+
+def test_subsumes_never_binds_target_variables():
+    # matching p3(X) onto p3(f(X)) binds the pattern's X to f(X); the
+    # antecedent p1(f(X)) would need X := X, which disagrees
+    assert not subsumes(cl("p1(f(X)) -> p3(X)"), cl("p1(f(X)), p2(X) -> p3(f(X))"))
+    # needs Y := a from the succedent, but q(a,X') is not in the antecedent
+    assert not subsumes(cl("q(Y,X), r(Y) -> q(a,Y)"), cl("q(Y,X), r(Y), r(a) -> q(a,a)"))
+    assert subsumes(cl("q(Y,X), r(Y) -> q(a,Y)"), cl("q(a,b), r(a), r(b) -> q(a,a)"))
 
 
 def test_freezing_lifts_to_all_ground_instances():

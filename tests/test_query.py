@@ -116,3 +116,44 @@ def test_monotone_robustness_under_redundant_additions():
         for q in queries:
             assert entails(state2, q).verdict == baseline[str(q)], str(q)
     assert extended >= 1
+
+
+GROWTH = (
+    "clause: -> p(a)\n"
+    "clause: p(X) -> p(f(X))\n"
+    "clause: p(X), q(X,Y) -> r(g(X,Y))\n"
+)
+
+
+def _nest(n: int, inner: str) -> str:
+    return "f(" * n + inner + ")" * n
+
+
+@pytest.mark.parametrize(
+    "query, verdict",
+    [
+        (f"-> p({_nest(128, 'a')})", "entailed"),
+        (f"q({_nest(128, 'a')},c) -> r(g({_nest(128, 'a')},c))", "entailed"),
+        (f"-> r(g({_nest(128, 'a')},c))", "not-entailed"),
+    ],
+)
+def test_deep_query_matches_linear_in_universe(monkeypatch, query, verdict):
+    # a count, not a timing: enumeration that scans the whole universe per
+    # clause atom makes about 2*|U|^2 matches here (33 669 for |U| = 129)
+    import satloc.entailment
+
+    calls = 0
+    match_onto = satloc.entailment.match_onto
+
+    def counted(pattern, target):
+        nonlocal calls
+        calls += 1
+        return match_onto(pattern, target)
+
+    problem = parse_problem(GROWTH)
+    state = saturate(problem.ordering, problem.clauses)
+    monkeypatch.setattr(satloc.entailment, "match_onto", counted)
+    result = entails(state, cl(query))
+    assert result.verdict == verdict
+    assert result.universe_size >= 129
+    assert calls <= 4 * result.universe_size, (calls, result.universe_size)

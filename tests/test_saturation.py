@@ -131,3 +131,32 @@ def test_verify_accepts_saturate_output():
             continue
         report = verify_saturated(ordering, state.clauses, state.rules)
         assert report.ok, (clauses, report.violations)
+
+
+SUBSUMES_REPRO = """\
+order: g > f > a > b
+clause: -> p3(b)
+clause: -> p4(a)
+clause: p1(f(X)) -> p3(X)
+clause: p3(X), q(X,Y) -> r(g(X,Y))
+clause: p2(X) -> p0(f(X))
+clause: p4(X), q(X,Y) -> r(g(X,Y))
+clause: p1(X) -> p2(X), p2(X)
+clause: p3(X), p3(X) -> p4(X)
+clause: p0(X), p1(X) -> p3(X)
+clause: p3(X), p1(X) -> p3(X)
+"""
+
+
+def test_forward_subsumption_keeps_unsubsumed_resolvent():
+    # p1(f(X)) -> p3(X) does not subsume p1(f(X)), p2(X) -> p3(f(X)); a
+    # subsumption check that binds the target's X dropped that resolvent,
+    # leaving a state verify rejects and a wrong not-entailed below
+    from satloc import entails
+
+    problem = parse_problem(SUBSUMES_REPRO)
+    state = saturate(problem.ordering, problem.clauses)
+    assert state.status == "saturated"
+    report = verify_saturated(problem.ordering, state.clauses, state.rules)
+    assert report.ok, report.violations
+    assert entails(state, cl("p1(f(b)), p2(b) -> p3(f(b))")).verdict == "entailed"

@@ -3,17 +3,25 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
+    SIG_CONSTS,
+    SIG_FUNCS,
+    SIG_PREDS,
+    SIG_VARS,
     at,
     cl,
     ground_terms_up_to,
     rand_atom,
     rand_clause,
     rand_grounding,
+    ref_atom_key,
     tm,
 )
 from satloc import (
+    Atom,
     Clause,
     Fn,
     Signature,
@@ -29,7 +37,7 @@ from satloc import (
     unfreeze,
     vars_of,
 )
-from satloc.terms import ArityError
+from satloc.terms import ArityError, atom_key
 
 
 x, y, w = Var("X"), Var("Y"), Var("W")
@@ -164,6 +172,32 @@ def test_clause_canonical_form():
     assert cl("->") == Clause()
     assert cl("p(X) -> p(X)").is_tautology()
     assert not cl("p(X) -> p(Y)").is_tautology()
+
+
+# terms over the fixed helper signature, so each symbol has one arity
+_TERMS = st.recursive(
+    st.sampled_from([Var(v) for v in SIG_VARS] + [Fn(c) for c in SIG_CONSTS]),
+    lambda sub: st.one_of(
+        [
+            st.tuples(*[sub] * arity).map(lambda args, name=name: Fn(name, args))
+            for name, arity in SIG_FUNCS
+        ]
+    ),
+    max_leaves=12,
+)
+_ATOMS = st.one_of(
+    [
+        st.tuples(*[_TERMS] * arity).map(lambda args, name=name: Atom(name, args))
+        for name, arity in SIG_PREDS
+    ]
+)
+
+
+@given(_ATOMS, _ATOMS)
+def test_flat_atom_key_orders_like_nested_key(a, b):
+    flat, nested = (atom_key(a), atom_key(b)), (ref_atom_key(a), ref_atom_key(b))
+    assert (flat[0] < flat[1]) == (nested[0] < nested[1])
+    assert (flat[0] == flat[1]) == (a == b) == (nested[0] == nested[1])
 
 
 def test_rename_apart():
