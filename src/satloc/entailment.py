@@ -70,10 +70,11 @@ def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) ->
         by_pred.setdefault(a.pred, []).append(a)
     out: set[Clause] = set()
     for d in clauses:
-        atoms = d.atoms()
-        if any(a.pred not in by_pred for a in atoms):
+        if any(a.pred not in by_pred for a in d.antecedent) or any(
+            a.pred not in by_pred for a in d.succedent
+        ):
             continue
-        plan = _join_plan(atoms, by_pred)
+        plan = _join_plan(d.atoms(), by_pred)
 
         def join(i: int, sigma: Subst) -> None:
             if i == len(plan):

@@ -194,17 +194,37 @@ def _parse_atom_list_until_arrow(cur: _Cursor, sig: Signature, occurrence: list[
     return atoms
 
 
+def _too_deep(lineno: int) -> ParseError:
+    """Terms are parsed (and hashed, and ordered) recursively, so a term nested
+    past the interpreter's recursion limit surfaces as a RecursionError."""
+    return ParseError("input nested too deeply", lineno, 1)
+
+
 def _parse_clause_body(cur: _Cursor, sig: Signature, occurrence: list[str]) -> Clause:
-    antecedent = _parse_atom_list_until_arrow(cur, sig, occurrence)
-    cur.expect("ARROW", "'->'")
-    succedent: list[Atom] = []
-    if not cur.at_end():
-        succedent.append(_parse_atom(cur, sig, occurrence))
-        while cur.peek() is not None and cur.peek().kind == "COMMA":
-            cur.next()
+    try:
+        antecedent = _parse_atom_list_until_arrow(cur, sig, occurrence)
+        cur.expect("ARROW", "'->'")
+        succedent: list[Atom] = []
+        if not cur.at_end():
             succedent.append(_parse_atom(cur, sig, occurrence))
+            while cur.peek() is not None and cur.peek().kind == "COMMA":
+                cur.next()
+                succedent.append(_parse_atom(cur, sig, occurrence))
+        cur.require_end()
+        return Clause(antecedent, succedent)
+    except RecursionError:
+        raise _too_deep(cur.lineno) from None
+
+
+def _parse_rule_body(cur: _Cursor, sig: Signature, occurrence: list[str]) -> tuple[Atom, Atom]:
+    try:
+        lhs = _parse_atom(cur, sig, occurrence)
+        cur.expect("ARROW", "'->'")
+        rhs = _parse_atom(cur, sig, occurrence)
+    except RecursionError:
+        raise _too_deep(cur.lineno) from None
     cur.require_end()
-    return Clause(antecedent, succedent)
+    return lhs, rhs
 
 
 @dataclass
@@ -354,10 +374,7 @@ def parse_state(text: str) -> SaturationState:
         elif keyword == "clause":
             clauses.append(_parse_clause_body(cur, sig, occurrence))
         elif keyword == "rule":
-            lhs = _parse_atom(cur, sig, occurrence)
-            cur.expect("ARROW", "'->'")
-            rhs = _parse_atom(cur, sig, occurrence)
-            cur.require_end()
+            lhs, rhs = _parse_rule_body(cur, sig, occurrence)
             rule_pairs.append((lhs, rhs, cur.lineno))
         else:
             raise ParseError(f"unexpected declaration {keyword!r} in state file", cur.lineno, 1)
@@ -370,6 +387,8 @@ def parse_state(text: str) -> SaturationState:
     for lhs, rhs, lineno in rule_pairs:
         try:
             rules = rules | RewriteSystem.of(ordering, [(lhs, rhs)])
+        except RecursionError:
+            raise _too_deep(lineno) from None
         except (ValueError, KeyError) as exc:
             raise ParseError(f"invalid rule: {exc}", lineno, 1) from None
     return SaturationState(ordering=ordering, clauses=clauses, rules=rules, status=status)

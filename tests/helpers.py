@@ -10,15 +10,26 @@ from satloc import (
     Atom,
     Clause,
     Fn,
+    Limits,
     Ordering,
+    SaturationState,
     Var,
+    VerifyReport,
+    a_priori_factors,
+    a_priori_resolvents,
+    clause_redundant,
     compose,
+    is_a_posteriori,
     is_ground,
     match_onto,
     parse_clause_text,
+    rules_of,
     substitute,
+    subsumes,
+    variant_equal,
     vars_of,
 )
+from satloc.saturation import LIMIT_REACHED, SATURATED
 from satloc.terms import Term, atom_key
 
 
@@ -117,6 +128,83 @@ def ref_enumerate_local_instances(clauses, universe) -> set[Clause]:
 
         join(0, {})
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference saturation and verification: every clause pair is queued and
+# tried in both directions, and forward subsumption and the variant check
+# scan every stored clause; the differential oracle of the indexed versions.
+
+def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> SaturationState:
+    state = SaturationState(ordering)
+
+    def add(c: Clause) -> None:
+        if any(variant_equal(c, d) for d in state.clauses):
+            return
+        k = len(state.clauses)
+        state.clauses.append(c)
+        state.queue.append(("factor", k))
+        for i in range(k + 1):
+            state.queue.append(("resolve", i, k))
+
+    def inferences(item):
+        if item[0] == "factor":
+            return a_priori_factors(ordering, state.clauses[item[1]])
+        _, i, j = item
+        out = a_priori_resolvents(ordering, state.clauses[i], state.clauses[j])
+        if i != j:
+            out += a_priori_resolvents(ordering, state.clauses[j], state.clauses[i])
+        return out
+
+    for c in clauses:
+        add(c)
+    state.rules = rules_of(ordering, state.clauses)
+    stats = state.stats
+    while state.queue:
+        if limits.max_steps is not None and stats.inferences_considered >= limits.max_steps:
+            state.status = LIMIT_REACHED
+            return state
+        item = state.queue.popleft()
+        stats.items_processed += 1
+        for inf in inferences(item):
+            stats.inferences_considered += 1
+            if not is_a_posteriori(ordering, inf):
+                state.rules = state.rules | rules_of(ordering, inf.premise_instances)
+                stats.non_maximality += 1
+            elif any(subsumes(d, inf.conclusion) for d in state.clauses):
+                stats.redundant += 1
+                stats.redundant_by_subsumption += 1
+            elif clause_redundant(state.clauses, state.rules, inf.conclusion):
+                stats.redundant += 1
+            else:
+                stats.discovered += 1
+                add(inf.conclusion)
+                state.rules = state.rules | rules_of(ordering, [inf.conclusion])
+                if limits.max_clauses is not None and len(state.clauses) > limits.max_clauses:
+                    state.status = LIMIT_REACHED
+                    return state
+    state.status = SATURATED
+    return state
+
+
+def ref_verify_saturated(ordering: Ordering, clauses, rules) -> VerifyReport:
+    clauses = list(clauses)
+    report = VerifyReport()
+    missing = rules_of(ordering, clauses).rules - rules.rules
+    for rule in sorted(missing, key=str):
+        report.violations.append(f"condition 2: missing rule {rule}")
+    for c1 in clauses:
+        for c2 in clauses:
+            for inf in a_priori_resolvents(ordering, c1, c2):
+                if not clause_redundant(clauses, rules, inf.conclusion):
+                    report.violations.append(f"condition 1: not redundant: {inf}")
+                if not is_a_posteriori(ordering, inf):
+                    harvested = rules_of(ordering, inf.premise_instances)
+                    for rule in sorted(harvested.rules - rules.rules, key=str):
+                        report.violations.append(
+                            f"condition 3: missing rule {rule} from {inf}"
+                        )
+    return report
 
 
 # ---------------------------------------------------------------------------

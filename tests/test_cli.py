@@ -22,6 +22,14 @@ def test_saturate_to_stdout(tmp_path, capsys):
     assert "rule: q(f(V0),V0) -> p(g(V0,V0))" in out
 
 
+def test_saturate_reports_items_and_subsumption_counters(tmp_path, capsys):
+    chain = "clause: -> p0(a)\nclause: p0(X) -> p1(X)\nclause: p1(X) -> p2(X)\n"
+    assert main(["saturate", write(tmp_path, "chain.p", chain)]) == 0
+    err = capsys.readouterr().err
+    assert "10 items processed, 4 inferences" in err
+    assert "redundant 1 (by subsumption 1)" in err
+
+
 def test_saturate_out_file_and_rerun_byte_identical(tmp_path, capsys):
     problem = write(tmp_path, "demo.p", WORKED)
     out1 = tmp_path / "a.state"

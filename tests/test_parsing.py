@@ -138,3 +138,18 @@ def test_state_limit_header():
     text = serialize_state(state)
     assert text.startswith("saturated: limit\n")
     assert parse_state(text).status == "limit_reached"
+
+
+def test_deep_nesting_is_a_parse_error():
+    deep = "f(" * 600 + "a" + ")" * 600
+    cases = [
+        (parse_problem, f"order: f > a\nclause: -> p({deep})\n", 2),
+        (parse_problem, f"query: p({deep}) ->\n", 1),
+        (parse_state, f"saturated: true\norder: f > a\nclause: -> p({deep})\n", 3),
+        (parse_state, f"saturated: true\norder: f > a\nrule: p({deep}) -> q(a)\n", 3),
+        (parse_clause_text, f"-> p({deep})", 1),
+    ]
+    for parse, text, line in cases:
+        with pytest.raises(ParseError, match="input nested too deeply") as info:
+            parse(text)
+        assert info.value.line == line
