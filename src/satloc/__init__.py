@@ -4,19 +4,13 @@ Saturates a finite clause set while building an atom rewriting system whose
 reachability relation bounds every query to a finite atom universe; ground
 entailment against the saturated set is then decided by a propositional
 check over that universe.
+
+The package exports the library surface; the building blocks (terms,
+orderings, rewriting, resolution, local entailment) are in the submodules.
 """
 
-from .entailment import (
-    LocalCertificate,
-    clause_redundant,
-    decide_local,
-    enumerate_local_instances,
-    ground_sat,
-    inference_redundant,
-    negated_units,
-    subsumes,
-)
-from .oracle import HerbrandBound, OracleResult, herbrand_terms, oracle_entails
+from .entailment import LocalCertificate
+from .oracle import HerbrandBound, OracleResult, oracle_entails
 from .orderings import Ordering
 from .parsing import (
     ParseError,
@@ -25,66 +19,19 @@ from .parsing import (
     parse_problem,
     parse_state,
     serialize_certificate,
-    serialize_problem,
     serialize_state,
 )
 from .query import NotSaturatedError, QueryResult, entails
-from .resolution import (
-    Inference,
-    a_priori_factors,
-    a_priori_resolvents,
-    is_a_posteriori,
-    plain_factors,
-    plain_resolvents,
-)
-from .rewriting import (
-    RewriteRule,
-    RewriteSystem,
-    canonical_rule,
-    r_less,
-    reach,
-    reach_clause,
-    rewrite_one,
-    rules_of,
-)
-from .saturation import (
-    Limits,
-    SaturationState,
-    VerifyReport,
-    saturate,
-    variant_equal,
-    verify_saturated,
-)
-from .terms import (
-    ArityError,
-    Atom,
-    Clause,
-    Fn,
-    Signature,
-    Subst,
-    Term,
-    Var,
-    compose,
-    freeze,
-    is_ground,
-    match_onto,
-    mgu,
-    rename_apart,
-    substitute,
-    subterms,
-    unfreeze,
-    vars_of,
-)
+from .rewriting import RewriteSystem
+from .saturation import Limits, SaturationState, VerifyReport, saturate, verify_saturated
+from .terms import ArityError, Clause, Signature
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArityError",
-    "Atom",
     "Clause",
-    "Fn",
     "HerbrandBound",
-    "Inference",
     "Limits",
     "LocalCertificate",
     "NotSaturatedError",
@@ -93,52 +40,17 @@ __all__ = [
     "ParseError",
     "Problem",
     "QueryResult",
-    "RewriteRule",
     "RewriteSystem",
     "SaturationState",
     "Signature",
-    "Subst",
-    "Term",
-    "Var",
     "VerifyReport",
-    "a_priori_factors",
-    "a_priori_resolvents",
-    "canonical_rule",
-    "clause_redundant",
-    "compose",
-    "decide_local",
     "entails",
-    "enumerate_local_instances",
-    "freeze",
-    "ground_sat",
-    "herbrand_terms",
-    "inference_redundant",
-    "is_a_posteriori",
-    "is_ground",
-    "match_onto",
-    "mgu",
-    "negated_units",
     "oracle_entails",
     "parse_clause_text",
     "parse_problem",
     "parse_state",
-    "plain_factors",
-    "plain_resolvents",
-    "r_less",
-    "reach",
-    "reach_clause",
-    "rename_apart",
-    "rewrite_one",
-    "rules_of",
     "saturate",
     "serialize_certificate",
-    "serialize_problem",
     "serialize_state",
-    "substitute",
-    "subsumes",
-    "subterms",
-    "unfreeze",
-    "variant_equal",
-    "vars_of",
     "verify_saturated",
 ]

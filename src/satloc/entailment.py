@@ -10,9 +10,8 @@ freezing its variables to fresh constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .resolution import Inference
 from .rewriting import RewriteSystem, reach_clause
 from .terms import (
     Atom,
@@ -281,38 +280,64 @@ def clause_redundant(clauses: Iterable[Clause], rules: RewriteSystem, c: Clause)
     return decide_local(clauses, universe, frozen_c) is not None
 
 
-def inference_redundant(
-    clauses: Iterable[Clause], rules: RewriteSystem, inf: Inference
-) -> bool:
-    """Full redundancy test: a redundant premise, or a locally provable conclusion."""
-    clauses = list(clauses)
-    if any(clause_redundant(clauses, rules, p) for p in inf.premises):
-        return True
-    return clause_redundant(clauses, rules, inf.conclusion)
+def _embeddings(d: Clause, c: Clause) -> Iterator[Subst]:
+    """Each substitution of d's variables that maps every side of d into
+    the same side of c.
+
+    Each pattern atom's matches are computed once, so there are at most
+    |d|·|c| match_onto calls.  The search then binds one atom at a time: it
+    drops the matches that disagree with the bindings so far, fails as soon
+    as an atom has none left, and branches on the atom with the fewest.
+    Only d's variables are bound, so c's variables stay fixed even where
+    their names clash with d's, and no renaming apart is needed.
+    """
+    options: list[list[Subst]] = []
+    for pats, targets in ((d.antecedent, c.antecedent), (d.succedent, c.succedent)):
+        for p in pats:
+            found = [m for m in (match_onto(p, t) for t in targets) if m is not None]
+            if not found:
+                return
+            options.append(found)
+
+    def search(todo: list[list[Subst]], sigma: Subst) -> Iterator[Subst]:
+        if not todo:
+            yield sigma
+            return
+        fitting = []
+        for found in todo:
+            fit = [m for m in found if all(sigma.get(v, t) == t for v, t in m.items())]
+            if not fit:
+                return
+            fitting.append(fit)
+        fitting.sort(key=len)
+        rest = fitting[1:]
+        for m in fitting[0]:
+            yield from search(rest, {**sigma, **m})
+
+    yield from search(options, {})
 
 
 def subsumes(d: Clause, c: Clause) -> bool:
-    """True iff some substitution embeds d's sides into c's sides.
+    """True iff some substitution embeds d's sides into c's sides."""
+    return next(_embeddings(d, c), None) is not None
 
-    Each pattern atom of d is matched as it stands, and the match is kept
-    only if it agrees with the bindings made so far.  Only d's variables are
-    ever bound, so c's variables stay fixed even where their names clash
-    with d's, and no renaming apart is needed.
+
+def variant_equal(c: Clause, d: Clause) -> bool:
+    """Equality modulo variable renaming.
+
+    One direction suffices: an embedding of c into d that renames variables
+    one-to-one and gives exactly d has an inverse that gives back c.
     """
-    goals = [(d.antecedent, c.antecedent), (d.succedent, c.succedent)]
-
-    def bt(side: int, i: int, sigma: Subst) -> bool:
-        if side == len(goals):
-            return True
-        pats, targets = goals[side]
-        if i == len(pats):
-            return bt(side + 1, 0, sigma)
-        for target in targets:
-            m = match_onto(pats[i], target)
-            if m is None or any(sigma.get(v, t) != t for v, t in m.items()):
-                continue
-            if bt(side, i + 1, {**sigma, **m}):
-                return True
+    if len(c.antecedent) != len(d.antecedent) or len(c.succedent) != len(d.succedent):
         return False
-
-    return bt(0, 0, {})
+    if c == d:
+        return True
+    for sigma in _embeddings(c, d):
+        values = sigma.values()
+        if (
+            all(isinstance(t, Var) for t in values)
+            and len(set(values)) == len(sigma)
+            and substitute(sigma, c) == d
+        ):
+            return True
+    return False

@@ -102,36 +102,8 @@ class Ordering:
         assert not result or vars_of(b) <= vars_of(a)
         return result
 
-    def set_greater(self, eta1: Iterable[Atom], eta2: Iterable[Atom]) -> bool:
-        """Set extension: drops of eta1 must dominate additions in eta2."""
-        s1 = frozenset(eta1)
-        s2 = frozenset(eta2)
-        if s1 == s2:
-            return False
-        only1 = s1 - s2
-        return all(any(self.atom_greater(e1, e) for e1 in only1) for e in s2 - s1)
-
     def is_maximal(self, a: Atom, others: Iterable[Atom]) -> bool:
         return not any(self.atom_greater(e, a) for e in others)
 
     def is_strictly_maximal(self, a: Atom, others: Iterable[Atom]) -> bool:
         return not any(e == a or self.atom_greater(e, a) for e in others)
-
-
-def symbols_in_first_occurrence(terms: Iterable[Term]) -> list[str]:
-    """Function symbols in depth-first, left-to-right first occurrence order."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            return
-        if t.name not in seen:
-            seen.add(t.name)
-            out.append(t.name)
-        for a in t.args:
-            walk(a)
-
-    for t in terms:
-        walk(t)
-    return out

@@ -1,9 +1,14 @@
-"""Resolution and factoring: standard, a priori ordered, a posteriori check.
+"""A priori ordered resolution and its a posteriori check.
 
 A priori rules test maximality on the premises before unification; the
 a posteriori check re-tests on the unified premise instances, at the level
 of atom occurrences (an occurrence that collapses onto the resolved atom
 defeats strict maximality).
+
+Saturation uses resolution alone.  Clauses are atom sets, so a factor's
+frozen conclusion is a ground instance of its own premise inside its own
+reach set: every factoring inference is redundant.  a_priori_factors is
+kept only for the test of exactly that and for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -40,16 +45,21 @@ class Inference:
         return f"[{self.kind}] {prem} => {self.conclusion} (on {self.resolved_atom})"
 
 
-def _resolvents(c1: Clause, c2: Clause, ordering: Ordering | None) -> list[Inference]:
+def a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Inference]:
+    """Resolution inferences whose premise-side maximality conditions hold.
+
+    The second premise is renamed apart internally; enumeration follows the
+    canonical atom order, so the output is deterministic.
+    """
     c2r = rename_apart(c2, vars_of(c1))
     atoms1 = c1.atoms()
     atoms2 = c2r.atoms()
     out: list[Inference] = []
     for a in c1.succedent:
-        if ordering is not None and not ordering.is_maximal(a, atoms1):
+        if not ordering.is_maximal(a, atoms1):
             continue
         for ap in c2r.antecedent:
-            if ordering is not None and not ordering.is_maximal(ap, atoms2):
+            if not ordering.is_maximal(ap, atoms2):
                 continue
             alpha = mgu(a, ap)
             if alpha is None:
@@ -75,7 +85,9 @@ def _resolvents(c1: Clause, c2: Clause, ordering: Ordering | None) -> list[Infer
     return out
 
 
-def _factors(c: Clause, ordering: Ordering | None) -> list[Inference]:
+def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:
+    """Factoring inferences: one per unifiable pair of succedent atoms with a
+    maximal member (the maximal one is kept)."""
     atoms = c.atoms()
     succ = c.succedent
     out: list[Inference] = []
@@ -84,7 +96,7 @@ def _factors(c: Clause, ordering: Ordering | None) -> list[Inference]:
             alpha = mgu(a, ap)
             if alpha is None:
                 continue
-            if ordering is None or ordering.is_maximal(a, atoms):
+            if ordering.is_maximal(a, atoms):
                 kept, dropped = a, ap
             elif ordering.is_maximal(ap, atoms):
                 kept, dropped = ap, a
@@ -108,33 +120,8 @@ def _factors(c: Clause, ordering: Ordering | None) -> list[Inference]:
     return out
 
 
-def a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Inference]:
-    """Resolution inferences whose premise-side maximality conditions hold.
-
-    The second premise is renamed apart internally; enumeration follows the
-    canonical atom order, so the output is deterministic.
-    """
-    return _resolvents(c1, c2, ordering)
-
-
-def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:
-    """Factoring inferences: one per unifiable pair of succedent atoms with a
-    maximal member (the maximal one is kept)."""
-    return _factors(c, ordering)
-
-
-def plain_resolvents(c1: Clause, c2: Clause) -> list[Inference]:
-    """Standard resolution, no ordering conditions."""
-    return _resolvents(c1, c2, None)
-
-
-def plain_factors(c: Clause) -> list[Inference]:
-    """Standard factoring, no ordering conditions."""
-    return _factors(c, None)
-
-
 def is_a_posteriori(ordering: Ordering, inf: Inference) -> bool:
-    """Re-test maximality on the unified premise instances.
+    """Re-test maximality on the unified premise instances of a resolution.
 
     Occurrence-level: each premise atom other than the resolved occurrence is
     instantiated separately, so a sibling collapsing onto the resolved atom
@@ -142,20 +129,12 @@ def is_a_posteriori(ordering: Ordering, inf: Inference) -> bool:
     """
     alpha = inf.unifier
     a_inst = inf.resolved_atom
-    if inf.kind == RESOLUTION:
-        c1, c2 = inf.premises
-        a, ap = inf.resolved
-        others1 = [substitute(alpha, b) for b in c1.antecedent]
-        others1 += [substitute(alpha, b) for b in c1.succedent if b != a]
-        others2 = [substitute(alpha, b) for b in c2.antecedent if b != ap]
-        others2 += [substitute(alpha, b) for b in c2.succedent]
-        return ordering.is_strictly_maximal(a_inst, others1) and ordering.is_maximal(
-            a_inst, others2
-        )
-    c = inf.premises[0]
-    kept, dropped = inf.resolved
-    others_ant = [substitute(alpha, b) for b in c.antecedent]
-    others_suc = [substitute(alpha, b) for b in c.succedent if b not in (kept, dropped)]
-    return ordering.is_strictly_maximal(a_inst, others_ant) and ordering.is_maximal(
-        a_inst, others_suc
+    c1, c2 = inf.premises
+    a, ap = inf.resolved
+    others1 = [substitute(alpha, b) for b in c1.antecedent]
+    others1 += [substitute(alpha, b) for b in c1.succedent if b != a]
+    others2 = [substitute(alpha, b) for b in c2.antecedent if b != ap]
+    others2 += [substitute(alpha, b) for b in c2.succedent]
+    return ordering.is_strictly_maximal(a_inst, others1) and ordering.is_maximal(
+        a_inst, others2
     )

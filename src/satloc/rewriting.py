@@ -22,6 +22,7 @@ from .terms import (
     is_ground,
     match_onto,
     substitute,
+    vars_in_order,
     vars_of,
 )
 
@@ -47,18 +48,7 @@ def rule_key(r: RewriteRule):
 
 def canonical_rule(lhs: Atom, rhs: Atom) -> RewriteRule:
     """Rule with variables renamed V0, V1, ... in first occurrence order."""
-    seen: list[Var] = []
-
-    def walk(t) -> None:
-        if isinstance(t, Var):
-            if t not in seen:
-                seen.append(t)
-        else:
-            for a in t.args:
-                walk(a)
-
-    for a in lhs.args + rhs.args:
-        walk(a)
+    seen = vars_in_order(lhs) | vars_in_order(rhs)
     names = fresh_names(set(), len(seen))
     rho: Subst = {v: Var(n) for v, n in zip(seen, names)}
     return RewriteRule(substitute(rho, lhs), substitute(rho, rhs))
@@ -159,10 +149,3 @@ def reach_clause(system: RewriteSystem, c: Clause) -> set[Atom]:
     for a in c.atoms():
         out |= reach(system, a)
     return out
-
-
-def r_less(system: RewriteSystem, a: Atom, b: Atom) -> bool:
-    """Derived finite-complexity order: a below b iff a reachable from b, a != b."""
-    if not is_ground(a) or not is_ground(b):
-        raise ValueError("r_less requires ground atoms")
-    return a != b and a in reach(system, b)

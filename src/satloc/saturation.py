@@ -1,9 +1,11 @@
 """Fair saturation loop and the post-hoc saturatedness verifier.
 
-Clauses are indexed by predicates as they enter (ClauseIndex), so only the
-clause pairs that can resolve are queued, next to one factoring item per
-clause, and forward subsumption and the variant check only try the clauses
-whose predicates fit.  Each a priori inference is classified by the first
+Saturation is by a priori ordered resolution alone (every factoring
+inference is redundant, see resolution.py), so the loop and the verifier
+check the same inferences.  Clauses are indexed by predicates as they enter
+(ClauseIndex), so only the clause pairs that can resolve are queued, and
+forward subsumption and the variant check only try the clauses whose
+predicates fit.  Each a priori inference is classified by the first
 matching case: non-maximality (harvest rules from the unified premise
 instances), redundancy (conclusion locally provable under the current
 rules), discovery (add the conclusion and its rules, queue new work).
@@ -14,16 +16,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .entailment import clause_redundant, subsumes
+from .entailment import clause_redundant, subsumes, variant_equal
 from .orderings import Ordering
-from .resolution import (
-    Inference,
-    a_priori_factors,
-    a_priori_resolvents,
-    is_a_posteriori,
-)
+from .resolution import Inference, a_priori_resolvents, is_a_posteriori
+# The benchmark's layer tracer (bench/tracing.py) is the only reader of this
+# name here; nothing in satloc factors.
+from .resolution import a_priori_factors  # noqa: F401
 from .rewriting import RewriteSystem, rules_of
-from .terms import Clause, Var, match_onto, substitute
+from .terms import Clause
 
 SATURATED = "saturated"
 LIMIT_REACHED = "limit_reached"
@@ -53,10 +53,6 @@ class SaturationStats:
             f" redundant {self.redundant} (by subsumption {self.redundant_by_subsumption}),"
             f" discovered {self.discovered})"
         )
-
-
-# queue items: ("resolve", i, j) with i <= j, or ("factor", i)
-WorkItem = tuple
 
 
 def _side_predicates(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
@@ -159,7 +155,7 @@ class SaturationState:
     ordering: Ordering
     clauses: list[Clause] = field(default_factory=list)
     rules: RewriteSystem = field(default_factory=RewriteSystem)
-    queue: deque = field(default_factory=deque)
+    queue: deque = field(default_factory=deque)  # clause index pairs (i, j), i <= j
     stats: SaturationStats = field(default_factory=SaturationStats)
     status: str = RUNNING
     _index: ClauseIndex | None = field(default=None, init=False, repr=False, compare=False)
@@ -186,7 +182,7 @@ class SaturationState:
     def add_clause(self, c: Clause) -> bool:
         """Add a clause unless a variant is already present; queue its work.
 
-        Resolution items are queued only for its partners, in increasing
+        A pair (i, k) is queued only for each partner i, in increasing
         order, so the inferences keep the all-pairs FIFO order.
         """
         index = self.index
@@ -195,52 +191,12 @@ class SaturationState:
         k = len(self.clauses)
         self.clauses.append(c)
         index.add(c)
-        self.queue.append(("factor", k))
-        for i in index.partners(k):
-            self.queue.append(("resolve", i, k))
+        self.queue.extend((i, k) for i in index.partners(k))
         return True
 
 
-def variant_equal(c: Clause, d: Clause) -> bool:
-    """Equality modulo variable renaming (mutual exact instances)."""
-    if len(c.antecedent) != len(d.antecedent) or len(c.succedent) != len(d.succedent):
-        return False
-    if c == d:
-        return True
-    return _maps_exactly_onto(c, d) and _maps_exactly_onto(d, c)
-
-
-def _maps_exactly_onto(c: Clause, d: Clause) -> bool:
-    """Is there a variable-for-variable substitution with c·sigma == d?"""
-    goals = [(c.antecedent, d.antecedent), (c.succedent, d.succedent)]
-
-    def bt(side: int, i: int, rho: dict) -> bool:
-        if side == len(goals):
-            return substitute(rho, c) == d
-        pats, targets = goals[side]
-        if i == len(pats):
-            return bt(side + 1, 0, rho)
-        for target in targets:
-            m = match_onto(pats[i], target)
-            if m is None or not all(isinstance(t, Var) for t in m.values()):
-                continue
-            merged = dict(rho)
-            ok = True
-            for v, t in m.items():
-                if merged.setdefault(v, t) != t:
-                    ok = False
-                    break
-            if ok and bt(side, i + 1, merged):
-                return True
-        return False
-
-    return bt(0, 0, {})
-
-
-def _inferences_for(state: SaturationState, item: WorkItem) -> list[Inference]:
-    if item[0] == "factor":
-        return a_priori_factors(state.ordering, state.clauses[item[1]])
-    _, i, j = item
+def _inferences_for(state: SaturationState, i: int, j: int) -> list[Inference]:
+    """The resolution inferences between clauses i <= j, in both directions."""
     index = state.index
     out: list[Inference] = []
     if index.resolves(i, j):
@@ -265,9 +221,9 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
         if limits.max_steps is not None and state.stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
-        item = state.queue.popleft()
+        i, j = state.queue.popleft()
         state.stats.items_processed += 1
-        for inf in _inferences_for(state, item):
+        for inf in _inferences_for(state, i, j):
             state.stats.inferences_considered += 1
             if not is_a_posteriori(ordering, inf):
                 state.rules = state.rules | rules_of(ordering, inf.premise_instances)

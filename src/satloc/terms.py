@@ -94,13 +94,10 @@ class Clause:
         return frozenset(self.antecedent) | frozenset(self.succedent)
 
     def is_ground(self) -> bool:
-        return not vars_of(self)
+        return not vars_in_order(self)
 
     def is_empty(self) -> bool:
         return not self.antecedent and not self.succedent
-
-    def is_tautology(self) -> bool:
-        return bool(set(self.antecedent) & set(self.succedent))
 
     def __str__(self) -> str:
         ant = ", ".join(str(a) for a in self.antecedent)
@@ -124,29 +121,40 @@ def clause_key(c: Clause):
 Subst = dict[Var, Term]
 
 
+def vars_in_order(e) -> dict[Var, None]:
+    """The variables of a term, atom or clause, as the keys of a dict, in
+    left-to-right preorder of first occurrence (a clause: antecedent, then
+    succedent).
+
+    This order numbers frozen constants and renames rule variables.  The
+    walk descends into first arguments in a loop and stacks the others, so
+    term depth does not meet the recursion limit.
+    """
+    seen: dict[Var, None] = {}
+    stack: list = []
+    while True:
+        kind = type(e)
+        if kind is Var:
+            seen[e] = None
+        elif kind is Fn or kind is Atom:
+            args = e.args
+            if args:
+                if len(args) > 1:
+                    stack += args[:0:-1]
+                e = args[0]
+                continue
+        elif kind is Clause:
+            stack += (e.antecedent + e.succedent)[::-1]
+        else:
+            raise TypeError(f"cannot collect variables from {e!r}")
+        if not stack:
+            return seen
+        e = stack.pop()
+
+
 def vars_of(e) -> set[Var]:
     """Variables occurring in a term, atom or clause."""
-    out: set[Var] = set()
-    _collect_vars(e, out)
-    return out
-
-
-def _collect_vars(e, out: set[Var]) -> None:
-    if isinstance(e, Var):
-        out.add(e)
-    elif isinstance(e, Fn):
-        for a in e.args:
-            _collect_vars(a, out)
-    elif isinstance(e, Atom):
-        for a in e.args:
-            _collect_vars(a, out)
-    elif isinstance(e, Clause):
-        for a in e.antecedent:
-            _collect_vars(a, out)
-        for a in e.succedent:
-            _collect_vars(a, out)
-    else:
-        raise TypeError(f"cannot collect variables from {e!r}")
+    return set(vars_in_order(e))
 
 
 def sorted_vars(e) -> list[Var]:
@@ -164,7 +172,7 @@ def subterms(t: Term) -> set[Term]:
 
 
 def is_ground(e) -> bool:
-    return not vars_of(e)
+    return not vars_in_order(e)
 
 
 def substitute(sigma: Subst, e):
@@ -183,28 +191,6 @@ def substitute(sigma: Subst, e):
             (substitute(sigma, a) for a in e.succedent),
         )
     raise TypeError(f"cannot substitute into {e!r}")
-
-
-def compose(s1: Subst, s2: Subst) -> Subst:
-    """Substitution with substitute(compose(s1,s2), e) == substitute(s2, substitute(s1, e)).
-
-    Identity bindings are dropped.  The result is idempotent whenever the
-    sequential application admits an idempotent presentation (always the
-    case for the unifier/matcher compositions used here).
-    """
-    out: Subst = {}
-    for v, t in s1.items():
-        t2 = substitute(s2, t)
-        if t2 != v:
-            out[v] = t2
-    for v, t in s2.items():
-        if v not in s1 and t != v:
-            out[v] = t
-    return out
-
-
-def occurs_in(v: Var, t: Term) -> bool:
-    return v in vars_of(t)
 
 
 def _decompose(e1, e2) -> list[tuple[Term, Term]] | None:
@@ -238,11 +224,11 @@ def mgu(e1, e2) -> Subst | None:
             v, u = (s, t) if s.name < t.name else (t, s)
             sigma = _bind(sigma, v, u)
         elif isinstance(s, Var):
-            if occurs_in(s, t):
+            if s in vars_of(t):
                 return None
             sigma = _bind(sigma, s, t)
         elif isinstance(t, Var):
-            if occurs_in(t, s):
+            if t in vars_of(s):
                 return None
             sigma = _bind(sigma, t, s)
         else:
@@ -324,51 +310,8 @@ def freeze(c: Clause) -> tuple[Clause, FreezeMap]:
     The result is ground; the returned map inverts the replacement.  Frozen
     constants are numbered by first occurrence in the canonical clause form.
     """
-    mapping: FreezeMap = {}
-    order: list[Var] = []
-    for a in c.antecedent + c.succedent:
-        for v in _vars_in_order(a):
-            if v not in mapping:
-                mapping[v] = frozen_constant(len(mapping) + 1)
-                order.append(v)
+    mapping: FreezeMap = {v: frozen_constant(i) for i, v in enumerate(vars_in_order(c), 1)}
     return substitute(mapping, c), mapping
-
-
-def _vars_in_order(a: Atom) -> list[Var]:
-    out: list[Var] = []
-
-    def walk(t: Term) -> None:
-        if isinstance(t, Var):
-            if t not in out:
-                out.append(t)
-        else:
-            for x in t.args:
-                walk(x)
-
-    for t in a.args:
-        walk(t)
-    return out
-
-
-def unfreeze(mapping: FreezeMap, e):
-    """Invert a freeze map, turning its frozen constants back into variables."""
-    inverse = {fn: v for v, fn in mapping.items()}
-
-    def back(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        if t in inverse:
-            return inverse[t]
-        return Fn(t.name, tuple(back(a) for a in t.args))
-
-    if isinstance(e, Atom):
-        return Atom(e.pred, tuple(back(t) for t in e.args))
-    if isinstance(e, Clause):
-        return Clause(
-            (unfreeze(mapping, a) for a in e.antecedent),
-            (unfreeze(mapping, a) for a in e.succedent),
-        )
-    return back(e)
 
 
 class ArityError(ValueError):

@@ -6,31 +6,26 @@ from __future__ import annotations
 import itertools
 import random
 
-from satloc import (
+from satloc.entailment import clause_redundant, subsumes, variant_equal
+from satloc.orderings import Ordering
+from satloc.parsing import parse_clause_text
+from satloc.resolution import Inference, a_priori_resolvents, is_a_posteriori
+from satloc.rewriting import RewriteSystem, reach, rules_of
+from satloc.saturation import LIMIT_REACHED, SATURATED, Limits, SaturationState, VerifyReport
+from satloc.terms import (
     Atom,
     Clause,
+    FreezeMap,
     Fn,
-    Limits,
-    Ordering,
-    SaturationState,
+    Subst,
+    Term,
     Var,
-    VerifyReport,
-    a_priori_factors,
-    a_priori_resolvents,
-    clause_redundant,
-    compose,
-    is_a_posteriori,
+    atom_key,
     is_ground,
     match_onto,
-    parse_clause_text,
-    rules_of,
     substitute,
-    subsumes,
-    variant_equal,
     vars_of,
 )
-from satloc.saturation import LIMIT_REACHED, SATURATED
-from satloc.terms import Term, atom_key
 
 
 def cl(text: str) -> Clause:
@@ -45,6 +40,129 @@ def at(text: str) -> Atom:
 
 def tm(text: str) -> Term:
     return at(f"scratch({text})").args[0]
+
+
+# ---------------------------------------------------------------------------
+# Test-only operations: composition, unfreezing, unordered resolution, the
+# full inference redundancy test and the reach order.
+
+def compose(s1: Subst, s2: Subst) -> Subst:
+    """Substitution with substitute(compose(s1,s2), e) == substitute(s2, substitute(s1, e)).
+
+    Identity bindings are dropped.  The result is idempotent whenever the
+    sequential application admits an idempotent presentation (always the
+    case for the unifier/matcher compositions used here).
+    """
+    out: Subst = {}
+    for v, t in s1.items():
+        t2 = substitute(s2, t)
+        if t2 != v:
+            out[v] = t2
+    for v, t in s2.items():
+        if v not in s1 and t != v:
+            out[v] = t
+    return out
+
+
+def unfreeze(mapping: FreezeMap, e):
+    """Invert a freeze map, turning its frozen constants back into variables."""
+    inverse = {fn: v for v, fn in mapping.items()}
+
+    def back(t: Term) -> Term:
+        if isinstance(t, Var):
+            return t
+        if t in inverse:
+            return inverse[t]
+        return Fn(t.name, tuple(back(a) for a in t.args))
+
+    if isinstance(e, Atom):
+        return Atom(e.pred, tuple(back(t) for t in e.args))
+    if isinstance(e, Clause):
+        return Clause(
+            (unfreeze(mapping, a) for a in e.antecedent),
+            (unfreeze(mapping, a) for a in e.succedent),
+        )
+    return back(e)
+
+
+class _NoOrdering(Ordering):
+    """Every atom is maximal, so the a priori rule resolves every pair."""
+
+    def is_maximal(self, a: Atom, others) -> bool:
+        return True
+
+
+def plain_resolvents(c1: Clause, c2: Clause) -> list[Inference]:
+    """Standard resolution, no ordering conditions."""
+    return a_priori_resolvents(_NoOrdering(), c1, c2)
+
+
+def inference_redundant(clauses, rules: RewriteSystem, inf: Inference) -> bool:
+    """Full redundancy test: a redundant premise, or a locally provable conclusion."""
+    clauses = list(clauses)
+    if any(clause_redundant(clauses, rules, p) for p in inf.premises):
+        return True
+    return clause_redundant(clauses, rules, inf.conclusion)
+
+
+def r_less(system: RewriteSystem, a: Atom, b: Atom) -> bool:
+    """Derived finite-complexity order: a below b iff a reachable from b, a != b."""
+    if not is_ground(a) or not is_ground(b):
+        raise ValueError("r_less requires ground atoms")
+    return a != b and a in reach(system, b)
+
+
+# ---------------------------------------------------------------------------
+# Reference clause matching: plain backtracking over the pattern atoms in
+# clause order, and variants as mutual variable-for-variable instances; the
+# differential oracles of the single matcher behind subsumes and
+# variant_equal.  Exponential in the worst case, so for small clauses only.
+
+def ref_subsumes(d: Clause, c: Clause) -> bool:
+    goals = [(d.antecedent, c.antecedent), (d.succedent, c.succedent)]
+
+    def bt(side: int, i: int, sigma: Subst) -> bool:
+        if side == len(goals):
+            return True
+        pats, targets = goals[side]
+        if i == len(pats):
+            return bt(side + 1, 0, sigma)
+        for target in targets:
+            m = match_onto(pats[i], target)
+            if m is None or any(sigma.get(v, t) != t for v, t in m.items()):
+                continue
+            if bt(side, i + 1, {**sigma, **m}):
+                return True
+        return False
+
+    return bt(0, 0, {})
+
+
+def ref_variant_equal(c: Clause, d: Clause) -> bool:
+    return _maps_by_variables(c, d) and _maps_by_variables(d, c)
+
+
+def _maps_by_variables(c: Clause, d: Clause) -> bool:
+    """Is there a variable-for-variable substitution with c·sigma == d?"""
+    goals = [(c.antecedent, d.antecedent), (c.succedent, d.succedent)]
+
+    def bt(side: int, i: int, rho: Subst) -> bool:
+        if side == len(goals):
+            return substitute(rho, c) == d
+        pats, targets = goals[side]
+        if i == len(pats):
+            return bt(side + 1, 0, rho)
+        for target in targets:
+            m = match_onto(pats[i], target)
+            if m is None or not all(isinstance(t, Var) for t in m.values()):
+                continue
+            if any(rho.get(v, t) != t for v, t in m.items()):
+                continue
+            if bt(side, i + 1, {**rho, **m}):
+                return True
+        return False
+
+    return bt(0, 0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +261,9 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
             return
         k = len(state.clauses)
         state.clauses.append(c)
-        state.queue.append(("factor", k))
-        for i in range(k + 1):
-            state.queue.append(("resolve", i, k))
+        state.queue.extend((i, k) for i in range(k + 1))
 
-    def inferences(item):
-        if item[0] == "factor":
-            return a_priori_factors(ordering, state.clauses[item[1]])
-        _, i, j = item
+    def inferences(i, j):
         out = a_priori_resolvents(ordering, state.clauses[i], state.clauses[j])
         if i != j:
             out += a_priori_resolvents(ordering, state.clauses[j], state.clauses[i])
@@ -164,9 +277,9 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
         if limits.max_steps is not None and stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
-        item = state.queue.popleft()
+        i, j = state.queue.popleft()
         stats.items_processed += 1
-        for inf in inferences(item):
+        for inf in inferences(i, j):
             stats.inferences_considered += 1
             if not is_a_posteriori(ordering, inf):
                 state.rules = state.rules | rules_of(ordering, inf.premise_instances)

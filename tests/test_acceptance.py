@@ -15,6 +15,8 @@ from pathlib import Path
 from helpers import (
     at,
     cl,
+    compose,
+    inference_redundant,
     rand_atom,
     rand_ground_atom,
     rand_ground_clause,
@@ -26,38 +28,26 @@ from helpers import (
     truth_table_satisfiable,
 )
 from satloc import (
-    Atom,
     Clause,
-    Fn,
     HerbrandBound,
     Limits,
     Ordering,
     RewriteSystem,
-    Var,
-    a_priori_resolvents,
-    canonical_rule,
-    clause_redundant,
     entails,
-    ground_sat,
-    inference_redundant,
-    is_a_posteriori,
-    match_onto,
-    mgu,
-    compose,
     oracle_entails,
     parse_clause_text,
     parse_problem,
     parse_state,
-    reach,
-    rules_of,
     saturate,
-    serialize_problem,
     serialize_state,
-    substitute,
-    vars_of,
     verify_saturated,
 )
+from satloc.entailment import clause_redundant, ground_sat
+from satloc.parsing import serialize_problem
+from satloc.resolution import a_priori_resolvents, is_a_posteriori
+from satloc.rewriting import canonical_rule, reach, rules_of
 from satloc.cli import main as cli_main
+from satloc.terms import Atom, Fn, Var, match_onto, mgu, substitute, vars_of
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
 # instantiation cap for the differential suite: depth-3 attempts on problems
@@ -236,7 +226,7 @@ def test_criterion_5_ordering_laws():
             assert ordering.lpo_greater(substitute(sigma, s), substitute(sigma, t))
         if st and ordering.lpo_greater(t, u):
             assert ordering.lpo_greater(s, u)
-    from satloc import subterms
+    from satloc.terms import subterms
 
     for _ in range(10_000):
         s = rand_term(rng, 3)

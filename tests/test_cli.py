@@ -26,7 +26,8 @@ def test_saturate_reports_items_and_subsumption_counters(tmp_path, capsys):
     chain = "clause: -> p0(a)\nclause: p0(X) -> p1(X)\nclause: p1(X) -> p2(X)\n"
     assert main(["saturate", write(tmp_path, "chain.p", chain)]) == 0
     err = capsys.readouterr().err
-    assert "10 items processed, 4 inferences" in err
+    # one item per resolving pair, none for factoring: 6 clauses, 4 pairs
+    assert "4 items processed, 4 inferences" in err
     assert "redundant 1 (by subsumption 1)" in err
 
 

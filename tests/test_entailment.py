@@ -8,29 +8,29 @@ from helpers import (
     at,
     cl,
     ground_terms_up_to,
+    inference_redundant,
     rand_clause,
     rand_ground_atom,
     rand_ground_clause,
     ref_enumerate_local_instances,
+    ref_subsumes,
+    ref_variant_equal,
     sig_ordering,
     truth_table_satisfiable,
 )
-from satloc import (
-    Clause,
-    Ordering,
-    RewriteSystem,
-    a_priori_resolvents,
+from satloc import Clause, Ordering, RewriteSystem
+from satloc.entailment import (
     clause_redundant,
     decide_local,
     enumerate_local_instances,
     ground_sat,
-    inference_redundant,
     negated_units,
-    rules_of,
-    substitute,
     subsumes,
-    vars_of,
+    variant_equal,
 )
+from satloc.resolution import a_priori_resolvents
+from satloc.rewriting import rules_of
+from satloc.terms import Var, rename_apart, substitute, vars_of
 
 FG = Ordering(["f", "g", "a"])
 WORKED_S = [cl("-> p(g(W,W))"), cl("p(g(X,Y)), q(f(Y),X) ->")]
@@ -226,14 +226,104 @@ def test_subsumes_never_binds_target_variables():
     assert subsumes(cl("q(Y,X), r(Y) -> q(a,Y)"), cl("q(a,b), r(a), r(b) -> q(a,a)"))
 
 
+# A subsumption check met while saturating make_corpus.gen_mixed(
+# random.Random(1072)): d's six q(Vi,b) antecedent atoms each match seven of
+# c's, and d's q(V7,Y) can never match once V7 is bound by the deep atom.
+# Matching the atoms in clause order tried every antecedent combination
+# first and ran for minutes.
+BIG_D = cl(
+    "q(V0,b), q(V1,b), q(V2,b), q(V3,b), q(V4,b), q(V6,b), q(f(f(f(f(f(f(V7)))))),Y), r(b)"
+    " -> p(a), q(V7,Y), q(f(a),f(V0)), q(f(a),f(V1)), q(f(a),f(V2)), q(f(a),f(V3)),"
+    " q(f(a),f(V4)), q(f(a),f(V6))"
+)
+BIG_C = cl(
+    "q(V0,b), q(V2,b), q(V3,b), q(V4,b), q(V6,b), q(V7,b), q(V8,b), q(f(f(f(f(f(f(f(V9))))))),Y),"
+    " r(b) -> p(a), q(V9,Y), q(f(a),f(V0)), q(f(a),f(V2)), q(f(a),f(V3)), q(f(a),f(V4)),"
+    " q(f(a),f(V6)), q(f(a),f(V7)), q(f(a),f(V8))"
+)
+
+
+def count_matches(monkeypatch) -> list[int]:
+    import satloc.entailment
+
+    calls = [0]
+    match_onto = satloc.entailment.match_onto
+
+    def counted(pattern, target):
+        calls[0] += 1
+        return match_onto(pattern, target)
+
+    monkeypatch.setattr(satloc.entailment, "match_onto", counted)
+    return calls
+
+
+def size(c: Clause) -> int:
+    return len(c.antecedent) + len(c.succedent)
+
+
+def test_clause_matching_matches_each_atom_pair_at_most_once(monkeypatch):
+    # a count, not a timing: each pattern atom is matched against each
+    # target atom of its side once, however much the search backtracks
+    calls = count_matches(monkeypatch)
+    assert (size(BIG_D), size(BIG_C)) == (16, 18)
+    assert not subsumes(BIG_D, BIG_C)
+    assert calls[0] <= size(BIG_D) * size(BIG_C), calls[0]
+    calls[0] = 0
+    renamed = rename_apart(BIG_C, vars_of(BIG_C))
+    assert variant_equal(BIG_C, renamed)
+    assert calls[0] <= size(BIG_C) ** 2, calls[0]
+
+
+INSTANCE_TERMS = [Var("X"), Var("Y"), Var("Z")] + ground_terms_up_to(
+    1, funcs=[("f", 1)], consts=["a", "b"]
+)
+
+
+def _instance_with_extras(rng, d: Clause) -> Clause:
+    """d under a random substitution, plus random atoms on either side."""
+    inst = substitute({v: rng.choice(INSTANCE_TERMS) for v in vars_of(d)}, d)
+    extra = rand_clause(rng, depth=1)
+    return Clause(inst.antecedent + extra.antecedent, inst.succedent + extra.succedent)
+
+
+def _renamed(rng, d: Clause) -> Clause:
+    """A variant of d, or, half the time, one with two variables merged."""
+    renamed = rename_apart(d, vars_of(d))
+    own = sorted(vars_of(renamed), key=lambda v: v.name)
+    if len(own) >= 2 and rng.random() < 0.5:
+        return substitute({own[0]: own[1]}, renamed)
+    return renamed
+
+
+def test_subsumes_and_variants_agree_with_backtracking_references():
+    rng = random.Random(137)
+    hits = variants = misses = 0
+    for _ in range(3000):
+        d = rand_clause(rng, max_side=3, depth=1)
+        if rng.random() < 0.3:
+            c = rand_clause(rng, max_side=3, depth=1)
+        else:
+            c = _instance_with_extras(rng, d)
+        expected = ref_subsumes(d, c)
+        assert subsumes(d, c) == expected, (str(d), str(c))
+        hits += expected
+        e = _renamed(rng, d) if rng.random() < 0.7 else c
+        expected = ref_variant_equal(d, e)
+        assert variant_equal(d, e) == expected, (str(d), str(e))
+        variants += expected
+        misses += not expected
+    assert hits > 1000 and variants > 1000 and misses > 500, (hits, variants, misses)
+
+
 def test_freezing_lifts_to_all_ground_instances():
     # clause_redundant decides on one frozen generic instance; every real
     # ground instance must then be locally provable as well
     import itertools
 
     from helpers import ground_terms_up_to, rand_clause
-    from satloc import reach_clause, saturate, substitute
-    from satloc.terms import sorted_vars
+    from satloc import saturate
+    from satloc.rewriting import reach_clause
+    from satloc.terms import sorted_vars, substitute
 
     rng = random.Random(113)
     ordering = sig_ordering()

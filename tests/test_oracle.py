@@ -3,13 +3,8 @@
 import pytest
 
 from helpers import cl, tm
-from satloc import (
-    HerbrandBound,
-    Signature,
-    herbrand_terms,
-    oracle_entails,
-    parse_problem,
-)
+from satloc import HerbrandBound, Signature, oracle_entails, parse_problem
+from satloc.oracle import herbrand_terms
 
 
 def test_herbrand_terms_examples():

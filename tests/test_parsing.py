@@ -11,9 +11,9 @@ from satloc import (
     parse_problem,
     parse_state,
     saturate,
-    serialize_problem,
     serialize_state,
 )
+from satloc.parsing import serialize_problem
 
 
 def test_parse_problem_example():

@@ -3,13 +3,7 @@
 import pytest
 
 from helpers import at, cl
-from satloc import (
-    Limits,
-    NotSaturatedError,
-    entails,
-    parse_problem,
-    saturate,
-)
+from satloc import Limits, NotSaturatedError, entails, parse_problem, saturate
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
 
@@ -77,16 +71,11 @@ def test_monotone_robustness_under_redundant_additions():
     import random
 
     from helpers import ground_terms_up_to
-    from satloc import (
-        Atom,
-        Clause,
-        clause_redundant,
-        rules_of,
-        substitute,
-        vars_of,
-        verify_saturated,
-    )
+    from satloc import Clause, verify_saturated
+    from satloc.entailment import clause_redundant
+    from satloc.rewriting import rules_of
     from satloc.saturation import SaturationState
+    from satloc.terms import Atom, substitute, vars_of
 
     rng = random.Random(127)
     problem = parse_problem(

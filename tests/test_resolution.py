@@ -1,22 +1,18 @@
-"""Resolution and factoring inference enumeration plus ordering side conditions."""
+"""Resolution inference enumeration, ordering side conditions, and why
+factoring is left out."""
 
+import glob
 import itertools
 import random
+from pathlib import Path
 
-from helpers import at, cl, rand_clause, sig_ordering
-from satloc import (
-    Clause,
-    Ordering,
-    Var,
-    a_priori_factors,
-    a_priori_resolvents,
-    is_a_posteriori,
-    plain_factors,
-    plain_resolvents,
-    rename_apart,
-    substitute,
-    vars_of,
-)
+from helpers import at, cl, plain_resolvents, rand_clause, sig_ordering
+from satloc import Clause, Ordering, RewriteSystem, parse_problem
+from satloc.entailment import clause_redundant
+from satloc.resolution import a_priori_factors, a_priori_resolvents, is_a_posteriori
+from satloc.terms import Var, rename_apart, substitute, vars_of
+
+CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
 
 
 def test_paper_remark_example():
@@ -56,9 +52,28 @@ def test_factor_example():
     assert len(infs) == 1
     inf = infs[0]
     assert inf.conclusion == cl("-> p(Y), q(f(Y),Y)")
-    assert not is_a_posteriori(o, inf)  # q(f(Y),Y) dominates p(Y) after unification
     assert a_priori_factors(o, cl("-> p(a)")) == []
     assert a_priori_factors(o, cl("p(X), p(Y) ->")) == []  # succedent only
+
+
+def test_every_factor_is_redundant():
+    # Clauses are atom sets, so a factor's frozen conclusion is a ground
+    # instance of its own premise inside its own atoms: the premise alone
+    # proves it locally, without any rule.  This is why saturate and verify
+    # use resolution only.
+    cases = []
+    for path in CORPUS:
+        problem = parse_problem(Path(path).read_text(encoding="utf-8"))
+        cases += [(problem.ordering, c) for c in problem.clauses]
+    rng = random.Random(131)
+    ordering = sig_ordering()
+    cases += [(ordering, rand_clause(rng, max_side=4)) for _ in range(2000)]
+    factors = 0
+    for o, c in cases:
+        for inf in a_priori_factors(o, c):
+            assert clause_redundant([c], RewriteSystem(), inf.conclusion), str(inf)
+            factors += 1
+    assert factors > 100, factors
 
 
 def test_posteriori_unit_case():
@@ -70,14 +85,13 @@ def test_posteriori_unit_case():
 
 
 def test_plain_rules_examples():
-    from satloc import variant_equal
+    from satloc.entailment import variant_equal
 
     infs = plain_resolvents(cl("-> p(a)"), cl("p(a) ->"))
     assert [i.conclusion for i in infs] == [Clause()]
     infs2 = plain_resolvents(cl("-> p(X)"), cl("p(f(Y)) -> q(Y)"))
     assert len(infs2) == 1 and variant_equal(infs2[0].conclusion, cl("-> q(Y)"))
     assert plain_resolvents(cl("-> p(a)"), cl("q(a) ->")) == []
-    assert len(plain_factors(cl("-> p(X), p(a)"))) == 1
 
 
 def _models(atoms):
@@ -97,7 +111,7 @@ def test_soundness_on_ground_inferences():
     checked = 0
     for _ in range(2000):
         c1, c2 = rand_clause(rng, depth=1), rand_clause(rng, depth=1)
-        for inf in plain_resolvents(c1, c2) + plain_factors(c1):
+        for inf in plain_resolvents(c1, c2):
             involved = inf.premise_instances + (inf.conclusion,)
             theta = rand_grounding(rng, set().union(*(vars_of(c) for c in involved)))
             ground = [substitute(theta, c) for c in involved]
@@ -134,7 +148,7 @@ def test_a_priori_contains_a_posteriori():
 def test_renaming_invariance():
     rng = random.Random(97)
     ordering = sig_ordering()
-    from satloc import variant_equal
+    from satloc.entailment import variant_equal
 
     for _ in range(300):
         c1, c2 = rand_clause(rng), rand_clause(rng)

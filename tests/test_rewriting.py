@@ -5,21 +5,17 @@ import time
 
 import pytest
 
-from helpers import at, cl, rand_atom, rand_ground_atom, sig_ordering
-from satloc import (
-    Atom,
-    Fn,
-    Ordering,
+from helpers import at, cl, r_less, rand_atom, rand_ground_atom, sig_ordering
+from satloc import Ordering, RewriteSystem
+from satloc.rewriting import (
     RewriteRule,
-    RewriteSystem,
     canonical_rule,
-    r_less,
     reach,
     reach_clause,
     rewrite_one,
     rules_of,
-    vars_of,
 )
+from satloc.terms import Atom, Fn, vars_of
 
 FG = Ordering(["f", "g", "a"])
 WORKED_RULES = RewriteSystem.of(FG, [(at("q(f(W),W)"), at("p(g(W,W))"))])

@@ -8,14 +8,13 @@ from satloc import (
     Limits,
     Ordering,
     RewriteSystem,
-    canonical_rule,
     parse_problem,
-    rules_of,
     saturate,
     serialize_state,
-    variant_equal,
     verify_saturated,
 )
+from satloc.entailment import variant_equal
+from satloc.rewriting import canonical_rule, rules_of
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
 

@@ -121,7 +121,7 @@ def test_index_follows_a_clause_list_built_elsewhere():
     assert state.add_clause(cl("p5(X) -> q(X)"))
     k = len(state.clauses) - 1
     partner = state.clauses.index(cl("p4(X) -> p5(X)"))
-    assert ("resolve", partner, k) in state.queue
+    assert (partner, k) in state.queue
     # an in-place change to the indexed prefix rebuilds the index
     state.clauses[0] = cl("-> q(a)")
     assert state.index.clauses == state.clauses

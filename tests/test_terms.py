@@ -13,20 +13,23 @@ from helpers import (
     SIG_VARS,
     at,
     cl,
+    compose,
     ground_terms_up_to,
     rand_atom,
     rand_clause,
     rand_grounding,
     ref_atom_key,
     tm,
+    unfreeze,
 )
-from satloc import (
+from satloc.terms import (
+    ArityError,
     Atom,
     Clause,
     Fn,
     Signature,
     Var,
-    compose,
+    atom_key,
     freeze,
     is_ground,
     match_onto,
@@ -34,10 +37,9 @@ from satloc import (
     rename_apart,
     substitute,
     subterms,
-    unfreeze,
+    vars_in_order,
     vars_of,
 )
-from satloc.terms import ArityError, atom_key
 
 
 x, y, w = Var("X"), Var("Y"), Var("W")
@@ -170,8 +172,6 @@ def test_clause_canonical_form():
     assert c1 == c2
     assert c1.antecedent == (at("p(a)"), at("q(a,b)"))
     assert cl("->") == Clause()
-    assert cl("p(X) -> p(X)").is_tautology()
-    assert not cl("p(X) -> p(Y)").is_tautology()
 
 
 # terms over the fixed helper signature, so each symbol has one arity
@@ -210,6 +210,19 @@ def test_rename_apart():
     # variant up to systematic renaming: shape preserved
     r2 = rename_apart(cl("p(X), q(Y) -> r(X)"), set())
     assert len(r2.antecedent) == 2 and len(vars_of(r2)) == 2
+
+
+def test_vars_in_order_is_first_occurrence_preorder():
+    z = Var("Z")
+    # antecedent first, in canonical atom order: p(Z) sorts before q(Y,f(X))
+    assert list(vars_in_order(cl("q(Y,f(X)), p(Z) -> q(X,W)"))) == [z, y, x, w]
+    assert list(vars_in_order(tm("g(f(g(X,Y)),X)"))) == [x, y]
+    # iterative: nesting far past the recursion limit is fine
+    deep = x
+    for _ in range(5000):
+        deep = Fn("f", (deep,))
+    assert list(vars_in_order(Atom("p", (deep, y)))) == [x, y]
+    assert not is_ground(deep)
 
 
 def test_freeze_examples():
