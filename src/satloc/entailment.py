@@ -280,24 +280,28 @@ def clause_redundant(clauses: Iterable[Clause], rules: RewriteSystem, c: Clause)
     return decide_local(clauses, universe, frozen_c) is not None
 
 
-def _embeddings(d: Clause, c: Clause) -> Iterator[Subst]:
-    """Each substitution of d's variables that maps every side of d into
-    the same side of c.
-
-    Each pattern atom's matches are computed once, so there are at most
-    |d|·|c| match_onto calls.  The search then binds one atom at a time: it
-    drops the matches that disagree with the bindings so far, fails as soon
-    as an atom has none left, and branches on the atom with the fewest.
-    Only d's variables are bound, so c's variables stay fixed even where
-    their names clash with d's, and no renaming apart is needed.
-    """
+def _candidates(d: Clause, c: Clause) -> list[list[Subst]]:
+    """For each atom of d, its matches onto the atoms of the same side of c,
+    up to the first atom with none.  At most |d|·|c| match_onto calls."""
     options: list[list[Subst]] = []
     for pats, targets in ((d.antecedent, c.antecedent), (d.succedent, c.succedent)):
         for p in pats:
             found = [m for m in (match_onto(p, t) for t in targets) if m is not None]
-            if not found:
-                return
             options.append(found)
+            if not found:
+                return options
+    return options
+
+
+def _embeddings(options: list[list[Subst]]) -> Iterator[Subst]:
+    """Each union of one match per atom that agrees on shared variables.
+
+    The search binds one atom at a time: it drops the matches that disagree
+    with the bindings so far, fails as soon as an atom has none left, and
+    branches on the atom with the fewest.  The matches bind only d's
+    variables, so c's variables stay fixed even where their names clash
+    with d's, and no renaming apart is needed.
+    """
 
     def search(todo: list[list[Subst]], sigma: Subst) -> Iterator[Subst]:
         if not todo:
@@ -319,25 +323,35 @@ def _embeddings(d: Clause, c: Clause) -> Iterator[Subst]:
 
 def subsumes(d: Clause, c: Clause) -> bool:
     """True iff some substitution embeds d's sides into c's sides."""
-    return next(_embeddings(d, c), None) is not None
+    return next(_embeddings(_candidates(d, c)), None) is not None
+
+
+def _renames(sigma: Subst) -> bool:
+    """True iff sigma maps variables to distinct variables."""
+    values = sigma.values()
+    return all(isinstance(t, Var) for t in values) and len(set(values)) == len(sigma)
 
 
 def variant_equal(c: Clause, d: Clause) -> bool:
     """Equality modulo variable renaming.
 
     One direction suffices: an embedding of c into d that renames variables
-    one-to-one and gives exactly d has an inverse that gives back c.
+    one-to-one and gives exactly d has an inverse that gives back c.  Such
+    an embedding renames within each atom too, so the search is given only
+    those matches, each binding v -> w also recorded as (w,) -> v: two
+    matches sending different variables to w then disagree and are never
+    combined.
     """
     if len(c.antecedent) != len(d.antecedent) or len(c.succedent) != len(d.succedent):
         return False
     if c == d:
         return True
-    for sigma in _embeddings(c, d):
-        values = sigma.values()
-        if (
-            all(isinstance(t, Var) for t in values)
-            and len(set(values)) == len(sigma)
-            and substitute(sigma, c) == d
-        ):
+    renamings = [
+        [{**m, **{(w,): v for v, w in m.items()}} for m in found if _renames(m)]
+        for found in _candidates(c, d)
+    ]
+    for both_ways in _embeddings(renamings):
+        sigma = {v: t for v, t in both_ways.items() if isinstance(v, Var)}
+        if _renames(sigma) and substitute(sigma, c) == d:
             return True
     return False

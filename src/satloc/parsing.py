@@ -11,7 +11,10 @@ with atom = `pred` or `pred(term,...)`, term = variable or `sym` or
 `sym(term,...)`; variables match [A-Z][A-Za-z0-9_]*, function and predicate
 symbols match [a-z][A-Za-z0-9_]*.  Undeclared function symbols are ranked
 after the declared ones in first occurrence order.  The `#` namespace is
-reserved for internal frozen constants and rejected everywhere.
+reserved for internal frozen constants and rejected everywhere.  Problem
+files, state files and query text go through one reader, so a state file
+gets the same symbol checks as a problem file (consistent arities, no
+symbol both a function and a predicate, no predicate in the order).
 """
 
 from __future__ import annotations
@@ -20,19 +23,9 @@ import re
 from dataclasses import dataclass, field
 
 from .orderings import Ordering
-from .rewriting import RewriteSystem
+from .rewriting import RewriteRule, RewriteSystem
 from .saturation import LIMIT_REACHED, SATURATED, SaturationState
-from .terms import (
-    ArityError,
-    Atom,
-    Clause,
-    Fn,
-    Signature,
-    Term,
-    Var,
-    atom_key,
-    clause_key,
-)
+from .terms import ArityError, Atom, Clause, Fn, Signature, Term, Var, atom_key, clause_key
 
 
 class ParseError(ValueError):
@@ -42,156 +35,73 @@ class ParseError(ValueError):
         self.col = col
 
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-# token kinds: IDENT, ARROW, GT, LPAREN, RPAREN, COMMA, COLON
-
-
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+# group 1: a token; group 2: a comment; otherwise one stray character
+_TOKEN_RE = re.compile(r"(->|[>(),:]|[A-Za-z][A-Za-z0-9_]*)|(%)|\S")
 
 
-def _tokenize(text_line: str, lineno: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text_line):
-        ch = text_line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "%":
-            break
-        col = i + 1
-        if text_line.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", lineno, col))
-            i += 2
-            continue
-        if ch == ">":
-            tokens.append(_Token("GT", ">", lineno, col))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, lineno, col))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ch, lineno, col))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ch, lineno, col))
-            i += 1
-            continue
-        if ch == ":":
-            tokens.append(_Token("COLON", ch, lineno, col))
-            i += 1
-            continue
-        if ch == "#":
-            raise ParseError("'#' is reserved for internal frozen constants", lineno, col)
-        m = _IDENT_RE.match(text_line, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(0), lineno, col))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, col)
-    return tokens
+class _Line:
+    """The tokens of one line, each a (text, column) pair, and a read position."""
 
-
-class _Cursor:
-    def __init__(self, tokens: list[_Token], lineno: int, line_len: int):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, lineno: int):
         self.lineno = lineno
-        self.end_col = line_len + 1
+        self.end_col = len(text) + 1
+        self.col = 1  # column of the token taken last
+        self.pos = 0
+        self.tokens: list[tuple[str, int]] = []
+        for m in _TOKEN_RE.finditer(text):
+            token, comment = m.groups()
+            if token:
+                self.tokens.append((token, m.start() + 1))
+            elif comment:
+                break
+            else:
+                self.col = m.start() + 1
+                if m.group() == "#":
+                    raise self.error("'#' is reserved for internal frozen constants")
+                raise self.error(f"unexpected character {m.group()!r}")
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.lineno, self.col)
 
-    def next(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok is None:
+    def accept(self, text: str) -> bool:
+        if self.peek() != text:
+            return False
+        self.col = self.tokens[self.pos][1]
+        self.pos += 1
+        return True
+
+    def take(self, what: str, want: str | None = None) -> str:
+        """The next token: `want` itself, or an identifier when `want` is None."""
+        if self.pos == len(self.tokens):
             raise ParseError(f"expected {what} at end of line", self.lineno, self.end_col)
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.value!r}", tok.line, tok.col)
-        return tok
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        text, self.col = self.tokens[self.pos]
+        if (text != want) if want else not text[0].isalpha():
+            raise self.error(f"expected {what}, found {text!r}")
+        self.pos += 1
+        return text
 
     def require_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
+        if self.pos < len(self.tokens):
+            text, col = self.tokens[self.pos]
+            raise ParseError(f"unexpected {text!r}", self.lineno, col)
 
 
-def _note(sig: Signature, kind: str, name: str, arity: int, tok: _Token) -> None:
-    try:
-        if kind == "function":
-            sig.note_function(name, arity)
-        else:
-            sig.note_predicate(name, arity)
-    except ArityError as exc:
-        raise ParseError(str(exc), tok.line, tok.col) from None
+def _lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _Line(raw, lineno)
+        if line.tokens:
+            yield line
 
 
-def _parse_term(cur: _Cursor, sig: Signature, occurrence: list[str]) -> Term:
-    tok = cur.expect("IDENT", "a term")
-    if tok.value[0].isupper():
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "LPAREN":
-            raise ParseError(f"variable {tok.value!r} cannot take arguments", nxt.line, nxt.col)
-        return Var(tok.value)
-    args: list[Term] = []
-    if cur.peek() is not None and cur.peek().kind == "LPAREN":
-        cur.next()
-        args.append(_parse_term(cur, sig, occurrence))
-        while cur.peek() is not None and cur.peek().kind == "COMMA":
-            cur.next()
-            args.append(_parse_term(cur, sig, occurrence))
-        cur.expect("RPAREN", "')'")
-    _note(sig, "function", tok.value, len(args), tok)
-    if tok.value not in occurrence:
-        occurrence.append(tok.value)
-    return Fn(tok.value, tuple(args))
-
-
-def _parse_atom(cur: _Cursor, sig: Signature, occurrence: list[str]) -> Atom:
-    tok = cur.expect("IDENT", "a predicate symbol")
-    if tok.value[0].isupper():
-        raise ParseError(
-            f"predicate symbols must start lowercase, found {tok.value!r}", tok.line, tok.col
-        )
-    args: list[Term] = []
-    if cur.peek() is not None and cur.peek().kind == "LPAREN":
-        cur.next()
-        args.append(_parse_term(cur, sig, occurrence))
-        while cur.peek() is not None and cur.peek().kind == "COMMA":
-            cur.next()
-            args.append(_parse_term(cur, sig, occurrence))
-        cur.expect("RPAREN", "')'")
-    _note(sig, "predicate", tok.value, len(args), tok)
-    return Atom(tok.value, tuple(args))
-
-
-def _parse_atom_list_until_arrow(cur: _Cursor, sig: Signature, occurrence: list[str]) -> list[Atom]:
-    atoms: list[Atom] = []
-    if cur.peek() is not None and cur.peek().kind == "ARROW":
-        return atoms
-    atoms.append(_parse_atom(cur, sig, occurrence))
-    while cur.peek() is not None and cur.peek().kind == "COMMA":
-        cur.next()
-        atoms.append(_parse_atom(cur, sig, occurrence))
-    return atoms
+def _declarations(text: str):
+    """(keyword, line) for each declaration, the line positioned after the colon."""
+    for line in _lines(text):
+        keyword = line.take("a declaration keyword")
+        line.take("':'", ":")
+        yield keyword, line
 
 
 def _too_deep(lineno: int) -> ParseError:
@@ -200,31 +110,102 @@ def _too_deep(lineno: int) -> ParseError:
     return ParseError("input nested too deeply", lineno, 1)
 
 
-def _parse_clause_body(cur: _Cursor, sig: Signature, occurrence: list[str]) -> Clause:
-    try:
-        antecedent = _parse_atom_list_until_arrow(cur, sig, occurrence)
-        cur.expect("ARROW", "'->'")
-        succedent: list[Atom] = []
-        if not cur.at_end():
-            succedent.append(_parse_atom(cur, sig, occurrence))
-            while cur.peek() is not None and cur.peek().kind == "COMMA":
-                cur.next()
-                succedent.append(_parse_atom(cur, sig, occurrence))
-        cur.require_end()
-        return Clause(antecedent, succedent)
-    except RecursionError:
-        raise _too_deep(cur.lineno) from None
+class _Reader:
+    """Parses declaration bodies into one signature, recording the order
+    declaration and the function symbols in order of occurrence."""
 
+    def __init__(self, sig: Signature | None = None):
+        self.sig = sig if sig is not None else Signature()
+        self.occurrence: dict[str, None] = {}
+        self.declared: list[str] | None = None
+        self.declared_line = 0
 
-def _parse_rule_body(cur: _Cursor, sig: Signature, occurrence: list[str]) -> tuple[Atom, Atom]:
-    try:
-        lhs = _parse_atom(cur, sig, occurrence)
-        cur.expect("ARROW", "'->'")
-        rhs = _parse_atom(cur, sig, occurrence)
-    except RecursionError:
-        raise _too_deep(cur.lineno) from None
-    cur.require_end()
-    return lhs, rhs
+    def _args(self, line: _Line) -> tuple[Term, ...]:
+        """The parenthesised arguments after a symbol, if any.  Terms are read
+        here, not in a method of their own, so each nesting level costs one frame."""
+        if not line.accept("("):
+            return ()
+        args: list[Term] = []
+        while not args or line.accept(","):
+            name = line.take("a term")
+            col = line.col
+            if name[0].isupper():
+                if line.accept("("):
+                    raise line.error(f"variable {name!r} cannot take arguments")
+                args.append(Var(name))
+                continue
+            sub = self._args(line)
+            try:
+                self.sig.note_function(name, len(sub))
+            except ArityError as exc:
+                raise ParseError(str(exc), line.lineno, col) from None
+            self.occurrence[name] = None
+            args.append(Fn(name, sub))
+        line.take("')'", ")")
+        return tuple(args)
+
+    def _atom(self, line: _Line) -> Atom:
+        name = line.take("a predicate symbol")
+        col = line.col
+        if name[0].isupper():
+            raise line.error(f"predicate symbols must start lowercase, found {name!r}")
+        args = self._args(line)
+        try:
+            self.sig.note_predicate(name, len(args))
+        except ArityError as exc:
+            raise ParseError(str(exc), line.lineno, col) from None
+        return Atom(name, args)
+
+    def _atoms(self, line: _Line, stop: str | None) -> list[Atom]:
+        """Comma-separated atoms up to `stop` (None: the end of the line)."""
+        atoms: list[Atom] = []
+        while line.peek() != stop and (not atoms or line.accept(",")):
+            atoms.append(self._atom(line))
+        return atoms
+
+    def clause(self, line: _Line) -> Clause:
+        try:
+            antecedent = self._atoms(line, "->")
+            line.take("'->'", "->")
+            succedent = self._atoms(line, None)
+            line.require_end()
+            return Clause(antecedent, succedent)
+        except RecursionError:
+            raise _too_deep(line.lineno) from None
+
+    def rule(self, line: _Line) -> tuple[Atom, Atom]:
+        try:
+            lhs = self._atom(line)
+            line.take("'->'", "->")
+            rhs = self._atom(line)
+        except RecursionError:
+            raise _too_deep(line.lineno) from None
+        line.require_end()
+        return lhs, rhs
+
+    def order(self, line: _Line) -> None:
+        if self.declared is not None:
+            raise ParseError("duplicate order declaration", line.lineno, 1)
+        names: dict[str, None] = {}
+        while line.peek() is not None:
+            if names:
+                line.take("'>'", ">")
+            name = line.take("a function symbol")
+            if name[0].isupper():
+                raise line.error("variables cannot be ordered")
+            if name in names:
+                raise line.error(f"duplicate symbol {name!r} in order")
+            names[name] = None
+        self.declared, self.declared_line = list(names), line.lineno
+
+    def ordering(self) -> Ordering:
+        """The declared order, then the undeclared symbols as they occurred."""
+        declared = self.declared or []
+        for name in declared:
+            if name in self.sig.predicates:
+                message = f"symbol {name!r} is declared in the order but used as a predicate"
+                raise ParseError(message, self.declared_line, 1)
+        return Ordering(declared).extended(self.occurrence)
 
 
 @dataclass
@@ -243,79 +224,28 @@ class Problem:
         )
 
 
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if tokens:
-            yield _Cursor(tokens, lineno, len(raw))
-
-
-def _parse_keyword(cur: _Cursor) -> str:
-    tok = cur.expect("IDENT", "a declaration keyword")
-    cur.expect("COLON", "':'")
-    return tok.value
-
-
-def _parse_order_symbols(cur: _Cursor) -> list[str]:
-    names: list[str] = []
-    if cur.at_end():
-        return names
-    tok = cur.expect("IDENT", "a function symbol")
-    if tok.value[0].isupper():
-        raise ParseError("variables cannot be ordered", tok.line, tok.col)
-    names.append(tok.value)
-    while cur.peek() is not None:
-        cur.expect("GT", "'>'")
-        tok = cur.expect("IDENT", "a function symbol")
-        if tok.value[0].isupper():
-            raise ParseError("variables cannot be ordered", tok.line, tok.col)
-        if tok.value in names:
-            raise ParseError(f"duplicate symbol {tok.value!r} in order", tok.line, tok.col)
-        names.append(tok.value)
-    return names
-
-
 def parse_problem(text: str) -> Problem:
-    sig = Signature()
-    occurrence: list[str] = []
-    declared: list[str] | None = None
-    declared_line = 0
+    reader = _Reader()
     clauses: list[Clause] = []
     queries: list[Clause] = []
-    for cur in _logical_lines(text):
-        keyword = _parse_keyword(cur)
+    for keyword, line in _declarations(text):
         if keyword == "order":
-            if declared is not None:
-                raise ParseError("duplicate order declaration", cur.lineno, 1)
-            declared = _parse_order_symbols(cur)
-            declared_line = cur.lineno
+            reader.order(line)
         elif keyword == "clause":
-            clauses.append(_parse_clause_body(cur, sig, occurrence))
+            clauses.append(reader.clause(line))
         elif keyword == "query":
-            queries.append(_parse_clause_body(cur, sig, occurrence))
+            queries.append(reader.clause(line))
         else:
-            raise ParseError(
-                f"unexpected declaration {keyword!r} in problem file", cur.lineno, 1
-            )
-    declared = declared or []
-    for name in declared:
-        if name in sig.predicates:
-            raise ParseError(
-                f"symbol {name!r} is declared in the order but used as a predicate",
-                declared_line,
-                1,
-            )
-    ordering = Ordering(declared).extended(occurrence)
-    return Problem(ordering=ordering, clauses=clauses, queries=queries, signature=sig)
+            raise ParseError(f"unexpected declaration {keyword!r} in problem file", line.lineno, 1)
+    return Problem(reader.ordering(), clauses, queries, reader.sig)
 
 
 def parse_clause_text(text: str, sig: Signature | None = None) -> Clause:
     """Parse a bare clause body such as "p(a), q(b) -> r(c)"."""
-    sig = sig if sig is not None else Signature()
-    cursors = list(_logical_lines(text))
-    if len(cursors) != 1:
+    lines = list(_lines(text))
+    if len(lines) != 1:
         raise ParseError("expected exactly one clause", 1, 1)
-    return _parse_clause_body(cursors[0], sig, [])
+    return _Reader(sig).clause(lines[0])
 
 
 def serialize_problem(problem: Problem) -> str:
@@ -342,56 +272,47 @@ def serialize_state(state: SaturationState) -> str:
     return "\n".join(lines) + "\n"
 
 
+_STATUS = {"true": SATURATED, "limit": LIMIT_REACHED}
+
+
 def parse_state(text: str) -> SaturationState:
-    sig = Signature()
-    occurrence: list[str] = []
+    reader = _Reader()
     status: str | None = None
-    declared: list[str] | None = None
     clauses: list[Clause] = []
-    rule_pairs: list[tuple[Atom, Atom, int]] = []
-    for cur in _logical_lines(text):
-        keyword = _parse_keyword(cur)
+    rule_lines: list[tuple[Atom, Atom, int]] = []
+    for keyword, line in _declarations(text):
         if status is None:
             if keyword != "saturated":
                 raise ParseError(
-                    "state files start with a 'saturated: true|limit' header", cur.lineno, 1
+                    "state files start with a 'saturated: true|limit' header", line.lineno, 1
                 )
-            tok = cur.expect("IDENT", "'true' or 'limit'")
-            if tok.value == "true":
-                status = SATURATED
-            elif tok.value == "limit":
-                status = LIMIT_REACHED
-            else:
-                raise ParseError(
-                    f"expected 'true' or 'limit', found {tok.value!r}", tok.line, tok.col
-                )
-            cur.require_end()
-            continue
-        if keyword == "order":
-            if declared is not None:
-                raise ParseError("duplicate order declaration", cur.lineno, 1)
-            declared = _parse_order_symbols(cur)
+            value = line.take("'true' or 'limit'")
+            if value not in _STATUS:
+                raise line.error(f"expected 'true' or 'limit', found {value!r}")
+            status = _STATUS[value]
+            line.require_end()
+        elif keyword == "order":
+            reader.order(line)
         elif keyword == "clause":
-            clauses.append(_parse_clause_body(cur, sig, occurrence))
+            clauses.append(reader.clause(line))
         elif keyword == "rule":
-            lhs, rhs = _parse_rule_body(cur, sig, occurrence)
-            rule_pairs.append((lhs, rhs, cur.lineno))
+            rule_lines.append((*reader.rule(line), line.lineno))
         else:
-            raise ParseError(f"unexpected declaration {keyword!r} in state file", cur.lineno, 1)
+            raise ParseError(f"unexpected declaration {keyword!r} in state file", line.lineno, 1)
     if status is None:
         raise ParseError("empty state file: missing 'saturated:' header", 1, 1)
-    if declared is None:
+    if reader.declared is None:
         raise ParseError("state file missing its 'order:' line", 1, 1)
-    ordering = Ordering(declared).extended(occurrence)
-    rules = RewriteSystem()
-    for lhs, rhs, lineno in rule_pairs:
+    ordering = reader.ordering()
+    rules: set[RewriteRule] = set()
+    for lhs, rhs, lineno in rule_lines:
         try:
-            rules = rules | RewriteSystem.of(ordering, [(lhs, rhs)])
+            rules |= RewriteSystem.of(ordering, [(lhs, rhs)]).rules
         except RecursionError:
             raise _too_deep(lineno) from None
         except (ValueError, KeyError) as exc:
             raise ParseError(f"invalid rule: {exc}", lineno, 1) from None
-    return SaturationState(ordering=ordering, clauses=clauses, rules=rules, status=status)
+    return SaturationState(ordering, clauses, RewriteSystem(frozenset(rules)), status=status)
 
 
 def serialize_certificate(cert) -> str:

@@ -1,6 +1,7 @@
 """Local instance enumeration, ground SAT, local decisions, redundancy."""
 
 import random
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from helpers import (
     sig_ordering,
     truth_table_satisfiable,
 )
+import satloc.entailment
 from satloc import Clause, Ordering, RewriteSystem
 from satloc.entailment import (
     clause_redundant,
@@ -30,7 +32,7 @@ from satloc.entailment import (
 )
 from satloc.resolution import a_priori_resolvents
 from satloc.rewriting import rules_of
-from satloc.terms import Var, rename_apart, substitute, vars_of
+from satloc.terms import Atom, Fn, Var, rename_apart, substitute, vars_of
 
 FG = Ordering(["f", "g", "a"])
 WORKED_S = [cl("-> p(g(W,W))"), cl("p(g(X,Y)), q(f(Y),X) ->")]
@@ -120,6 +122,60 @@ def test_ground_sat_matches_truth_tables():
                 assert any(not model[a] for a in c.antecedent) or any(
                     model[b] for b in c.succedent
                 )
+
+
+def calls_to(name: str, fn, *args):
+    """fn(*args) and the number of calls it made to functions of
+    satloc.entailment named `name`, nested functions included."""
+    calls = 0
+    module_file = satloc.entailment.__file__
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and (code.co_filename, code.co_name) == (module_file, name):
+            calls += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(old)
+    return result, calls
+
+
+def checked_ground_sat(clauses) -> int:
+    """Check ground_sat against the truth table, and its model; return the
+    number of assignments DPLL undid while backtracking."""
+    model, undone = calls_to("unassign", ground_sat, clauses)
+    assert (model is not None) == truth_table_satisfiable(clauses)
+    if model is not None:
+        for c in clauses:
+            assert any(not model[a] for a in c.antecedent) or any(model[b] for b in c.succedent)
+    return undone
+
+
+def test_ground_sat_backtracks():
+    # three pigeons, two holes: unsatisfiable, and unit propagation alone
+    # cannot show it
+    pigeons = [cl(f"-> in{i}1, in{i}2") for i in range(3)]
+    holes = [cl(f"in{i}{h}, in{j}{h} ->") for h in (1, 2) for i in range(3) for j in range(i)]
+    assert checked_ground_sat(pigeons + holes) == 11
+    # satisfiable only once the first decision, a false, is flipped to true
+    assert checked_ground_sat([cl("-> a, b"), cl("-> a, c"), cl("b, c ->")]) == 3
+    # dense random sets: three of at most 8 atoms per clause, split between
+    # the sides at random
+    rng = random.Random(211)
+    backtracked = 0
+    for _ in range(300):
+        atoms = [Atom(f"x{i}") for i in range(rng.randint(4, 8))]
+        clauses = []
+        for _ in range(rng.randint(4, 14)):
+            three, k = rng.sample(atoms, 3), rng.randint(0, 3)
+            clauses.append(Clause(three[:k], three[k:]))
+        backtracked += checked_ground_sat(clauses) > 0
+    assert backtracked >= 30
 
 
 def test_decide_local_examples():
@@ -272,6 +328,31 @@ def test_clause_matching_matches_each_atom_pair_at_most_once(monkeypatch):
     renamed = rename_apart(BIG_C, vars_of(BIG_C))
     assert variant_equal(BIG_C, renamed)
     assert calls[0] <= size(BIG_C) ** 2, calls[0]
+
+
+def test_failing_variant_check_never_combines_clashing_renamings(monkeypatch):
+    # a count, not a timing: d is a variant of BIG_C except that one of its
+    # seven interchangeable q(V,b) atoms became q(a,b), so every embedding
+    # sends two variables of BIG_C to one of d or one to a; a search that
+    # combined all consistent matches would yield 7^7 embeddings, each
+    # rejected only once complete
+    yielded = [0]
+    embeddings = satloc.entailment._embeddings
+
+    def counted(*args):
+        for sigma in embeddings(*args):
+            yielded[0] += 1
+            assert yielded[0] <= 100, "variant search yields non-renamings"
+            yield sigma
+
+    monkeypatch.setattr(satloc.entailment, "_embeddings", counted)
+    renamed = rename_apart(BIG_C, vars_of(BIG_C))
+    d = substitute({Var("V1"): Fn("a")}, renamed)
+    assert d != renamed
+    assert not variant_equal(BIG_C, d)
+    assert yielded[0] == 0
+    assert variant_equal(BIG_C, renamed)
+    assert yielded[0] == 1
 
 
 INSTANCE_TERMS = [Var("X"), Var("Y"), Var("Z")] + ground_terms_up_to(

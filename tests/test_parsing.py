@@ -1,8 +1,12 @@
 """Problem/state grammar, error positions, and round-trips."""
 
-import pytest
+import random
 
-from helpers import cl
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import cl, rand_clause
 from satloc import (
     Clause,
     Ordering,
@@ -130,6 +134,10 @@ def test_state_header_and_rule_validation():
     with pytest.raises(ParseError) as exc:
         parse_state("saturated: true\norder: f > a\nrule: p(a) -> q(f(a),a)")
     assert "rule" in str(exc.value)
+    # the order may name function symbols only, as in problem files
+    with pytest.raises(ParseError, match="declared in the order but used as a predicate") as exc:
+        parse_state("saturated: true\norder: p > a\nclause: -> p(a)")
+    assert (exc.value.line, exc.value.col) == (2, 1)
 
 
 def test_state_limit_header():
@@ -153,3 +161,94 @@ def test_deep_nesting_is_a_parse_error():
         with pytest.raises(ParseError, match="input nested too deeply") as info:
             parse(text)
         assert info.value.line == line
+
+
+# (entry point, text, line, column, message); the positions are part of the
+# interface, since the CLI prints them for the user to find the error.
+MALFORMED = [
+    (parse_problem, 'clause: p(a,) ->', 1, 13, "expected a term, found ')'"),
+    (parse_problem, 'order: f >', 1, 11, 'expected a function symbol at end of line'),
+    (parse_state, 'saturated: true x', 1, 17, "unexpected 'x'"),
+    (parse_problem, 'clause: p(a) @', 1, 14, "unexpected character '@'"),
+    (parse_problem, 'clause: p(a) ->\nclause: q(p) ->',
+     2, 11, "symbol 'p' used both as predicate and function"),
+    (parse_problem, 'clause: p(X -> q(X)', 1, 13, "expected ')', found '->'"),
+    (parse_problem, 'clause: p(X))', 1, 13, "expected '->', found ')'"),
+    (parse_problem, 'huh: p(X)', 1, 1, "unexpected declaration 'huh' in problem file"),
+    (parse_problem, 'clause p(X) ->', 1, 8, "expected ':', found 'p'"),
+    (parse_problem, 'order: f > f', 1, 12, "duplicate symbol 'f' in order"),
+    (parse_problem, 'order: X', 1, 8, 'variables cannot be ordered'),
+    (parse_problem, 'order: f > X', 1, 12, 'variables cannot be ordered'),
+    (parse_problem, 'order: f g', 1, 10, "expected '>', found 'g'"),
+    (parse_problem, 'order: f\norder: g', 2, 1, 'duplicate order declaration'),
+    (parse_problem, 'clause: P(a) ->', 1, 9, "predicate symbols must start lowercase, found 'P'"),
+    (parse_problem, 'clause: p(X(a)) ->', 1, 12, "variable 'X' cannot take arguments"),
+    (parse_problem, 'rule: p(a) -> q(a)', 1, 1, "unexpected declaration 'rule' in problem file"),
+    (parse_problem, 'clause: p(#1) ->', 1, 11, "'#' is reserved for internal frozen constants"),
+    (parse_problem, 'clause: p(X) -> p(X,X)', 1, 17, "predicate 'p' used with arities 1 and 2"),
+    (parse_problem, 'clause: p(f(a)) -> q(f)', 1, 22, "function 'f' used with arities 1 and 0"),
+    (parse_problem, 'clause: p(a) -> a', 1, 17, "symbol 'a' used both as predicate and function"),
+    (parse_problem, 'order: p\nclause: p(a) ->',
+     1, 1, "symbol 'p' is declared in the order but used as a predicate"),
+    (parse_problem, 'clause: -> q(a)\norder: a > q\nclause: q(b) ->',
+     2, 1, "symbol 'q' is declared in the order but used as a predicate"),
+    (parse_problem, 'clause: p(a), -> q', 1, 15, "expected a predicate symbol, found '->'"),
+    (parse_problem, 'clause: p(a) q(a) ->', 1, 14, "expected '->', found 'q'"),
+    (parse_problem, 'clause: -> p(a),', 1, 17, 'expected a predicate symbol at end of line'),
+    (parse_problem, 'clause: -> p(a) -> q(a)', 1, 17, "unexpected '->'"),
+    (parse_problem, 'clause: -> p(a)\n  % comment\n\tclause: p(b) - q',
+     3, 15, "unexpected character '-'"),
+    (parse_problem, ': p(a) ->', 1, 1, "expected a declaration keyword, found ':'"),
+    (parse_problem, 'clause', 1, 7, "expected ':' at end of line"),
+    (parse_problem, 'clause: p(a', 1, 12, "expected ')' at end of line"),
+    (parse_problem, 'clause: p(,a) ->', 1, 11, "expected a term, found ','"),
+    (parse_problem, 'clause: 1p ->', 1, 9, "unexpected character '1'"),
+    (parse_problem, 'clause: p(_) ->', 1, 11, "unexpected character '_'"),
+    (parse_state, 'clause: p(a) ->',
+     1, 1, "state files start with a 'saturated: true|limit' header"),
+    (parse_state, 'saturated: maybe\norder:', 1, 12, "expected 'true' or 'limit', found 'maybe'"),
+    (parse_state, 'saturated: ->', 1, 12, "expected 'true' or 'limit', found '->'"),
+    (parse_state, 'saturated:', 1, 11, "expected 'true' or 'limit' at end of line"),
+    (parse_state, '', 1, 1, "empty state file: missing 'saturated:' header"),
+    (parse_state, '% only a comment\n', 1, 1, "empty state file: missing 'saturated:' header"),
+    (parse_state, 'saturated: true\nclause: p(a) ->',
+     1, 1, "state file missing its 'order:' line"),
+    (parse_state, 'saturated: true\norder: f > a\nrule: p(a) -> q(f(a),a)',
+     3, 1, 'invalid rule: rule p(a) -> q(f(a),a) is not ordered'),
+    (parse_state, 'saturated: true\norder: a > b\nrule: p(a) -> p(a)',
+     3, 1, 'invalid rule: rule p(a) -> p(a) is not ordered'),
+    (parse_state, 'saturated: true\norder: a > b\nrule: p(a) -> p(X)',
+     3, 1, 'invalid rule: rule p(a) -> p(X) is not ordered'),
+    (parse_state, 'saturated: true\norder: a > b\nrule: p(a) -> p(b) p(a)',
+     3, 20, "unexpected 'p'"),
+    (parse_state, 'saturated: true\norder: a > b\nrule: p(a)',
+     3, 11, "expected '->' at end of line"),
+    (parse_state, 'saturated: true\norder: a\nquery: p(a) ->',
+     3, 1, "unexpected declaration 'query' in state file"),
+    (parse_state, 'saturated: true\nsaturated: true',
+     2, 1, "unexpected declaration 'saturated' in state file"),
+    (parse_state, 'saturated: true\norder: a\norder: a', 3, 1, 'duplicate order declaration'),
+    (parse_clause_text, 'p(a)', 1, 5, "expected '->' at end of line"),
+    (parse_clause_text, 'p(a) -> q(a) r(a)', 1, 14, "unexpected 'r'"),
+    (parse_clause_text, '', 1, 1, 'expected exactly one clause'),
+    (parse_clause_text, 'p(a) ->\nq(a) ->', 1, 1, 'expected exactly one clause'),
+    (parse_clause_text, '-> p(#2)', 1, 6, "'#' is reserved for internal frozen constants"),
+    (parse_clause_text, 'p(a) ->\n@', 2, 1, "unexpected character '@'"),
+    (parse_clause_text, 'p(a) -> p(a,b)', 1, 9, "predicate 'p' used with arities 1 and 2"),
+]
+
+
+def test_malformed_inputs_report_message_line_and_column():
+    assert len(MALFORMED) >= 30
+    for parse, text, line, col, message in MALFORMED:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        got = (info.value.line, info.value.col, str(info.value))
+        assert got == (line, col, f"line {line}, column {col}: {message}"), (parse.__name__, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_clause_text_round_trips(seed):
+    c = rand_clause(random.Random(seed), max_side=3, depth=3)
+    assert parse_clause_text(str(c)) == c
