@@ -86,6 +86,8 @@ def _cmd_query(args) -> int:
         goals.append(parse_clause_text(text, sig))
     if args.from_file:
         problem = parse_problem(Path(args.from_file).read_text(encoding="utf-8"))
+        for goal in problem.queries:
+            sig.scan_clause(goal)
         goals.extend(problem.queries)
     for goal in goals:
         result = entails(state, goal, allow_unsaturated=args.unsound_ok)

@@ -114,8 +114,8 @@ class _Reader:
     """Parses declaration bodies into one signature, recording the order
     declaration and the function symbols in order of occurrence."""
 
-    def __init__(self, sig: Signature | None = None):
-        self.sig = sig if sig is not None else Signature()
+    def __init__(self):
+        self.sig = Signature()
         self.occurrence: dict[str, None] = {}
         self.declared: list[str] | None = None
         self.declared_line = 0
@@ -241,11 +241,21 @@ def parse_problem(text: str) -> Problem:
 
 
 def parse_clause_text(text: str, sig: Signature | None = None) -> Clause:
-    """Parse a bare clause body such as "p(a), q(b) -> r(c)"."""
+    """Parse a bare clause body such as "p(a), q(b) -> r(c)".
+
+    The clause's symbols are noted in `sig` only if it parses, so text that
+    fails leaves the caller's signature as it was.
+    """
     lines = list(_lines(text))
     if len(lines) != 1:
         raise ParseError("expected exactly one clause", 1, 1)
-    return _Reader(sig).clause(lines[0])
+    reader = _Reader()
+    if sig is not None:
+        reader.sig.functions, reader.sig.predicates = dict(sig.functions), dict(sig.predicates)
+    clause = reader.clause(lines[0])
+    if sig is not None:
+        sig.functions, sig.predicates = reader.sig.functions, reader.sig.predicates
+    return clause
 
 
 def serialize_problem(problem: Problem) -> str:

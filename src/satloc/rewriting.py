@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .orderings import Ordering
 from .terms import (
@@ -75,17 +75,11 @@ class RewriteSystem:
             return self  # keeps the rule index already built
         return RewriteSystem(self.rules | other.rules)
 
-    def __le__(self, other: "RewriteSystem") -> bool:
-        return self.rules <= other.rules
-
     def __len__(self) -> int:
         return len(self.rules)
 
     def sorted_rules(self) -> list[RewriteRule]:
         return sorted(self.rules, key=rule_key)
-
-    def __iter__(self) -> Iterator[RewriteRule]:
-        return iter(self.sorted_rules())
 
     @cached_property
     def by_predicate(self) -> dict[str, tuple[RewriteRule, ...]]:

@@ -2,19 +2,22 @@
 
 Saturation is by a priori ordered resolution alone (every factoring
 inference is redundant, see resolution.py), so the loop and the verifier
-check the same inferences.  Clauses are indexed by predicates as they enter
-(ClauseIndex), so only the clause pairs that can resolve are queued, and
-forward subsumption and the variant check only try the clauses whose
-predicates fit.  Each a priori inference is classified by the first
-matching case: non-maximality (harvest rules from the unified premise
-instances), redundancy (conclusion locally provable under the current
-rules), discovery (add the conclusion and its rules, queue new work).
+check the same inferences, and both settle redundancy with one test
+(ClauseIndex.redundancy): a stored clause subsumes the conclusion, or the
+conclusion is locally provable within its frozen reach set.  Clauses are
+indexed by predicates as they enter, so only the clause pairs that can
+resolve are queued, and subsumption and the variant check only try the
+clauses whose predicates fit.  Each a priori inference is classified by the
+first matching case: non-maximality (harvest rules from the unified premise
+instances), redundancy (under the current clauses and rules), discovery
+(add the conclusion and its rules, queue new work).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .entailment import clause_redundant, subsumes, variant_equal
 from .orderings import Ordering
@@ -59,95 +62,82 @@ def _side_predicates(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(a.pred for a in c.antecedent), frozenset(a.pred for a in c.succedent)
 
 
-class ClauseFeatures:
-    """Predicate features of one clause: the predicates of its maximal
-    (eligible) antecedent and succedent atoms, and of each side.
-
-    Maximality is invariant under variable renaming, so the eligible atoms
-    of a stored clause are those of every renamed-apart copy of it.
-    """
-
-    __slots__ = ("eligible_antecedent", "eligible_succedent", "antecedent", "succedent")
-
-    def __init__(self, ordering: Ordering, c: Clause):
-        atoms = c.atoms()
-        self.eligible_antecedent = frozenset(
-            a.pred for a in c.antecedent if ordering.is_maximal(a, atoms)
-        )
-        self.eligible_succedent = frozenset(
-            a.pred for a in c.succedent if ordering.is_maximal(a, atoms)
-        )
-        self.antecedent, self.succedent = _side_predicates(c)
-
-
 class ClauseIndex:
     """Predicate index over a list of clauses, kept in list order.
 
-    Its filters are necessary conditions, so they change no verdict: clause
-    i resolves into clause j (i's succedent atom against j's antecedent
-    atom) only if an eligible succedent predicate of i is an eligible
-    antecedent predicate of j; d subsumes c only if each side's predicates
-    of d are among those of c's side; variants have equal predicate sets.
+    Per clause it keeps the predicates of each side, and of each side's
+    maximal (eligible) atoms; maximality is invariant under variable
+    renaming, so these are also those of every renamed-apart copy.  Its
+    filters are necessary conditions, so they change no verdict: clause i
+    resolves into clause j (i's succedent atom against j's antecedent atom)
+    only if an eligible succedent predicate of i is an eligible antecedent
+    predicate of j; d subsumes c only if each side's predicates of d are
+    among those of c's side; variants have equal predicate sets.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
         self.clauses: list[Clause] = []
-        self.features: list[ClauseFeatures] = []
-        self._by_eligible_antecedent: dict[str, list[int]] = {}
-        self._by_eligible_succedent: dict[str, list[int]] = {}
+        # per clause, (antecedent, succedent) predicates: all, and eligible
+        self.sides: list[tuple[frozenset[str], frozenset[str]]] = []
+        self.eligible: list[tuple[frozenset[str], ...]] = []
+        self._by_eligible: tuple[dict[str, list[int]], ...] = ({}, {})
+        self._by_sides: dict[tuple[frozenset[str], frozenset[str]], list[Clause]] = {}
         for c in clauses:
             self.add(c)
 
     def add(self, c: Clause) -> None:
         """Index the next clause of the list."""
-        k = len(self.clauses)
-        f = ClauseFeatures(self.ordering, c)
+        atoms = c.atoms()
+        eligible = tuple(
+            frozenset(a.pred for a in side if self.ordering.is_maximal(a, atoms))
+            for side in (c.antecedent, c.succedent)
+        )
+        for preds, by_pred in zip(eligible, self._by_eligible):
+            for p in preds:
+                by_pred.setdefault(p, []).append(len(self.clauses))
+        sides = _side_predicates(c)
+        self._by_sides.setdefault(sides, []).append(c)
         self.clauses.append(c)
-        self.features.append(f)
-        for p in f.eligible_antecedent:
-            self._by_eligible_antecedent.setdefault(p, []).append(k)
-        for p in f.eligible_succedent:
-            self._by_eligible_succedent.setdefault(p, []).append(k)
+        self.sides.append(sides)
+        self.eligible.append(eligible)
 
     def resolves(self, i: int, j: int) -> bool:
         """Can an eligible succedent atom of clause i meet an eligible
         antecedent atom of clause j?"""
-        return not self.features[i].eligible_succedent.isdisjoint(
-            self.features[j].eligible_antecedent
-        )
+        return not self.eligible[i][1].isdisjoint(self.eligible[j][0])
 
     def targets(self, i: int) -> list[int]:
         """Every j with resolves(i, j), in increasing order."""
         found: set[int] = set()
-        for p in self.features[i].eligible_succedent:
-            found.update(self._by_eligible_antecedent.get(p, ()))
+        for p in self.eligible[i][1]:
+            found.update(self._by_eligible[0].get(p, ()))
         return sorted(found)
 
     def partners(self, k: int) -> list[int]:
         """Every indexed i such that clauses i and k resolve in some
         direction, in increasing order."""
-        f = self.features[k]
         found: set[int] = set()
-        for p in f.eligible_antecedent:
-            found.update(self._by_eligible_succedent.get(p, ()))
-        for p in f.eligible_succedent:
-            found.update(self._by_eligible_antecedent.get(p, ()))
+        for preds, by_pred in zip(self.eligible[k], reversed(self._by_eligible)):
+            for p in preds:
+                found.update(by_pred.get(p, ()))
         return sorted(found)
 
-    def subsumption_candidates(self, c: Clause):
-        """Stored clauses, in order, whose predicates fit into c's sides."""
-        ant, suc = _side_predicates(c)
-        for d, f in zip(self.clauses, self.features):
-            if f.antecedent <= ant and f.succedent <= suc:
-                yield d
+    def has_variant(self, c: Clause) -> bool:
+        """Is a variant of c stored?"""
+        return any(variant_equal(c, d) for d in self._by_sides.get(_side_predicates(c), ()))
 
-    def variant_candidates(self, c: Clause):
-        """Stored clauses, in order, with exactly c's predicates on each side."""
+    def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
+        """How c is redundant with respect to the stored clauses and `rules`:
+        "subsumption" if a stored clause subsumes it (tried in list order),
+        else "local proof" if its frozen instance is locally provable, else
+        None.  Subsumption implies a local proof, so it only saves time.
+        """
         ant, suc = _side_predicates(c)
-        for d, f in zip(self.clauses, self.features):
-            if f.antecedent == ant and f.succedent == suc:
-                yield d
+        for d, (d_ant, d_suc) in zip(self.clauses, self.sides):
+            if d_ant <= ant and d_suc <= suc and subsumes(d, c):
+                return "subsumption"
+        return "local proof" if clause_redundant(self.clauses, rules, c) else None
 
 
 @dataclass
@@ -158,26 +148,12 @@ class SaturationState:
     queue: deque = field(default_factory=deque)  # clause index pairs (i, j), i <= j
     stats: SaturationStats = field(default_factory=SaturationStats)
     status: str = RUNNING
-    _index: ClauseIndex | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def index(self) -> ClauseIndex:
-        """The predicate index of `clauses`, brought up to date on access.
-
-        Clauses appended since the last access are indexed; if the indexed
-        prefix was changed in place, or the ordering replaced, the index is
-        rebuilt, so a state built from a clause list needs no set-up.
-        """
-        idx = self._index
-        if (
-            idx is None
-            or idx.ordering is not self.ordering
-            or self.clauses[: len(idx.clauses)] != idx.clauses
-        ):
-            idx = self._index = ClauseIndex(self.ordering)
-        for c in self.clauses[len(idx.clauses):]:
-            idx.add(c)
-        return idx
+        """The predicate index of `clauses`, built on first use.  Only
+        add_clause extends it, so once built, clauses enter through it."""
+        return ClauseIndex(self.ordering, self.clauses)
 
     def add_clause(self, c: Clause) -> bool:
         """Add a clause unless a variant is already present; queue its work.
@@ -186,7 +162,7 @@ class SaturationState:
         order, so the inferences keep the all-pairs FIFO order.
         """
         index = self.index
-        if any(variant_equal(c, d) for d in index.variant_candidates(c)):
+        if index.has_variant(c):
             return False
         k = len(self.clauses)
         self.clauses.append(c)
@@ -228,14 +204,10 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
             if not is_a_posteriori(ordering, inf):
                 state.rules = state.rules | rules_of(ordering, inf.premise_instances)
                 state.stats.non_maximality += 1
-            elif any(
-                subsumes(d, inf.conclusion)
-                for d in state.index.subsumption_candidates(inf.conclusion)
-            ):
+            elif how := state.index.redundancy(state.rules, inf.conclusion):
                 state.stats.redundant += 1
-                state.stats.redundant_by_subsumption += 1
-            elif clause_redundant(state.clauses, state.rules, inf.conclusion):
-                state.stats.redundant += 1
+                if how == "subsumption":
+                    state.stats.redundant_by_subsumption += 1
             else:
                 state.stats.discovered += 1
                 state.add_clause(inf.conclusion)
@@ -261,21 +233,22 @@ def verify_saturated(ordering: Ordering, clauses, rules: RewriteSystem) -> Verif
 
     Clause pairs are walked in the all-pairs order, skipping the pairs the
     predicate index rules out, so the violations come in the same order.
-    (1) every a priori resolution inference has a locally provable
-    conclusion within its frozen reach set; (2) the clause-extracted rules
-    are contained in the system; (3) inferences failing the a posteriori
-    conditions contributed the rules of their premise instances.
+    (1) every a priori resolution inference has a redundant conclusion, by
+    the loop's test: subsumed by a clause, or locally provable within its
+    frozen reach set; (2) the clause-extracted rules are contained in the
+    system; (3) inferences failing the a posteriori conditions contributed
+    the rules of their premise instances.
     """
-    clauses = list(clauses)
+    index = ClauseIndex(ordering, clauses)
+    clauses = index.clauses
     report = VerifyReport()
     missing = rules_of(ordering, clauses).rules - rules.rules
     for rule in sorted(missing, key=str):
         report.violations.append(f"condition 2: missing rule {rule}")
-    index = ClauseIndex(ordering, clauses)
     for i, c1 in enumerate(clauses):
         for j in index.targets(i):
             for inf in a_priori_resolvents(ordering, c1, clauses[j]):
-                if not clause_redundant(clauses, rules, inf.conclusion):
+                if not index.redundancy(rules, inf.conclusion):
                     report.violations.append(f"condition 1: not redundant: {inf}")
                 if not is_a_posteriori(ordering, inf):
                     harvested = rules_of(ordering, inf.premise_instances)

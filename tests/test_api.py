@@ -35,16 +35,52 @@ def readme_library_section() -> str:
     return readme.split("## Library", 1)[1].split("\n## ", 1)[0]
 
 
-def test_every_traced_attribute_exists():
-    # bench/run.py --trace 1 rebinds each (owner, attribute) pair in place;
-    # a missing one makes the traced benchmark fail before it runs
+def bench_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = tracing._targets(satloc_modules())
+    return tracing
+
+
+def test_every_traced_attribute_exists():
+    # bench/run.py --trace 1 rebinds each (owner, attribute) pair in place;
+    # a missing one makes the traced benchmark fail before it runs
+    targets = bench_tracing()._targets(satloc_modules())
     assert targets
     for owner, attr, _, _ in targets:
         assert callable(getattr(owner, attr, None)), (owner, attr)
+
+
+WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
+CHAIN = "clause: -> p0(a)\n" + "".join(f"clause: p{i}(X) -> p{i + 1}(X)\n" for i in range(3))
+
+
+def test_tracer_records_every_layer():
+    # a traced function reached by another route (say entailment.subsumes
+    # called directly from the saturation loop) would make its layer read
+    # zero in bench/run.py --trace 1; run every phase as bench/run.py does,
+    # through the module objects
+    tracing = bench_tracing()
+    m = satloc_modules()
+    par, sat = m["parsing"], m["saturation"]
+    tracer = tracing.Tracer()
+    installation = tracing.Installation(tracer, m)
+    installation.install()
+    tracer.phase = "run"
+    try:
+        for text, query in ((WORKED, "q(f(a),a) ->"), (CHAIN, "-> p3(a)")):
+            problem = par.parse_problem(text)
+            state = sat.saturate(problem.ordering, problem.clauses)
+            state = par.parse_state(par.serialize_state(state))
+            assert sat.verify_saturated(state.ordering, state.clauses, state.rules).ok
+            goal = par.parse_clause_text(query, m["cli"].state_signature(state))
+            assert m["query"].entails(state, goal).verdict == "entailed"
+    finally:
+        tracer.phase = None
+        installation.uninstall()
+    layers = {layer for _, _, layer, _ in tracing._targets(m)}
+    missing = sorted(layer for layer in layers if f"run.{layer}_s" not in tracer.totals)
+    assert not missing, missing
 
 
 def test_every_exported_name_resolves():

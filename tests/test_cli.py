@@ -76,6 +76,19 @@ def test_query_from_file(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["entailed", "not-entailed"]
 
 
+def test_query_from_file_gets_the_state_symbol_checks(tmp_path, capsys):
+    problem = write(tmp_path, "demo.p", "order: f > a\nclause: -> p(a)\nclause: p(X) -> q(f(X))\n")
+    state = write(tmp_path, "demo.state", "")
+    assert main(["saturate", problem, "--out", state]) == 0
+    capsys.readouterr()
+    assert main(["query", state, "-> p(a,b)"]) == 3
+    assert "predicate 'p' used with arities 1 and 2" in capsys.readouterr().err
+    queries = write(tmp_path, "queries.p", "query: -> q(f(a))\nquery: -> p(a,b)\n")
+    assert main(["query", state, "--from", queries]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "predicate 'p' used with arities 1 and 2" in err
+
+
 def test_query_refuses_limit_state(tmp_path, capsys):
     problem = write(tmp_path, "race.p", RACE)
     state = write(tmp_path, "race.state", "")

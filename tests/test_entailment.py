@@ -396,6 +396,22 @@ def test_subsumes_and_variants_agree_with_backtracking_references():
     assert hits > 1000 and variants > 1000 and misses > 500, (hits, variants, misses)
 
 
+def test_subsumption_implies_a_local_proof():
+    # saturate and verify_saturated try subsumption before the local proof
+    # (ClauseIndex.redundancy); that can change no verdict only because a
+    # clause subsumed by one of the clauses is locally provable from them
+    rng = random.Random(149)
+    ordering = sig_ordering()
+    for _ in range(1500):
+        d = rand_clause(rng, max_side=3, depth=1)
+        c = _instance_with_extras(rng, d)
+        assert subsumes(d, c)
+        assert clause_redundant([d], RewriteSystem(), c), (str(d), str(c))
+        clauses = [rand_clause(rng, depth=1) for _ in range(rng.randint(1, 3))] + [d]
+        rules = rules_of(ordering, clauses)
+        assert clause_redundant(clauses, rules, c), ([str(e) for e in clauses], str(c))
+
+
 def test_freezing_lifts_to_all_ground_instances():
     # clause_redundant decides on one frozen generic instance; every real
     # ground instance must then be locally provable as well

@@ -107,6 +107,17 @@ def test_parse_clause_text():
         parse_clause_text("p(a) -> q(a) r(a)")
 
 
+def test_failed_clause_text_leaves_the_signature_unchanged():
+    sig = parse_problem("clause: -> p(a)\n").signature
+    with pytest.raises(ParseError):
+        parse_clause_text("p(g(a)) -> p(", sig)
+    assert sig.functions == {"a": 0}
+    assert parse_clause_text("-> p(g)", sig) == cl("-> p(g)")
+    assert sig.functions == {"a": 0, "g": 0}
+    with pytest.raises(ParseError, match="arities 0 and 1"):
+        parse_clause_text("-> p(g(a))", sig)
+
+
 def test_state_roundtrip():
     problem = parse_problem(
         "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->"
