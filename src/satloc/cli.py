@@ -1,9 +1,9 @@
 """Command line front end: saturate, query, verify, oracle.
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
-unsaturated query, 3 input errors (parse, arity, non-ground query, terms
-nested deeper than the interpreter's recursion limit), 4 verification
-violations.
+unsaturated query, 3 input errors (usage, parse, arity, non-ground query,
+terms nested deeper than the interpreter's recursion limit), 4
+verification violations.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .oracle import HerbrandBound, DEFAULT_BUDGET, oracle_entails
 from .parsing import (
-    ParseError,
     parse_clause_text,
     parse_problem,
     parse_state,
@@ -23,7 +22,7 @@ from .parsing import (
 )
 from .query import NotSaturatedError, entails
 from .saturation import SATURATED, Limits, saturate, verify_saturated
-from .terms import ArityError, Signature
+from .terms import Signature
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +126,12 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 3  # a usage error, which argparse has printed
     handlers = {
         "saturate": _cmd_saturate,
         "query": _cmd_query,
@@ -136,9 +140,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ArityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NotSaturatedError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

@@ -122,8 +122,10 @@ def _join_plan(atoms: tuple[Atom, ...], by_pred: dict[str, list[Atom]]) -> list[
 def ground_sat(clauses: Iterable[Clause]) -> dict[Atom, bool] | None:
     """Satisfying assignment for a set of ground clauses, or None if unsat.
 
-    DPLL with unit propagation; branching picks the lowest atom index and
-    tries false first, so the verdict and model are deterministic.
+    Atoms are numbered from 1 in atom_key order, and the clauses become
+    literal sets, tautologies dropped, sorted by their sorted literals.  The
+    DPLL search follows that numbering and order, so the verdict and model
+    are deterministic; atoms the search leaves unassigned are false.
     """
     atoms: set[Atom] = set()
     clause_list = []
@@ -149,78 +151,64 @@ def ground_sat(clauses: Iterable[Clause]) -> dict[Atom, bool] | None:
 
 
 def _dpll(cnf) -> dict[int, bool] | None:
-    """Iterative DPLL: unit propagation, lowest-variable branching (false
-    first), chronological backtracking.  Counters per clause keep every step
-    cheap; the verdict and model are deterministic."""
-    clauses = [tuple(sorted(lits, key=lambda l: (abs(l), l))) for lits in cnf]
-    occurs: dict[int, list[tuple[int, bool]]] = {}
+    """Iterative DPLL over integer literals: unit propagation, branching on
+    the lowest variable of a clause not yet satisfied (false first),
+    chronological backtracking; the verdict and model are deterministic.
+
+    Only the assignment (the set of true literals), the trail and the
+    decision stack change during the search: a clause's state is read off
+    the assignment whenever the clause is visited.
+    """
+    clauses = [frozenset(lits) for lits in cnf]
+    occurs: dict[int, list[int]] = {}
     for i, lits in enumerate(clauses):
         for lit in lits:
-            occurs.setdefault(abs(lit), []).append((i, lit > 0))
-    n_free = [len(lits) for lits in clauses]
-    n_sat = [0] * len(clauses)
-    open_clauses = set(range(len(clauses)))  # sat count still zero
-    assignment: dict[int, bool] = {}
+            occurs.setdefault(abs(lit), []).append(i)
+    variables = sorted(occurs)
+    true: set[int] = set()
     trail: list[int] = []
     decisions: list[tuple[int, int, bool]] = []  # (trail mark, var, tried True)
 
-    def assign(var: int, value: bool) -> None:
-        assignment[var] = value
-        trail.append(var)
-        for i, positive in occurs.get(var, ()):
-            n_free[i] -= 1
-            if positive == value:
-                n_sat[i] += 1
-                if n_sat[i] == 1:
-                    open_clauses.discard(i)
+    def assign(lit: int) -> None:
+        true.add(lit)
+        trail.append(lit)
 
-    def unassign(var: int) -> None:
-        value = assignment.pop(var)
-        for i, positive in occurs.get(var, ()):
-            n_free[i] += 1
-            if positive == value:
-                n_sat[i] -= 1
-                if n_sat[i] == 0:
-                    open_clauses.add(i)
+    def unassign(lit: int) -> None:
+        true.remove(lit)
 
-    def free_literal(i: int) -> int:
-        for lit in clauses[i]:
-            if abs(lit) not in assignment:
-                return lit
-        raise AssertionError("no free literal in a unit clause")
-
-    def propagate(queue: list[int]) -> bool:
-        qi = 0
-        while qi < len(queue):
-            var = queue[qi]
-            qi += 1
-            for i, _ in occurs.get(var, ()):
-                if n_sat[i] > 0:
-                    continue
-                if n_free[i] == 0:
-                    return False
-                if n_free[i] == 1:
-                    lit = free_literal(i)
-                    assign(abs(lit), lit > 0)
-                    queue.append(abs(lit))
+    def propagate(todo) -> bool:
+        """Visit the clauses in todo, then the clauses of each variable
+        assigned meanwhile, in that order; a clause with no true literal
+        and one free literal assigns it.  False when a visited clause has
+        every literal false."""
+        todo = list(todo)
+        for i in todo:  # the list grows while it is walked
+            if not true.isdisjoint(clauses[i]):
+                continue
+            free = [lit for lit in clauses[i] if -lit not in true]
+            if not free:
+                return False
+            if len(free) == 1:
+                assign(free[0])
+                todo += occurs[abs(free[0])]
         return True
 
-    queue: list[int] = []
-    for i, lits in enumerate(clauses):
-        if n_sat[i] > 0 or n_free[i] > 1:
-            continue
-        if n_free[i] == 0:
-            return None
-        lit = free_literal(i)
-        if abs(lit) not in assignment:
-            assign(abs(lit), lit > 0)
-            queue.append(abs(lit))
-    ok = propagate(queue)
+    ok = propagate(range(len(clauses)))
     while True:
-        if not ok:
+        if ok:
+            var = next(
+                (v for v in variables
+                 if v not in true and -v not in true
+                 and any(true.isdisjoint(clauses[i]) for i in occurs[v])),
+                None,
+            )
+            if var is None:
+                return {abs(lit): lit > 0 for lit in trail}
+            decisions.append((len(trail), var, False))
+        else:
             # undo exhausted decisions, then flip the newest untried one
             while decisions and decisions[-1][2]:
-                mark, _, _ = decisions.pop()
+                mark = decisions.pop()[0]
                 while len(trail) > mark:
                     unassign(trail.pop())
             if not decisions:
@@ -229,21 +217,8 @@ def _dpll(cnf) -> dict[int, bool] | None:
             while len(trail) > mark:
                 unassign(trail.pop())
             decisions[-1] = (mark, var, True)
-            assign(var, True)
-            ok = propagate([var])
-            continue
-        # at a propagation fixpoint; branch on the lowest variable still open
-        branch = None
-        for i in open_clauses:
-            for lit in clauses[i]:
-                var = abs(lit)
-                if var not in assignment and (branch is None or var < branch):
-                    branch = var
-        if branch is None:
-            return dict(assignment)
-        decisions.append((len(trail), branch, False))
-        assign(branch, False)
-        ok = propagate([branch])
+        assign(var if decisions[-1][2] else -var)
+        ok = propagate(occurs[var])
 
 
 def decide_local(

@@ -39,11 +39,12 @@ class OracleResult:
     reason: str | None = None  # "depth" or "budget" when unknown
 
 
-def herbrand_terms(signature: Signature, bound: HerbrandBound) -> set[Term]:
+def herbrand_terms(signature: Signature, bound: HerbrandBound, too_many=None) -> set[Term] | None:
     """Ground terms built from constants and seeds by at most `depth` function layers.
 
     A default constant is injected when the signature has none and no seed
-    terms were supplied.
+    terms were supplied.  None as soon as too_many holds for a lower bound on
+    the next layer's size (each function on each argument tuple, all distinct).
     """
     seeds: set[Term] = {Fn(name) for name in signature.constants()}
     seeds |= set(bound.extra_terms)
@@ -55,6 +56,8 @@ def herbrand_terms(signature: Signature, bound: HerbrandBound) -> set[Term]:
     )
     terms = set(seeds)
     for _ in range(bound.depth):
+        if too_many is not None and too_many(sum(len(terms) ** k for _, k in functions)):
+            return None
         layer = set(terms)
         for name, k in functions:
             for args in itertools.product(sorted(terms, key=str), repeat=k):
@@ -69,7 +72,8 @@ def oracle_entails(
     bound: HerbrandBound,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
-    """Semi-decide entailment of a ground clause by exhaustive instantiation."""
+    """Semi-decide entailment of a ground clause by exhaustive instantiation,
+    within `budget` instances (checked before each term layer is built)."""
     if not goal.is_ground():
         raise ValueError(f"oracle queries must be ground, got {goal}")
     clauses = list(clauses)
@@ -78,15 +82,17 @@ def oracle_entails(
     for atom in goal.atoms():
         for t in atom.args:
             harvested |= subterms(t)
-    terms = sorted(
-        herbrand_terms(signature, HerbrandBound(bound.depth, frozenset(bound.extra_terms) | frozenset(harvested))),
-        key=str,
-    )
-    total = 0
-    for c in clauses:
-        total += len(terms) ** len(sorted_vars(c))
-        if total > budget:
-            return OracleResult(UNKNOWN, "budget")
+    widths = [len(sorted_vars(c)) for c in clauses]
+
+    def too_many(n: int) -> bool:  # more instances over n terms than the budget?
+        return sum(n ** w for w in widths) > budget
+
+    seeded = HerbrandBound(bound.depth, frozenset(bound.extra_terms) | frozenset(harvested))
+    # only clauses with variables need terms
+    terms = herbrand_terms(signature, seeded, too_many) if any(widths) else set()
+    if terms is None or too_many(len(terms)):
+        return OracleResult(UNKNOWN, "budget")
+    terms = sorted(terms, key=str)
     instances: set[Clause] = set()
     for c in clauses:
         variables = sorted_vars(c)

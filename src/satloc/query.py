@@ -7,7 +7,6 @@ instance enumeration plus one propositional check.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .entailment import LocalCertificate, decide_local
@@ -29,7 +28,6 @@ class QueryResult:
     verdict: str
     certificate: LocalCertificate | None
     universe_size: int
-    elapsed: float
 
 
 def entails(state: SaturationState, goal: Clause, allow_unsaturated: bool = False) -> QueryResult:
@@ -45,10 +43,8 @@ def entails(state: SaturationState, goal: Clause, allow_unsaturated: bool = Fals
         raise NotSaturatedError(
             f"state has status '{state.status}'; only saturated states decide entailment"
         )
-    start = time.perf_counter()
     universe = reach_clause(state.rules, goal)
     certificate = decide_local(state.clauses, universe, goal)
-    elapsed = time.perf_counter() - start
     if certificate is not None:
         verdict = ENTAILED
     elif state.status == SATURATED:
@@ -59,5 +55,4 @@ def entails(state: SaturationState, goal: Clause, allow_unsaturated: bool = Fals
         verdict=verdict,
         certificate=certificate,
         universe_size=len(universe),
-        elapsed=elapsed,
     )

@@ -37,8 +37,13 @@ class Inference:
     unifier: Subst
     resolved: tuple[Atom, ...]
     resolved_atom: Atom
-    premise_instances: tuple[Clause, ...]
     conclusion: Clause
+
+    @property
+    def premise_instances(self) -> tuple[Clause, ...]:
+        """The premises under the unifier.  Built on each read: only the
+        non-maximality case and the verifier's condition 3 read them."""
+        return tuple(substitute(self.unifier, p) for p in self.premises)
 
     def __str__(self) -> str:
         prem = " ; ".join(str(p) for p in self.premises)
@@ -64,12 +69,10 @@ def a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Infe
             alpha = mgu(a, ap)
             if alpha is None:
                 continue
-            conclusion = substitute(
-                alpha,
-                Clause(
-                    c1.antecedent + tuple(x for x in c2r.antecedent if x != ap),
-                    tuple(x for x in c1.succedent if x != a) + c2r.succedent,
-                ),
+            ant = c1.antecedent + tuple(x for x in c2r.antecedent if x != ap)
+            suc = tuple(x for x in c1.succedent if x != a) + c2r.succedent
+            conclusion = Clause(
+                [substitute(alpha, x) for x in ant], [substitute(alpha, x) for x in suc]
             )
             out.append(
                 Inference(
@@ -78,7 +81,6 @@ def a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Infe
                     unifier=alpha,
                     resolved=(a, ap),
                     resolved_atom=substitute(alpha, a),
-                    premise_instances=(substitute(alpha, c1), substitute(alpha, c2r)),
                     conclusion=conclusion,
                 )
             )
@@ -113,7 +115,6 @@ def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:
                     unifier=alpha,
                     resolved=(kept, dropped),
                     resolved_atom=substitute(alpha, kept),
-                    premise_instances=(substitute(alpha, c),),
                     conclusion=conclusion,
                 )
             )

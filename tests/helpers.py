@@ -321,7 +321,107 @@ def ref_verify_saturated(ordering: Ordering, clauses, rules) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Truth-table satisfiability, the reference for the DPLL check.
+# Truth-table satisfiability and the counter-based DPLL, the references for
+# the DPLL check.
+
+def ref_dpll(cnf) -> dict[int, bool] | None:
+    """Counter-based DPLL, the reference for satloc.entailment._dpll: the
+    same search (unit propagation, lowest-variable branching with false
+    first, chronological backtracking), with counts of free and true
+    literals per clause kept in step with every assignment."""
+    clauses = [tuple(sorted(lits, key=lambda l: (abs(l), l))) for lits in cnf]
+    occurs: dict[int, list[tuple[int, bool]]] = {}
+    for i, lits in enumerate(clauses):
+        for lit in lits:
+            occurs.setdefault(abs(lit), []).append((i, lit > 0))
+    n_free = [len(lits) for lits in clauses]
+    n_sat = [0] * len(clauses)
+    open_clauses = set(range(len(clauses)))  # sat count still zero
+    assignment: dict[int, bool] = {}
+    trail: list[int] = []
+    decisions: list[tuple[int, int, bool]] = []  # (trail mark, var, tried True)
+
+    def assign(var: int, value: bool) -> None:
+        assignment[var] = value
+        trail.append(var)
+        for i, positive in occurs.get(var, ()):
+            n_free[i] -= 1
+            if positive == value:
+                n_sat[i] += 1
+                if n_sat[i] == 1:
+                    open_clauses.discard(i)
+
+    def unassign(var: int) -> None:
+        value = assignment.pop(var)
+        for i, positive in occurs.get(var, ()):
+            n_free[i] += 1
+            if positive == value:
+                n_sat[i] -= 1
+                if n_sat[i] == 0:
+                    open_clauses.add(i)
+
+    def free_literal(i: int) -> int:
+        for lit in clauses[i]:
+            if abs(lit) not in assignment:
+                return lit
+        raise AssertionError("no free literal in a unit clause")
+
+    def propagate(queue: list[int]) -> bool:
+        qi = 0
+        while qi < len(queue):
+            var = queue[qi]
+            qi += 1
+            for i, _ in occurs.get(var, ()):
+                if n_sat[i] > 0:
+                    continue
+                if n_free[i] == 0:
+                    return False
+                if n_free[i] == 1:
+                    lit = free_literal(i)
+                    assign(abs(lit), lit > 0)
+                    queue.append(abs(lit))
+        return True
+
+    queue: list[int] = []
+    for i, lits in enumerate(clauses):
+        if n_sat[i] > 0 or n_free[i] > 1:
+            continue
+        if n_free[i] == 0:
+            return None
+        lit = free_literal(i)
+        if abs(lit) not in assignment:
+            assign(abs(lit), lit > 0)
+            queue.append(abs(lit))
+    ok = propagate(queue)
+    while True:
+        if not ok:
+            # undo exhausted decisions, then flip the newest untried one
+            while decisions and decisions[-1][2]:
+                mark, _, _ = decisions.pop()
+                while len(trail) > mark:
+                    unassign(trail.pop())
+            if not decisions:
+                return None
+            mark, var, _ = decisions[-1]
+            while len(trail) > mark:
+                unassign(trail.pop())
+            decisions[-1] = (mark, var, True)
+            assign(var, True)
+            ok = propagate([var])
+            continue
+        # at a propagation fixpoint; branch on the lowest variable still open
+        branch = None
+        for i in open_clauses:
+            for lit in clauses[i]:
+                var = abs(lit)
+                if var not in assignment and (branch is None or var < branch):
+                    branch = var
+        if branch is None:
+            return dict(assignment)
+        decisions.append((len(trail), branch, False))
+        assign(branch, False)
+        ok = propagate([branch])
+
 
 def truth_table_satisfiable(clauses) -> bool:
     atoms = sorted({a for c in clauses for a in c.atom_set()}, key=str)

@@ -1,5 +1,5 @@
 """The public surface: what the benchmark's tracer, its tests and the README
-rely on still exists after a refactor."""
+rely on still exists after a refactor, and the input guards raise."""
 
 import ast
 import importlib
@@ -8,7 +8,15 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import satloc
+from helpers import at, cl, tm
+from satloc.entailment import ground_sat
+from satloc.oracle import HerbrandBound
+from satloc.orderings import Ordering
+from satloc.rewriting import RewriteSystem, reach_clause
+from satloc.terms import Var, match_onto, mgu, substitute, vars_in_order
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,3 +109,33 @@ def test_readme_lists_every_exported_name():
     section = readme_library_section()
     missing = [name for name in satloc.__all__ if f"`{name}`" not in section]
     assert not missing, missing
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ground_sat([cl("-> p(X)")]), ValueError),
+        (lambda: reach_clause(RewriteSystem(), cl("p(a) -> q(X)")), ValueError),
+        (lambda: HerbrandBound(-1), ValueError),
+        (lambda: HerbrandBound(1, frozenset({tm("f(X)")})), ValueError),
+        (lambda: Ordering(["f", "#1"]), ValueError),
+        (lambda: vars_in_order([Var("X")]), TypeError),
+        (lambda: substitute({}, "p(X)"), TypeError),
+        (lambda: mgu(at("p(X)"), tm("a")), TypeError),
+        (lambda: match_onto(tm("X"), at("p(a)")), TypeError),
+    ],
+    ids=[
+        "ground_sat-non-ground",
+        "reach_clause-non-ground",
+        "herbrand-negative-depth",
+        "herbrand-non-ground-seed",
+        "ordering-frozen-name",
+        "vars_in_order-list",
+        "substitute-string",
+        "mgu-atom-term",
+        "match_onto-term-atom",
+    ],
+)
+def test_input_guards_raise(call, error):
+    with pytest.raises(error):
+        call()

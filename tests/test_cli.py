@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from satloc.cli import main
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
@@ -144,6 +146,20 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["saturate", str(tmp_path / "missing.p")]) == 3
     capsys.readouterr()
+
+
+def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
+    problem = write(tmp_path, "demo.p", WORKED)
+    assert main(["saturate", problem, "--max-steps", "abc"]) == 3
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["frobnicate"]) == 3
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert main(["oracle", problem, "-> p(a)"]) == 3  # --depth is required
+    assert "--depth" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as help_exit:
+        main(["query", "--help"])
+    assert help_exit.value.code == 0
+    assert "--certificate" in capsys.readouterr().out
 
 
 def test_deep_term_exits_3(tmp_path, capsys):

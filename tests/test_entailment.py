@@ -13,6 +13,7 @@ from helpers import (
     rand_clause,
     rand_ground_atom,
     rand_ground_clause,
+    ref_dpll,
     ref_enumerate_local_instances,
     ref_subsumes,
     ref_variant_equal,
@@ -22,6 +23,7 @@ from helpers import (
 import satloc.entailment
 from satloc import Clause, Ordering, RewriteSystem
 from satloc.entailment import (
+    _dpll,
     clause_redundant,
     decide_local,
     enumerate_local_instances,
@@ -176,6 +178,26 @@ def test_ground_sat_backtracks():
             clauses.append(Clause(three[:k], three[k:]))
         backtracked += checked_ground_sat(clauses) > 0
     assert backtracked >= 30
+
+
+def test_dpll_matches_the_counter_based_reference():
+    # seeded random CNFs over 1-12 variables, without tautologies and in
+    # ground_sat's clause order; the search is the same, so the models are
+    rng = random.Random(307)
+    unsat = 0
+    for _ in range(5000):
+        n = rng.randint(1, 12)
+        cnf = set()
+        for _ in range(rng.randint(0, 40)):
+            lits = frozenset(
+                v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), min(n, rng.randint(1, 4)))
+            )
+            cnf.add(lits)
+        cnf = sorted(cnf, key=sorted)
+        expected = ref_dpll(cnf)
+        assert _dpll(cnf) == expected, cnf
+        unsat += expected is None
+    assert 500 <= unsat <= 4500
 
 
 def test_decide_local_examples():

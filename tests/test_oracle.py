@@ -4,7 +4,9 @@ import pytest
 
 from helpers import cl, tm
 from satloc import HerbrandBound, Signature, oracle_entails, parse_problem
+from satloc import oracle
 from satloc.oracle import herbrand_terms
+from satloc.terms import Fn
 
 
 def test_herbrand_terms_examples():
@@ -60,3 +62,27 @@ def test_oracle_harvests_query_terms():
     problem = parse_problem("clause: p(X) -> q(X,X)\nclause: -> p(f(f(f(a))))")
     goal = cl("-> q(f(f(f(a))),f(f(f(a))))")
     assert oracle_entails(problem.clauses, goal, HerbrandBound(0)).verdict == "entailed"
+
+
+def test_oracle_budget_bounds_term_generation(monkeypatch):
+    # depth 4 has over 458 000 terms, so 2e11 instances of the second clause
+    # to count against the budget: the answer comes before that layer is
+    # built, from a few hundred terms
+    problem = parse_problem("clause: -> p(a)\nclause: p(X), p(Y) -> p(f(X,Y))")
+    built = 0
+
+    def counted_fn(*args):
+        nonlocal built
+        built += 1
+        assert built <= 10_000, "term generation ran past the budget"
+        return Fn(*args)
+
+    monkeypatch.setattr(oracle, "Fn", counted_fn)
+    for depth in (4, 5, 8):
+        result = oracle_entails(problem.clauses, cl("-> p(f(a,a))"), HerbrandBound(depth))
+        assert (result.verdict, result.reason) == ("unknown", "budget")
+    # without a clause variable no term is built at all
+    built = 0
+    ground = parse_problem("clause: -> p(f(a))\nclause: p(f(a)) -> q(a)")
+    assert oracle_entails(ground.clauses, cl("-> q(a)"), HerbrandBound(50)).verdict == "entailed"
+    assert built == 0

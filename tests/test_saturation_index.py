@@ -9,6 +9,7 @@ from pathlib import Path
 import make_corpus
 from helpers import cl, ref_saturate, ref_verify_saturated
 from satloc import (
+    Clause,
     Limits,
     RewriteSystem,
     SaturationState,
@@ -158,3 +159,25 @@ def test_verify_settles_subsumed_conclusions_without_local_proofs(monkeypatch):
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok
     # one local proof per inference without the subsumption test: 442
     assert proofs.calls <= 50
+
+
+def test_chain_builds_premise_instances_only_when_read(monkeypatch):
+    # no chain inference fails the a posteriori check, so no premise
+    # instance is read; the parent built two per inference, and the
+    # conclusion twice: 2 469 clauses in saturate and 2 223 in verify
+    problem = parse_problem(CHAIN)
+    built = 0
+    init = Clause.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Clause, "__init__", counted)
+    state = saturate(problem.ordering, problem.clauses)
+    assert state.stats.non_maximality == 0 and state.stats.inferences_considered == 442
+    assert built <= 1300
+    built = 0
+    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    assert built <= 1000
