@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
 unsaturated query, 3 input errors (usage, parse, arity, non-ground query,
-terms nested deeper than the interpreter's recursion limit), 4
-verification violations.
+terms nested too deeply for the recursive reader, substitution or path
+ordering), 4 verification violations.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # parsing, substitution and the orderings recurse on term depth
+        # the reader, substitution and the path ordering recurse on term depth
         print("error: input nested too deeply", file=sys.stderr)
         return 3
 

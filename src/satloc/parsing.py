@@ -105,8 +105,9 @@ def _declarations(text: str):
 
 
 def _too_deep(lineno: int) -> ParseError:
-    """Terms are parsed (and hashed, and ordered) recursively, so a term nested
-    past the interpreter's recursion limit surfaces as a RecursionError."""
+    """The reader recurses once per nesting level (and a rule's sides are
+    compared by the recursive path ordering), so a term nested past the
+    interpreter's recursion limit surfaces as a RecursionError."""
     return ParseError("input nested too deeply", lineno, 1)
 
 

@@ -1,5 +1,13 @@
 """First-order terms, atoms, clauses and substitutions.
 
+Terms and atoms are hash-consed: each of Var, Fn and Atom keeps one table
+from its fields to the single object with those fields, so equal terms are
+the same object, and equality and hashing are object identity, in constant
+time whatever the depth.  The tables are plain dicts that keep every
+distinct term the process builds, for the life of the process.  Inserting
+with dict.setdefault makes construction thread-safe: two threads that build
+the same term get the same object.
+
 Clauses are pairs of atom *sets* (antecedent -> succedent), stored in a
 canonical deduplicated, sorted form so that structural equality is clause
 equality.  Substitutions are plain dicts from Var to Term and are kept
@@ -13,40 +21,129 @@ from typing import Iterable, Union
 
 FROZEN_PREFIX = "#"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+
+class _Interned:
+    """Base of the hash-consed classes.  Fields are set once, in __new__;
+    no __eq__ or __hash__ is defined, so both are object identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __str__(self) -> str:
+        return _text(self)
+
+
+class Var(_Interned):
+    __slots__ = ("name",)
+    ground = False
+    _table: dict[str, Var] = {}
+
+    def __new__(cls, name: str) -> Var:
+        v = Var._table.get(name)
+        if v is None:
+            v = object.__new__(cls)
+            _set(v, "name", name)
+            v = Var._table.setdefault(name, v)
+        return v
+
+    def __reduce__(self):
+        return Var, (self.name,)
+
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Fn:
-    """Function application; constants are 0-ary functions."""
+class Fn(_Interned):
+    """Function application; constants are 0-ary functions.
 
-    name: str
-    args: tuple["Term", ...] = ()
+    `ground` (no variable occurs) is computed at construction from the
+    arguments' flags.
+    """
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(str(a) for a in self.args)})"
+    __slots__ = ("name", "args", "ground")
+    _table: dict[tuple, Fn] = {}
+
+    def __new__(cls, name: str, args: Iterable[Term] = ()) -> Fn:
+        args = tuple(args)
+        key = (name, args)
+        t = Fn._table.get(key)
+        if t is None:
+            t = object.__new__(cls)
+            _set(t, "name", name)
+            _set(t, "args", args)
+            _set(t, "ground", all(a.ground for a in args))
+            t = Fn._table.setdefault(key, t)
+        return t
+
+    def __reduce__(self):
+        return Fn, (self.name, self.args)
+
+    def __repr__(self) -> str:
+        return f"Fn(name={self.name!r}, args={self.args!r})"
 
 
 Term = Union[Var, Fn]
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+class Atom(_Interned):
+    """Predicate application.  `ground` is stored as in Fn; the atom_key of
+    the atom is stored on its first use."""
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(str(a) for a in self.args)})"
+    __slots__ = ("pred", "args", "ground", "_key")
+    _table: dict[tuple, Atom] = {}
+
+    def __new__(cls, pred: str, args: Iterable[Term] = ()) -> Atom:
+        args = tuple(args)
+        key = (pred, args)
+        a = Atom._table.get(key)
+        if a is None:
+            a = object.__new__(cls)
+            _set(a, "pred", pred)
+            _set(a, "args", args)
+            _set(a, "ground", all(t.ground for t in args))
+            _set(a, "_key", None)
+            a = Atom._table.setdefault(key, a)
+        return a
+
+    def __reduce__(self):
+        return Atom, (self.pred, self.args)
+
+    def __repr__(self) -> str:
+        return f"Atom(pred={self.pred!r}, args={self.args!r})"
+
+
+def _text(e: Fn | Atom) -> str:
+    """`name(arg,...)` for a term or atom, built with an explicit stack so
+    that any term that can be constructed can be printed."""
+    parts: list[str] = []
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is str:
+            parts.append(e)
+        elif kind is Var:
+            parts.append(e.name)
+        else:
+            parts.append(e.pred if kind is Atom else e.name)
+            args = e.args
+            if args:
+                parts.append("(")
+                stack.append(")")
+                for a in args[:0:-1]:
+                    stack += (a, ",")
+                stack.append(args[0])
+    return "".join(parts)
 
 
 def atom_key(a: Atom) -> tuple:
@@ -60,7 +157,18 @@ def atom_key(a: Atom) -> tuple:
     atoms exactly like the nested key (pred, ((tag, name, (args...)), ...))
     while comparing in time linear in the atoms' size instead of quadratic
     in their depth.
+
+    The key is built once per atom and stored on it.  Two threads may both
+    build it; they store equal tuples, so either write is correct.
     """
+    key = a._key
+    if key is None:
+        key = _flat_key(a)
+        _set(a, "_key", key)
+    return key
+
+
+def _flat_key(a: Atom) -> tuple:
     out: list = [a.pred]
     stack = list(a.args[::-1])
     while stack:
@@ -94,7 +202,7 @@ class Clause:
         return frozenset(self.antecedent) | frozenset(self.succedent)
 
     def is_ground(self) -> bool:
-        return not vars_in_order(self)
+        return all(a.ground for a in self.antecedent) and all(a.ground for a in self.succedent)
 
     def is_empty(self) -> bool:
         return not self.antecedent and not self.succedent
@@ -127,8 +235,8 @@ def vars_in_order(e) -> dict[Var, None]:
     succedent).
 
     This order numbers frozen constants and renames rule variables.  The
-    walk descends into first arguments in a loop and stacks the others, so
-    term depth does not meet the recursion limit.
+    walk skips ground subterms, descends into first arguments in a loop and
+    stacks the others, so term depth does not meet the recursion limit.
     """
     seen: dict[Var, None] = {}
     stack: list = []
@@ -138,7 +246,7 @@ def vars_in_order(e) -> dict[Var, None]:
             seen[e] = None
         elif kind is Fn or kind is Atom:
             args = e.args
-            if args:
+            if not e.ground:
                 if len(args) > 1:
                     stack += args[:0:-1]
                 e = args[0]
@@ -172,18 +280,25 @@ def subterms(t: Term) -> set[Term]:
 
 
 def is_ground(e) -> bool:
-    return not vars_in_order(e)
+    if isinstance(e, _Interned):
+        return e.ground
+    if isinstance(e, Clause):
+        return e.is_ground()
+    raise TypeError(f"cannot test groundness of {e!r}")
 
 
 def substitute(sigma: Subst, e):
-    """Apply an idempotent substitution; one simultaneous pass, no chasing."""
+    """Apply an idempotent substitution; one simultaneous pass, no chasing.
+    Ground terms and atoms are returned as they are."""
     if isinstance(e, Var):
         return sigma.get(e, e)
     if isinstance(e, Fn):
-        if not e.args:
+        if e.ground:
             return e
         return Fn(e.name, tuple(substitute(sigma, a) for a in e.args))
     if isinstance(e, Atom):
+        if e.ground:
+            return e
         return Atom(e.pred, tuple(substitute(sigma, a) for a in e.args))
     if isinstance(e, Clause):
         return Clause(
@@ -263,6 +378,9 @@ def match_onto(pattern, target) -> Subst | None:
                     return None
             else:
                 sigma[p] = t
+        elif p.ground:
+            if p is not t:
+                return None
         elif isinstance(t, Fn) and p.name == t.name and len(p.args) == len(t.args):
             pairs[0:0] = list(zip(p.args, t.args))
         else:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from satloc import parse_state, serialize_state
 from satloc.cli import main
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
@@ -173,3 +174,20 @@ def test_deep_term_exits_3(tmp_path, capsys):
     deep_problem = write(tmp_path, "deep.p", f"clause: -> p({deep})\n")
     assert main(["saturate", deep_problem]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
+    # 900 levels: within the reader's limit (one frame per level), so
+    # hashing, printing and the query path must not recurse at all
+    deep = "f(" * 900 + "a" + ")" * 900
+    problem = write(tmp_path, "deep.p", f"order: f > a\nclause: -> p({deep})\nclause: p(X) -> q(X)\n")
+    state = tmp_path / "deep.state"
+    assert main(["saturate", problem, "--out", str(state)]) == 0
+    text = state.read_text(encoding="utf-8")
+    assert f"clause: -> q({deep})\n" in text
+    assert serialize_state(parse_state(text)) == text
+    capsys.readouterr()
+    assert main(["query", "--certificate", str(state), f"-> q({deep})"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("entailed\n")
+    assert f"instance: -> q({deep})\n" in out

@@ -160,7 +160,7 @@ def test_state_limit_header():
 
 
 def test_deep_nesting_is_a_parse_error():
-    deep = "f(" * 600 + "a" + ")" * 600
+    deep = "f(" * 1500 + "a" + ")" * 1500
     cases = [
         (parse_problem, f"order: f > a\nclause: -> p({deep})\n", 2),
         (parse_problem, f"query: p({deep}) ->\n", 1),

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import at, cl
 from satloc import Limits, NotSaturatedError, entails, parse_problem, saturate
+from satloc import terms
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
 
@@ -146,3 +147,32 @@ def test_deep_query_matches_linear_in_universe(monkeypatch, query, verdict):
     assert result.verdict == verdict
     assert result.universe_size >= 129
     assert calls <= 4 * result.universe_size, (calls, result.universe_size)
+
+
+GROWTH = (
+    "order: g > f > a > b\n"
+    "clause: -> p(a)\n"
+    "clause: p(X) -> p(f(X))\n"
+    "clause: p(X), q(X,Y) -> r(g(X,Y))\n"
+)
+
+
+def test_atom_keys_are_built_once_per_atom(monkeypatch):
+    problem = parse_problem(GROWTH)
+    state = saturate(problem.ordering, problem.clauses)
+    t = "f(" * 128 + "a" + ")" * 128
+    goals = [cl(f"-> p({t})"), cl(f"q({t},b) -> r(g({t},b))"), cl(f"-> r(g({t},b))")]
+    built = []
+    flat_key = terms._flat_key
+
+    def counting(a):
+        built.append(a)
+        return flat_key(a)
+
+    monkeypatch.setattr(terms, "_flat_key", counting)
+    first = [entails(state, goal).verdict for goal in goals]
+    assert first == ["entailed", "entailed", "not-entailed"]
+    assert len(built) == len(set(built))
+    built.clear()
+    assert [entails(state, goal).verdict for goal in goals] == first
+    assert built == []

@@ -1,6 +1,8 @@
 """Terms, clauses, substitutions: unit examples and randomized laws."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -258,3 +260,86 @@ def test_signature_arity_conflicts():
         sig.note_function("f", 2)
     with pytest.raises(ArityError):
         sig.note_predicate("f", 1)
+
+
+def test_equal_terms_are_one_object():
+    assert Var("X") is Var("X")
+    assert Fn("f", (Fn("a"), Var("X"))) is Fn("f", [Fn("a"), Var("X")])
+    assert Atom("p", (Fn("a"),)) is at("p(a)")
+    assert substitute({x: Fn("a")}, at("q(X,f(X))")) is at("q(a,f(a))")
+    assert Var("a") is not Fn("a")
+
+
+def test_terms_are_immutable():
+    for t in (Var("X"), Fn("f", (Fn("a"),)), at("p(a)")):
+        with pytest.raises(AttributeError):
+            t.name = "other"
+        with pytest.raises(AttributeError):
+            t.args = ()
+        with pytest.raises(AttributeError):
+            del t.ground
+
+
+def _ref_vars(t, out):
+    """First-occurrence preorder variables, by plain recursion."""
+    if isinstance(t, Var):
+        out.setdefault(t, None)
+    else:
+        for a in t.args:
+            _ref_vars(a, out)
+    return out
+
+
+def test_stored_groundness_and_key_agree_with_references():
+    rng = random.Random(29)
+    atoms = [a for _ in range(300) for a in rand_clause(rng, depth=3).atoms()]
+    for a in atoms:
+        for t in (a, *{s for arg in a.args for s in subterms(arg)}):
+            assert t.ground == (not _ref_vars(t, {})) == (not vars_in_order(t))
+            assert list(vars_in_order(t)) == list(_ref_vars(t, {}))
+        assert atom_key(a) is atom_key(a)
+    for a, b in zip(atoms, atoms[1:]):
+        assert (atom_key(a) < atom_key(b)) == (ref_atom_key(a) < ref_atom_key(b))
+
+
+def test_deep_terms_need_no_recursion():
+    depth = 5000
+    ground, open_ = Fn("a"), x
+    for _ in range(depth):
+        ground, open_ = Fn("f", (ground,)), Fn("f", (open_,))
+    assert Fn("f", (ground.args[0],)) is ground
+    assert hash(ground) == hash(ground) and ground == ground and ground != open_
+    atoms = {Atom("p", (ground,)), Atom("p", (open_,))}
+    assert Atom("p", (ground,)) in atoms and len(atoms) == 2
+    assert len(atom_key(Atom("p", (ground,)))) == 1 + 3 * (depth + 1)
+    assert is_ground(ground) and not is_ground(open_)
+    assert list(vars_in_order(Atom("p", (open_, y)))) == [x, y]
+    text = str(Atom("p", (ground,)))
+    assert text == "p(" + "f(" * depth + "a" + ")" * (depth + 1)
+
+
+def test_threads_building_the_same_terms_share_one_object_each():
+    def build(out):
+        barrier.wait(timeout=10)
+        out.extend(
+            Atom("interned_p", (Fn("interned_f", (Fn(f"interned_c{i}"), Var(f"X{i}"))),))
+            for i in range(1000)
+        )
+
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 1000 for out in results)
+    for built in zip(*results):
+        assert len({id(a) for a in built}) == 1
+        assert len({id(a.args[0]) for a in built}) == 1
