@@ -19,11 +19,19 @@ class Ordering:
     Symbols are ranked by position in the construction sequence, highest
     first.  Frozen constants rank below every listed symbol and among
     themselves by creation index.
+
+    The precedence never changes once an ordering is built (symbols are
+    appended only while it is being constructed; `extended` builds a new
+    ordering), so each atom comparison is answered once and remembered, for
+    the ordering's lifetime, in a dict keyed on the pair of interned atoms.
+    A store is one dict assignment of an equal value, so any number of
+    threads may share an ordering.
     """
 
     def __init__(self, symbols: Iterable[str] = ()):
         self._chain: list[str] = []
         self._rank: dict[str, int] = {}
+        self._atom_memo: dict[tuple[Atom, Atom], bool] = {}
         for name in symbols:
             self._append(name)
 
@@ -62,44 +70,60 @@ class Ordering:
             raise KeyError(f"symbol '{name}' is not in the precedence") from None
 
     def lpo_greater(self, s: Term, t: Term) -> bool:
-        """Standard lexicographic path ordering on terms."""
-        if s == t:
-            return False
-        if isinstance(s, Var):
+        """Standard lexicographic path ordering on terms.
+
+        Written with plain loops so that it takes one stack frame per
+        nesting level it descends.
+        """
+        if s is t or isinstance(s, Var):
             return False
         if isinstance(t, Var):
             return t in vars_of(s)
         # s = f(s1..sm), t = g(t1..tn)
-        if any(a == t or self.lpo_greater(a, t) for a in s.args):
-            return True
+        for a in s.args:
+            if a is t or self.lpo_greater(a, t):
+                return True
         ks = self.sym_key(s.name)
         kt = self.sym_key(t.name)
         if ks > kt:
-            return all(self.lpo_greater(s, b) for b in t.args)
-        if ks == kt:
+            rest = t.args
+        elif ks == kt:
             # same symbol: lexicographic on arguments, remainder below s
             for i, (a, b) in enumerate(zip(s.args, t.args)):
-                if a == b:
+                if a is b:
                     continue
-                if self.lpo_greater(a, b):
-                    return all(self.lpo_greater(s, b2) for b2 in t.args[i + 1:])
+                if not self.lpo_greater(a, b):
+                    return False
+                rest = t.args[i + 1:]
+                break
+            else:
                 return False
-        return False
+        else:
+            return False
+        for b in rest:
+            if not self.lpo_greater(s, b):
+                return False
+        return True
 
     def atom_greater(self, a: Atom, b: Atom) -> bool:
         """True iff a is strictly above b in the argumentwise atom ordering.
 
         Holds when a != b, a has at least one argument, and every argument
         of b is strictly below some argument of a.  Distinct 0-ary atoms
-        are incomparable.
+        are incomparable.  The answer is remembered; an unranked symbol
+        raises KeyError and leaves nothing behind.
         """
-        if a == b:
-            return False
-        if not a.args:
-            return False
-        result = all(any(self.lpo_greater(t, s) for t in a.args) for s in b.args)
-        # standing hypothesis: greater atoms carry at least the variables
-        assert not result or vars_of(b) <= vars_of(a)
+        key = (a, b)
+        result = self._atom_memo.get(key)
+        if result is not None:
+            return result
+        if a is b or not a.args:
+            result = False
+        else:
+            result = all(any(self.lpo_greater(t, s) for t in a.args) for s in b.args)
+            # standing hypothesis: greater atoms carry at least the variables
+            assert not result or vars_of(b) <= vars_of(a)
+        self._atom_memo[key] = result
         return result
 
     def is_maximal(self, a: Atom, others: Iterable[Atom]) -> bool:

@@ -191,3 +191,12 @@ def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("entailed\n")
     assert f"instance: -> q({deep})\n" in out
+
+
+def test_deep_clause_atoms_are_compared_within_the_reader_limit(tmp_path, capsys):
+    # the path ordering compares p(f^900(a)) with q(a), descending all 900
+    # levels; it takes one frame per level, as the reader does
+    deep = "f(" * 900 + "a" + ")" * 900
+    problem = write(tmp_path, "deep.p", f"order: f > a\nclause: p({deep}) -> q(a)\n")
+    assert main(["saturate", problem]) == 0
+    assert f"clause: p({deep}) -> q(a)\n" in capsys.readouterr().out

@@ -5,6 +5,9 @@ helpers (an independent transcription of the recursive definitions).
 """
 
 import random
+import sys
+import threading
+from pathlib import Path
 
 from helpers import (
     at,
@@ -19,7 +22,7 @@ from helpers import (
     sig_ordering,
     tm,
 )
-from satloc import Ordering
+from satloc import Ordering, parse_problem, parse_state, saturate, serialize_state, verify_saturated
 from satloc.terms import Fn, Var, vars_of
 
 FGBA = Ordering(["f", "g", "b", "a"])
@@ -178,3 +181,78 @@ def test_ordering_construction_errors():
         Ordering(["f", "f"])
     with pytest.raises(KeyError):
         Ordering(["f"]).lpo_greater(tm("zzz"), tm("f(a)"))
+
+
+def test_remembered_answers_agree_with_reference():
+    # each pair is asked twice and both ways round, so every second ask is
+    # answered from the memo; an extended ordering starts with its own
+    rng = random.Random(59)
+    ordering = sig_ordering()
+    pairs = [(rand_atom(rng), rand_atom(rng)) for _ in range(500)]
+    for o in (ordering, ordering.extended(["d", "e"])):
+        assert not o._atom_memo
+        rank = rank_of(o)
+        for _ in range(2):
+            for a, b in pairs:
+                assert o.atom_greater(a, b) == ref_atom_greater(rank, a, b)
+                assert o.atom_greater(b, a) == ref_atom_greater(rank, b, a)
+
+
+def test_unranked_symbol_raises_on_every_ask_and_is_not_remembered():
+    import pytest
+
+    o = Ordering(["f", "a"])
+    low, high = at("p(zzz)"), at("p(f(a))")
+    assert o.atom_greater(high, at("p(a)"))
+    memo = dict(o._atom_memo)
+    for _ in range(2):
+        for x, y in ((low, high), (high, low)):
+            with pytest.raises(KeyError):
+                o.atom_greater(x, y)
+    assert o._atom_memo == memo
+    ranked = o.extended(["zzz"])
+    assert ranked.atom_greater(high, low) and not ranked.atom_greater(low, high)
+
+
+def test_saturate_and_verify_reuse_comparisons(monkeypatch):
+    # verify reads the state back, so it starts from a fresh ordering, as a
+    # CLI run does; without the memo the two make 570 + 579 LPO calls
+    calls = 0
+    lpo_greater = Ordering.lpo_greater
+
+    def counted(self, s, t):
+        nonlocal calls
+        calls += 1
+        return lpo_greater(self, s, t)
+
+    monkeypatch.setattr(Ordering, "lpo_greater", counted)
+    path = Path(__file__).parent / "corpus" / "g_mixed_03.p"
+    problem = parse_problem(path.read_text(encoding="utf-8"))
+    state = parse_state(serialize_state(saturate(problem.ordering, problem.clauses)))
+    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    assert calls <= 400
+
+
+def test_threads_sharing_an_ordering_get_the_reference_answers():
+    rng = random.Random(61)
+    ordering = sig_ordering()
+    rank = rank_of(ordering)
+    pairs = [(rand_atom(rng), rand_atom(rng)) for _ in range(1000)]
+    expected = [ref_atom_greater(rank, a, b) for a, b in pairs]
+    answers = [None] * 4
+
+    def ask(k):
+        answers[k] = [ordering.atom_greater(a, b) for a, b in pairs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == [expected] * 4
