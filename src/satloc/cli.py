@@ -25,8 +25,18 @@ from .saturation import SATURATED, Limits, saturate, verify_saturated
 from .terms import Signature
 
 
+class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # A clause with an empty antecedent, such as "->p(a)", is an
+        # argument: no option starts with "->".  argparse takes only those
+        # with a space, such as "-> p(a)", for arguments.
+        if arg_string.startswith("->"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satloc",
         description="Saturate first-order clause sets and decide ground entailment locally.",
     )

@@ -5,6 +5,13 @@ a posteriori check re-tests on the unified premise instances, at the level
 of atom occurrences (an occurrence that collapses onto the resolved atom
 defeats strict maximality).
 
+A clause's eligible atoms (the maximal ones of each side) belong to the
+clause, not to a pair of premises, and maximality is invariant under
+variable renaming.  So a caller that keeps a clause's eligible atoms, and a
+renamed-apart copy of a second premise with the images of its eligible
+antecedent atoms (renamed_apart), can hand them to a_priori_resolvents
+instead of having them worked out again for every pair.
+
 Saturation uses resolution alone.  Clauses are atom sets, so a factor's
 frozen conclusion is a ground instance of its own premise inside its own
 reach set: every factoring inference is redundant.  a_priori_factors is
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .orderings import Ordering
-from .terms import Atom, Clause, Subst, mgu, rename_apart, substitute, vars_of
+from .terms import Atom, Clause, Subst, mgu, rename_apart, renaming, substitute, vars_of
 
 RESOLUTION = "resolution"
 FACTORING = "factoring"
@@ -50,22 +57,52 @@ class Inference:
         return f"[{self.kind}] {prem} => {self.conclusion} (on {self.resolved_atom})"
 
 
-def a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Inference]:
+def eligible_atoms(ordering: Ordering, c: Clause) -> tuple[tuple[Atom, ...], ...]:
+    """The maximal atoms of c's antecedent and of its succedent, each in
+    clause order: the atoms the a priori rule may resolve on."""
+    atoms = c.antecedent + c.succedent  # an atom on both sides is no greater than itself
+    maximal = ordering.is_maximal
+    return (
+        tuple([a for a in c.antecedent if maximal(a, atoms)]),
+        tuple([a for a in c.succedent if maximal(a, atoms)]),
+    )
+
+
+def renamed_apart(
+    c: Clause, eligible_antecedent: tuple[Atom, ...], forbidden
+) -> tuple[Clause, tuple[Atom, ...]]:
+    """rename_apart(c, forbidden), and the images of c's eligible antecedent
+    atoms in the copy's order, which are the copy's eligible antecedent
+    atoms since renaming keeps maximality."""
+    rho = renaming(c, forbidden)
+    if not rho:
+        return c, eligible_antecedent
+    copy = substitute(rho, c)
+    images = {substitute(rho, a) for a in eligible_antecedent}
+    return copy, tuple(a for a in copy.antecedent if a in images)
+
+
+def a_priori_resolvents(
+    ordering: Ordering,
+    c1: Clause,
+    c2: Clause,
+    prepared: tuple[tuple[Atom, ...], Clause, tuple[Atom, ...]] | None = None,
+) -> list[Inference]:
     """Resolution inferences whose premise-side maximality conditions hold.
 
-    The second premise is renamed apart internally; enumeration follows the
-    canonical atom order, so the output is deterministic.
+    The second premise is renamed apart from the first; enumeration follows
+    the canonical atom order, so the output is deterministic.  `prepared`,
+    if given, is (the eligible succedent atoms of c1, the renamed-apart c2,
+    its eligible antecedent atoms), as ClauseIndex keeps them; otherwise
+    they are worked out here.  Either way the inferences are the same.
     """
-    c2r = rename_apart(c2, vars_of(c1))
-    atoms1 = c1.atoms()
-    atoms2 = c2r.atoms()
+    if prepared is None:
+        c2r = rename_apart(c2, vars_of(c1))
+        prepared = eligible_atoms(ordering, c1)[1], c2r, eligible_atoms(ordering, c2r)[0]
+    eligible1, c2r, eligible2 = prepared
     out: list[Inference] = []
-    for a in c1.succedent:
-        if not ordering.is_maximal(a, atoms1):
-            continue
-        for ap in c2r.antecedent:
-            if not ordering.is_maximal(ap, atoms2):
-                continue
+    for a in eligible1:
+        for ap in eligible2:
             alpha = mgu(a, ap)
             if alpha is None:
                 continue

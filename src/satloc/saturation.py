@@ -5,9 +5,11 @@ inference is redundant, see resolution.py), so the loop and the verifier
 check the same inferences, and both settle redundancy with one test
 (ClauseIndex.redundancy): a stored clause subsumes the conclusion, or the
 conclusion is locally provable within its frozen reach set.  Clauses are
-indexed by predicates as they enter, so only the clause pairs that can
-resolve are queued, and subsumption and the variant check only try the
-clauses whose predicates fit.  Each a priori inference is classified by the
+prepared for resolution as they enter the index (their variables and
+eligible atoms are kept, and renamed-apart copies are kept once made) and
+indexed by predicates, so only the clause pairs that can resolve are
+queued, and subsumption and the variant check only try the clauses whose
+predicates fit.  Each a priori inference is classified by the
 first matching case: non-maximality (harvest rules from the unified premise
 instances), redundancy (under the current clauses and rules), discovery
 (add the conclusion and its rules, queue new work).
@@ -21,12 +23,18 @@ from functools import cached_property
 
 from .entailment import clause_redundant, subsumes, variant_equal
 from .orderings import Ordering
-from .resolution import Inference, a_priori_resolvents, is_a_posteriori
+from .resolution import (
+    Inference,
+    a_priori_resolvents,
+    eligible_atoms,
+    is_a_posteriori,
+    renamed_apart,
+)
 # The benchmark's layer tracer (bench/tracing.py) is the only reader of this
 # name here; nothing in satloc factors.
 from .resolution import a_priori_factors  # noqa: F401
 from .rewriting import RewriteSystem, rules_of
-from .terms import Clause
+from .terms import Atom, Clause, Var, vars_in_order
 
 SATURATED = "saturated"
 LIMIT_REACHED = "limit_reached"
@@ -63,44 +71,64 @@ def _side_predicates(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
 
 
 class ClauseIndex:
-    """Predicate index over a list of clauses, kept in list order.
+    """Clauses prepared for resolution, and a predicate index over them,
+    kept in list order.
 
-    Per clause it keeps the predicates of each side, and of each side's
-    maximal (eligible) atoms; maximality is invariant under variable
-    renaming, so these are also those of every renamed-apart copy.  Its
-    filters are necessary conditions, so they change no verdict: clause i
-    resolves into clause j (i's succedent atom against j's antecedent atom)
-    only if an eligible succedent predicate of i is an eligible antecedent
-    predicate of j; d subsumes c only if each side's predicates of d are
-    among those of c's side; variants have equal predicate sets.
+    What a clause needs as a premise is worked out once, when it is added,
+    and kept: its variables, the eligible (maximal) atoms of each side, and
+    their predicates.  As a second premise it is renamed apart from the
+    first premise's variables, which is all the renaming depends on, so the
+    renamed copy and its eligible antecedent atoms are kept per (clause,
+    first-premise variable set); maximality is invariant under renaming.
+
+    The predicate filters are necessary conditions, so they change no
+    verdict: clause i resolves into clause j (i's succedent atom against
+    j's antecedent atom) only if an eligible succedent predicate of i is an
+    eligible antecedent predicate of j; d subsumes c only if each side's
+    predicates of d are among those of c's side; variants have equal
+    predicate sets.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
         self.clauses: list[Clause] = []
-        # per clause, (antecedent, succedent) predicates: all, and eligible
+        self.vars: list[frozenset[Var]] = []
+        # per clause, (antecedent, succedent): eligible atoms, all
+        # predicates, and eligible predicates
+        self.eligible_atoms: list[tuple[tuple[Atom, ...], ...]] = []
         self.sides: list[tuple[frozenset[str], frozenset[str]]] = []
         self.eligible: list[tuple[frozenset[str], ...]] = []
         self._by_eligible: tuple[dict[str, list[int]], ...] = ({}, {})
         self._by_sides: dict[tuple[frozenset[str], frozenset[str]], list[Clause]] = {}
+        self._renamed: dict[tuple[int, frozenset[Var]], tuple[Clause, tuple[Atom, ...]]] = {}
         for c in clauses:
             self.add(c)
 
     def add(self, c: Clause) -> None:
         """Index the next clause of the list."""
-        atoms = c.atoms()
-        eligible = tuple(
-            frozenset(a.pred for a in side if self.ordering.is_maximal(a, atoms))
-            for side in (c.antecedent, c.succedent)
-        )
+        atoms = eligible_atoms(self.ordering, c)
+        eligible = (frozenset([a.pred for a in atoms[0]]), frozenset([a.pred for a in atoms[1]]))
         for preds, by_pred in zip(eligible, self._by_eligible):
             for p in preds:
                 by_pred.setdefault(p, []).append(len(self.clauses))
         sides = _side_predicates(c)
         self._by_sides.setdefault(sides, []).append(c)
         self.clauses.append(c)
+        self.vars.append(frozenset(vars_in_order(c)))
+        self.eligible_atoms.append(atoms)
         self.sides.append(sides)
         self.eligible.append(eligible)
+
+    def resolvents(self, i: int, j: int) -> list[Inference]:
+        """The a priori resolution inferences of clause i into clause j,
+        from the kept eligible atoms and renamed copies."""
+        key = (j, self.vars[i])
+        renamed = self._renamed.get(key)
+        if renamed is None:
+            renamed = renamed_apart(self.clauses[j], self.eligible_atoms[j][0], self.vars[i])
+            self._renamed[key] = renamed
+        prepared = (self.eligible_atoms[i][1],) + renamed
+        return a_priori_resolvents(self.ordering, self.clauses[i], self.clauses[j], prepared)
 
     def resolves(self, i: int, j: int) -> bool:
         """Can an eligible succedent atom of clause i meet an eligible
@@ -176,9 +204,9 @@ def _inferences_for(state: SaturationState, i: int, j: int) -> list[Inference]:
     index = state.index
     out: list[Inference] = []
     if index.resolves(i, j):
-        out += a_priori_resolvents(state.ordering, state.clauses[i], state.clauses[j])
+        out += index.resolvents(i, j)
     if i != j and index.resolves(j, i):
-        out += a_priori_resolvents(state.ordering, state.clauses[j], state.clauses[i])
+        out += index.resolvents(j, i)
     return out
 
 
@@ -245,9 +273,9 @@ def verify_saturated(ordering: Ordering, clauses, rules: RewriteSystem) -> Verif
     missing = rules_of(ordering, clauses).rules - rules.rules
     for rule in sorted(missing, key=str):
         report.violations.append(f"condition 2: missing rule {rule}")
-    for i, c1 in enumerate(clauses):
+    for i in range(len(clauses)):
         for j in index.targets(i):
-            for inf in a_priori_resolvents(ordering, c1, clauses[j]):
+            for inf in index.resolvents(i, j):
                 if not index.redundancy(rules, inf.conclusion):
                     report.violations.append(f"condition 1: not redundant: {inf}")
                 if not is_a_posteriori(ordering, inf):

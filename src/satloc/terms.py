@@ -323,8 +323,11 @@ def mgu(e1, e2) -> Subst | None:
     """Most general unifier of two terms or two atoms, or None.
 
     Deterministic: pairs are processed left to right, and a variable-variable
-    pair binds the variable with the syntactically smaller name.
+    pair binds the variable with the syntactically smaller name.  Two ground
+    terms, or two ground atoms, unify iff they are the same interned object.
     """
+    if e1.ground and e2.ground and type(e1) is type(e2):
+        return {} if e1 is e2 else None
     pairs = _decompose(e1, e2)
     if pairs is None:
         return None
@@ -400,15 +403,18 @@ def fresh_names(used: set[str], count: int, prefix: str = "V") -> list[str]:
     return out
 
 
+def renaming(c: Clause, forbidden: Iterable[Var]) -> Subst:
+    """The substitution rename_apart applies to c: c's variables, by name,
+    to the first fresh names that avoid the forbidden set and c's own."""
+    own = sorted(vars_of(c), key=lambda v: v.name)
+    used = {v.name for v in forbidden} | {v.name for v in own}
+    return {v: Var(n) for v, n in zip(own, fresh_names(used, len(own)))}
+
+
 def rename_apart(c: Clause, forbidden: Iterable[Var]) -> Clause:
     """Variant of c whose variables avoid the forbidden set; always systematic."""
-    own = sorted(vars_of(c), key=lambda v: v.name)
-    if not own:
-        return c
-    used = {v.name for v in forbidden} | {v.name for v in own}
-    names = fresh_names(used, len(own))
-    rho: Subst = {v: Var(n) for v, n in zip(own, names)}
-    return substitute(rho, c)
+    rho = renaming(c, forbidden)
+    return substitute(rho, c) if rho else c
 
 
 FreezeMap = dict[Var, Fn]

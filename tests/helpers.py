@@ -209,6 +209,41 @@ def rank_of(ordering: Ordering) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# Reference unification: the general algorithm, with no shortcut for ground
+# input; the reference for mgu, which decides ground pairs by identity.
+
+def ref_mgu(e1, e2) -> Subst | None:
+    if isinstance(e1, Atom) != isinstance(e2, Atom):
+        raise TypeError("cannot unify an atom with a term")
+    if isinstance(e1, Atom):
+        if e1.pred != e2.pred or len(e1.args) != len(e2.args):
+            return None
+        pairs = list(zip(e1.args, e2.args))
+    else:
+        pairs = [(e1, e2)]
+    sigma: Subst = {}
+    while pairs:
+        s, t = pairs.pop(0)
+        s, t = substitute(sigma, s), substitute(sigma, t)
+        if s == t:
+            continue
+        if isinstance(s, Var) and isinstance(t, Var):
+            v, u = (s, t) if s.name < t.name else (t, s)
+        elif isinstance(s, Var) or isinstance(t, Var):
+            v, u = (s, t) if isinstance(s, Var) else (t, s)
+            if _ref_occurs(v, u):
+                return None
+        elif s.name != t.name or len(s.args) != len(t.args):
+            return None
+        else:
+            pairs[0:0] = list(zip(s.args, t.args))
+            continue
+        sigma = {x: substitute({v: u}, w) for x, w in sigma.items()}
+        sigma[v] = u
+    return sigma
+
+
+# ---------------------------------------------------------------------------
 # Reference syntactic order: the nested key the flat atom_key must agree with.
 
 def ref_term_key(t: Term):

@@ -132,6 +132,35 @@ def test_oracle_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "unknown (depth)"
 
 
+def test_query_takes_clauses_without_a_space_after_the_arrow(tmp_path, capsys):
+    # argparse reads an argument that starts with "-" and has no space as
+    # an option, so "->p(a)" exited 3 with "unrecognized arguments"
+    problem = write(tmp_path, "demo.p", WORKED)
+    state = write(tmp_path, "demo.state", "")
+    assert main(["saturate", problem, "--out", state]) == 0
+    capsys.readouterr()
+    assert main(["query", state, "->p(g(a,a))", "q(f(a),a)->", "->p(a)", "--certificate"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if ":" not in line] == ["entailed", "entailed", "not-entailed"]
+    assert main(["query", state, "--", "->p(g(a,a))", "-> p(a)"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["entailed", "not-entailed"]
+    assert main(["query", state, "->p(a"]) == 3
+    assert "error: line 1" in capsys.readouterr().err
+    assert main(["query", state, "-x"]) == 3  # options are still options
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
+
+
+def test_oracle_takes_a_clause_without_a_space_after_the_arrow(tmp_path, capsys):
+    # "->p(a)" was taken for an option: exit 3, "required: clause"
+    problem = write(tmp_path, "demo.p", WORKED)
+    assert main(["oracle", problem, "->p(g(a,a))", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "entailed"
+    assert main(["oracle", problem, "--depth", "1", "--", "->p(g(a,a))"]) == 0
+    assert capsys.readouterr().out.strip() == "entailed"
+    assert main(["oracle", problem, "->", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "unknown (depth)"
+
+
 def test_parse_errors_exit_3(tmp_path, capsys):
     bad = write(tmp_path, "bad.p", "clause: p(X) -> p(X,X)\n")
     assert main(["saturate", bad]) == 3

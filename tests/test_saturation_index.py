@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 import make_corpus
-from helpers import cl, ref_saturate, ref_verify_saturated
+from helpers import at, cl, ref_saturate, ref_verify_saturated
 from satloc import (
     Clause,
     Limits,
@@ -19,7 +19,12 @@ from satloc import (
     serialize_state,
     verify_saturated,
 )
+from satloc import resolution as resolution_module
 from satloc import saturation as saturation_module
+from satloc.resolution import a_priori_resolvents
+from satloc.saturation import ClauseIndex
+from satloc import terms as terms_module
+from satloc.orderings import Ordering
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
 COUNTERS = (
@@ -127,13 +132,21 @@ def test_index_follows_a_clause_list_built_elsewhere():
 
 
 class CallCounter:
+    """Counts the calls to a name the saturation module looks up, and keeps
+    their arguments and results."""
+
     def __init__(self, monkeypatch, name):
         self.calls = 0
-        original = getattr(saturation_module, name)
+        self.arguments = []
+        self.results = []
+        self.original = original = getattr(saturation_module, name)
 
         def counted(*args):
             self.calls += 1
-            return original(*args)
+            result = original(*args)
+            self.arguments.append(args)
+            self.results.append(result)
+            return result
 
         monkeypatch.setattr(saturation_module, name, counted)
 
@@ -181,3 +194,118 @@ def test_chain_builds_premise_instances_only_when_read(monkeypatch):
     built = 0
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok
     assert built <= 1000
+
+
+INFERENCE_FIELDS = ("kind", "premises", "unifier", "resolved", "resolved_atom", "conclusion")
+
+
+def fields(inferences):
+    return [[getattr(inf, name) for name in INFERENCE_FIELDS] for inf in inferences]
+
+
+def test_prepared_resolvents_equal_those_worked_out_from_scratch(monkeypatch):
+    # the index passes each clause's kept eligible atoms and a kept renamed
+    # copy of the second premise; from scratch, a_priori_resolvents renames
+    # the second premise and tests maximality itself
+    problems = [(parse_problem(Path(p).read_text(encoding="utf-8")), Limits()) for p in CORPUS]
+    problems += [(p, make_corpus.CURATION_LIMITS) for p in generated_problems(200, seed=17)]
+    resolvents = CallCounter(monkeypatch, "a_priori_resolvents")
+    compared = 0
+    for problem, limits in problems:
+        state = saturate(problem.ordering, problem.clauses, limits)
+        verify_saturated(state.ordering, state.clauses, state.rules)
+        for (ordering, c1, c2, prepared), out in zip(resolvents.arguments, resolvents.results):
+            assert prepared is not None
+            assert fields(out) == fields(resolvents.original(ordering, c1, c2))
+            compared += len(out)
+        resolvents.arguments.clear()
+        resolvents.results.clear()
+    assert compared > 2000, compared
+
+
+def test_kept_eligible_atoms_follow_a_reordering_rename():
+    # Renamed apart from V0, V1 and V3..V9, A and B become V2 and V10, and
+    # p(V10) sorts before p(V2), so the copy's eligible antecedent atoms
+    # must be found by their images, not by their positions.  p(A) is not
+    # eligible: it is below s(f(A)).
+    ordering = Ordering(["f"])
+    c1 = cl(", ".join(f"t(V{k})" for k in (0, 1, 3, 4, 5, 6, 7, 8, 9)) + " -> p(V0)")
+    c2 = cl("p(A), p(B), s(f(A)) -> r(A,B)")
+    index = ClauseIndex(ordering, [c1, c2])
+    assert index.eligible_atoms[1][0] == (at("p(B)"), at("s(f(A))"))
+    (inf,) = index.resolvents(0, 1)
+    assert inf.premises[1].antecedent == (at("p(V10)"), at("p(V2)"), at("s(f(V2))"))
+    assert inf.resolved == (at("p(V0)"), at("p(V10)"))
+    assert fields([inf]) == fields(a_priori_resolvents(ordering, c1, c2))
+
+
+def test_chain_prepares_each_clause_once(monkeypatch):
+    # Working them out per pair, each pass (saturate or verify) made 455
+    # renames and 1 534 is_maximal calls: the second premise was renamed
+    # and both premises' atoms tested for every pair.
+    renames = []
+    for module in (terms_module, resolution_module):
+        original = module.renaming
+
+        def renaming(c, forbidden, original=original):
+            renames.append((c, frozenset(forbidden)))
+            return original(c, forbidden)
+
+        monkeypatch.setattr(module, "renaming", renaming)
+    tests = 0
+    is_maximal = Ordering.is_maximal
+
+    def counted(self, a, others):
+        nonlocal tests
+        tests += 1
+        return is_maximal(self, a, others)
+
+    monkeypatch.setattr(Ordering, "is_maximal", counted)
+    a_posteriori = CallCounter(monkeypatch, "is_a_posteriori")
+
+    def check(clauses):
+        # besides at most one test per a posteriori check, at most one per
+        # atom occurrence of a stored clause
+        atoms = sum(len(c.antecedent) + len(c.succedent) for c in clauses)
+        assert tests - a_posteriori.calls <= atoms
+        assert len(renames) == len(set(renames)) <= 200
+
+    problem = parse_problem(CHAIN)
+    state = saturate(problem.ordering, problem.clauses)
+    assert state.stats.inferences_considered == a_posteriori.calls == 442
+    check(state.clauses)
+    parsed = parse_state(serialize_state(state))
+    renames.clear()
+    tests = a_posteriori.calls = 0
+    assert verify_saturated(parsed.ordering, parsed.clauses, parsed.rules).ok
+    assert a_posteriori.calls == 442
+    check(parsed.clauses)
+
+
+TRACED = ("a_priori_resolvents", "is_a_posteriori", "subsumes", "clause_redundant", "rules_of")
+
+
+def test_saturate_and_verify_call_the_traced_names(monkeypatch):
+    # The benchmark's per-layer trace (bench/tracing.py) rebinds these names
+    # in the saturation module; a path that went round one would read 0 in
+    # its layer.  g_horn_07 reaches every case: non-maximality, subsumption,
+    # local proofs and discovery.
+    path = Path(__file__).parent / "corpus" / "g_horn_07.p"
+    problem = parse_problem(path.read_text(encoding="utf-8"))
+    counters = {name: CallCounter(monkeypatch, name) for name in TRACED}
+    state = saturate(problem.ordering, problem.clauses)
+    stats = state.stats
+    assert stats.non_maximality and stats.redundant_by_subsumption and stats.discovered
+    assert stats.redundant > stats.redundant_by_subsumption
+    for counter in counters.values():
+        assert counter.calls > 0
+    inferences = sum(len(out) for out in counters["a_priori_resolvents"].results)
+    assert inferences == stats.inferences_considered == counters["is_a_posteriori"].calls
+    for counter in counters.values():
+        counter.calls = 0
+        counter.results.clear()
+    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    for counter in counters.values():
+        assert counter.calls > 0
+    inferences = sum(len(out) for out in counters["a_priori_resolvents"].results)
+    assert inferences == counters["is_a_posteriori"].calls

@@ -19,8 +19,11 @@ from helpers import (
     ground_terms_up_to,
     rand_atom,
     rand_clause,
+    rand_ground_atom,
+    rand_ground_term,
     rand_grounding,
     ref_atom_key,
+    ref_mgu,
     tm,
     unfreeze,
 )
@@ -177,22 +180,32 @@ def test_clause_canonical_form():
 
 
 # terms over the fixed helper signature, so each symbol has one arity
-_TERMS = st.recursive(
-    st.sampled_from([Var(v) for v in SIG_VARS] + [Fn(c) for c in SIG_CONSTS]),
-    lambda sub: st.one_of(
+def _terms_over(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            [
+                st.tuples(*[sub] * arity).map(lambda args, name=name: Fn(name, args))
+                for name, arity in SIG_FUNCS
+            ]
+        ),
+        max_leaves=12,
+    )
+
+
+def _atoms_over(terms):
+    return st.one_of(
         [
-            st.tuples(*[sub] * arity).map(lambda args, name=name: Fn(name, args))
-            for name, arity in SIG_FUNCS
+            st.tuples(*[terms] * arity).map(lambda args, name=name: Atom(name, args))
+            for name, arity in SIG_PREDS
         ]
-    ),
-    max_leaves=12,
-)
-_ATOMS = st.one_of(
-    [
-        st.tuples(*[_TERMS] * arity).map(lambda args, name=name: Atom(name, args))
-        for name, arity in SIG_PREDS
-    ]
-)
+    )
+
+
+_TERMS = _terms_over([Var(v) for v in SIG_VARS] + [Fn(c) for c in SIG_CONSTS])
+_ATOMS = _atoms_over(_TERMS)
+_GROUND_TERMS = _terms_over([Fn(c) for c in SIG_CONSTS])
+_GROUND_ATOMS = _atoms_over(_GROUND_TERMS)
 
 
 @given(_ATOMS, _ATOMS)
@@ -200,6 +213,33 @@ def test_flat_atom_key_orders_like_nested_key(a, b):
     flat, nested = (atom_key(a), atom_key(b)), (ref_atom_key(a), ref_atom_key(b))
     assert (flat[0] < flat[1]) == (nested[0] < nested[1])
     assert (flat[0] == flat[1]) == (a == b) == (nested[0] == nested[1])
+
+
+@given(_GROUND_ATOMS, _GROUND_ATOMS, _GROUND_TERMS, _GROUND_TERMS)
+def test_ground_mgu_decides_by_identity_like_the_general_algorithm(a, b, s, t):
+    for e1, e2 in ((a, b), (a, a), (s, t), (s, s), (a, Atom(a.pred, a.args))):
+        assert mgu(e1, e2) == ref_mgu(e1, e2) == ({} if e1 is e2 else None)
+    for e1, e2 in ((a, s), (s, a)):
+        with pytest.raises(TypeError):
+            mgu(e1, e2)
+
+
+def test_mgu_agrees_with_the_general_algorithm_on_seeded_pairs():
+    rng = random.Random(29)
+    same = unified = 0
+    for _ in range(3000):
+        g1, g2 = rand_ground_atom(rng, depth=1), rand_ground_atom(rng, depth=1)
+        s1, s2 = rand_ground_term(rng, 1), rand_ground_term(rng, 1)
+        a1 = rand_atom(rng)
+        for e1, e2 in ((g1, g2), (s1, s2), (a1, g2), (g1, a1), (a1, a1)):
+            expected = ref_mgu(e1, e2)
+            assert mgu(e1, e2) == expected
+            unified += expected is not None
+        same += (g1 is g2) + (s1 is s2)
+        for e1, e2 in ((g1, s1), (s2, g2), (a1, s1)):
+            with pytest.raises(TypeError):
+                mgu(e1, e2)
+    assert same > 300 and unified > 3500, (same, unified)
 
 
 def test_rename_apart():
