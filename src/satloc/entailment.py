@@ -10,7 +10,7 @@ freezing its variables to fresh constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .rewriting import RewriteSystem, reach_clause
 from .terms import (
@@ -53,13 +53,13 @@ class LocalCertificate:
 def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) -> set[Clause]:
     """All ground instances of the clauses whose atoms lie in the universe.
 
-    Backtracking match-join over a per-call index of the universe by
-    predicate.  A clause with a predicate absent from the universe has no
-    instance and is skipped.  Atoms are joined in a fixed plan per clause:
-    an atom whose variables are all bound by earlier atoms is tested by set
-    membership; otherwise the atom with the fewest same-predicate members is
-    matched against just those members.  Every clause variable occurs in
-    some atom, so survivors are ground.  The cost follows the matches the
+    The universe is indexed by predicate once per call.  Each clause atom is
+    a goal of _embeddings: its targets are the universe and its candidates
+    the members with its predicate, so each pattern is matched onto each
+    candidate once, and the search branches on the atom with the fewest
+    matches left.  A clause with a predicate absent from the universe has no
+    instance and is skipped.  Every clause variable occurs in some atom, so
+    the embeddings give ground instances.  The cost follows the matches the
     universe admits, not |universe| to the power of the clause's atoms.
     """
     by_pred: dict[str, list[Atom]] = {}
@@ -69,54 +69,12 @@ def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) ->
         by_pred.setdefault(a.pred, []).append(a)
     out: set[Clause] = set()
     for d in clauses:
-        if any(a.pred not in by_pred for a in d.antecedent) or any(
-            a.pred not in by_pred for a in d.succedent
-        ):
+        if any(a.pred not in by_pred for a in d.antecedent + d.succedent):
             continue
-        plan = _join_plan(d.atoms(), by_pred)
-
-        def join(i: int, sigma: Subst) -> None:
-            if i == len(plan):
-                out.add(substitute(sigma, d))
-                return
-            atom, bound = plan[i]
-            pattern = substitute(sigma, atom)
-            if bound:
-                if pattern in universe:
-                    join(i + 1, sigma)
-                return
-            for target in by_pred[atom.pred]:
-                m = match_onto(pattern, target)
-                if m is not None:
-                    join(i + 1, {**sigma, **m})
-
-        join(0, {})
+        goals = _goals((a, universe, by_pred[a.pred]) for a in d.atoms())
+        for sigma in _embeddings(goals):
+            out.add(substitute(sigma, d))
     return out
-
-
-def _join_plan(atoms: tuple[Atom, ...], by_pred: dict[str, list[Atom]]) -> list[tuple[Atom, bool]]:
-    """Join order for a clause's atoms: (atom, all variables bound before it).
-
-    Fully bound atoms go first, since a membership test never branches;
-    otherwise the atom with the smallest predicate bucket, then the fewest
-    variables still unbound.
-    """
-    plan: list[tuple[Atom, bool]] = []
-    bound: set[Var] = set()
-    todo = [(a, vars_of(a)) for a in atoms]
-    while todo:
-        best = min(
-            range(len(todo)),
-            key=lambda i: (
-                not todo[i][1] <= bound,
-                len(by_pred[todo[i][0].pred]),
-                len(todo[i][1] - bound),
-            ),
-        )
-        atom, vs = todo.pop(best)
-        plan.append((atom, vs <= bound))
-        bound |= vs
-    return plan
 
 
 def ground_sat(clauses: Iterable[Clause]) -> dict[Atom, bool] | None:
@@ -255,50 +213,75 @@ def clause_redundant(clauses: Iterable[Clause], rules: RewriteSystem, c: Clause)
     return decide_local(clauses, universe, frozen_c) is not None
 
 
-def _candidates(d: Clause, c: Clause) -> list[list[Subst]]:
-    """For each atom of d, its matches onto the atoms of the same side of c,
-    up to the first atom with none.  At most |d|·|c| match_onto calls."""
-    options: list[list[Subst]] = []
-    for pats, targets in ((d.antecedent, c.antecedent), (d.succedent, c.succedent)):
-        for p in pats:
-            found = [m for m in (match_onto(p, t) for t in targets) if m is not None]
-            options.append(found)
-            if not found:
-                return options
-    return options
+# A goal: a pattern atom, its variables, the atoms it may land on, and its
+# matches onto the candidates among those atoms.
+Goal = tuple[Atom, set[Var], Collection[Atom], list[Subst]]
 
 
-def _embeddings(options: list[list[Subst]]) -> Iterator[Subst]:
-    """Each union of one match per atom that agrees on shared variables.
+def _goals(patterns: Iterable[tuple[Atom, Collection[Atom], Iterable[Atom]]]) -> list[Goal]:
+    """The goal of each (pattern, targets, candidates), up to the first whose
+    pattern has no match.  A non-ground pattern is matched onto each of its
+    candidates once; a ground one is looked up in its targets."""
+    goals: list[Goal] = []
+    for pattern, targets, candidates in patterns:
+        variables = vars_of(pattern)
+        if variables:
+            matches = [m for m in (match_onto(pattern, t) for t in candidates) if m is not None]
+        else:
+            matches = [{}] if pattern in targets else []
+        goals.append((pattern, variables, targets, matches))
+        if not matches:
+            break
+    return goals
 
-    The search binds one atom at a time: it drops the matches that disagree
-    with the bindings so far, fails as soon as an atom has none left, and
-    branches on the atom with the fewest.  The matches bind only d's
-    variables, so c's variables stay fixed even where their names clash
-    with d's, and no renaming apart is needed.
+
+def _embeddings(goals: list[Goal]) -> Iterator[Subst]:
+    """Each union of one match per goal that agrees on shared variables.
+
+    The search binds one goal at a time.  A goal whose variables are all
+    bound is settled by looking its instance up in its targets; every other
+    goal keeps the matches that agree with the bindings so far.  The search
+    fails as soon as a goal has none left and branches on the goal with the
+    fewest (fail-first).  The matches bind only pattern variables, so the
+    targets' variables stay fixed even where their names clash with the
+    patterns', and no renaming apart is needed.
     """
 
-    def search(todo: list[list[Subst]], sigma: Subst) -> Iterator[Subst]:
-        if not todo:
+    def search(todo: list[Goal], sigma: Subst) -> Iterator[Subst]:
+        open_goals: list[Goal] = []
+        for pattern, variables, targets, matches in todo:
+            if variables <= sigma.keys():
+                if substitute(sigma, pattern) not in targets:
+                    return
+                continue
+            if sigma:
+                matches = [m for m in matches if all(sigma.get(v, t) is t for v, t in m.items())]
+            if not matches:
+                return
+            open_goals.append((pattern, variables, targets, matches))
+        if not open_goals:
             yield sigma
             return
-        fitting = []
-        for found in todo:
-            fit = [m for m in found if all(sigma.get(v, t) == t for v, t in m.items())]
-            if not fit:
-                return
-            fitting.append(fit)
-        fitting.sort(key=len)
-        rest = fitting[1:]
-        for m in fitting[0]:
+        best = min(range(len(open_goals)), key=lambda i: len(open_goals[i][3]))
+        rest = open_goals[:best] + open_goals[best + 1 :]
+        for m in open_goals[best][3]:
             yield from search(rest, {**sigma, **m})
 
-    yield from search(options, {})
+    yield from search(goals, {})
+
+
+def _side_goals(d: Clause, c: Clause) -> list[Goal]:
+    """Goals sending each side of d onto the same side of c."""
+    return _goals(
+        (p, targets, targets)
+        for pats, targets in ((d.antecedent, c.antecedent), (d.succedent, c.succedent))
+        for p in pats
+    )
 
 
 def subsumes(d: Clause, c: Clause) -> bool:
     """True iff some substitution embeds d's sides into c's sides."""
-    return next(_embeddings(_candidates(d, c)), None) is not None
+    return next(_embeddings(_side_goals(d, c)), None) is not None
 
 
 def _renames(sigma: Subst) -> bool:
@@ -322,8 +305,8 @@ def variant_equal(c: Clause, d: Clause) -> bool:
     if c == d:
         return True
     renamings = [
-        [{**m, **{(w,): v for v, w in m.items()}} for m in found if _renames(m)]
-        for found in _candidates(c, d)
+        (p, vs, ts, [{**m, **{(w,): v for v, w in m.items()}} for m in found if _renames(m)])
+        for p, vs, ts, found in _side_goals(c, d)
     ]
     for both_ways in _embeddings(renamings):
         sigma = {v: t for v, t in both_ways.items() if isinstance(v, Var)}

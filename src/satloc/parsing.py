@@ -259,17 +259,6 @@ def parse_clause_text(text: str, sig: Signature | None = None) -> Clause:
     return clause
 
 
-def serialize_problem(problem: Problem) -> str:
-    lines = []
-    if problem.ordering.symbols():
-        lines.append("order: " + " > ".join(problem.ordering.symbols()))
-    for c in problem.clauses:
-        lines.append(f"clause: {c}")
-    for q in problem.queries:
-        lines.append(f"query: {q}")
-    return "\n".join(lines) + "\n"
-
-
 def serialize_state(state: SaturationState) -> str:
     """Canonical text form: header, full precedence, sorted clauses and rules."""
     lines = ["saturated: true" if state.status == SATURATED else "saturated: limit"]

@@ -204,9 +204,6 @@ class Clause:
     def is_ground(self) -> bool:
         return all(a.ground for a in self.antecedent) and all(a.ground for a in self.succedent)
 
-    def is_empty(self) -> bool:
-        return not self.antecedent and not self.succedent
-
     def __str__(self) -> str:
         ant = ", ".join(str(a) for a in self.antecedent)
         suc = ", ".join(str(a) for a in self.succedent)

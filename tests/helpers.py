@@ -1,5 +1,5 @@
-"""Shared test helpers: parsing shorthands, reference implementations used as
-independent oracles, and seeded random generators."""
+"""Shared test helpers: parsing shorthands, test-only operations, reference
+implementations used as independent oracles, and seeded random generators."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 
 from satloc.entailment import clause_redundant, subsumes, variant_equal
 from satloc.orderings import Ordering
-from satloc.parsing import parse_clause_text
+from satloc.parsing import Problem, parse_clause_text
 from satloc.resolution import Inference, a_priori_resolvents, is_a_posteriori
 from satloc.rewriting import RewriteSystem, reach, rules_of
 from satloc.saturation import LIMIT_REACHED, SATURATED, Limits, SaturationState, VerifyReport
@@ -40,6 +40,22 @@ def at(text: str) -> Atom:
 
 def tm(text: str) -> Term:
     return at(f"scratch({text})").args[0]
+
+
+def serialize_problem(problem: Problem) -> str:
+    """Problem text that parse_problem reads back to an equal problem."""
+    lines = []
+    if problem.ordering.symbols():
+        lines.append("order: " + " > ".join(problem.ordering.symbols()))
+    for c in problem.clauses:
+        lines.append(f"clause: {c}")
+    for q in problem.queries:
+        lines.append(f"query: {q}")
+    return "\n".join(lines) + "\n"
+
+
+def is_empty(c: Clause) -> bool:
+    return not c.antecedent and not c.succedent
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +131,9 @@ def r_less(system: RewriteSystem, a: Atom, b: Atom) -> bool:
 # ---------------------------------------------------------------------------
 # Reference clause matching: plain backtracking over the pattern atoms in
 # clause order, and variants as mutual variable-for-variable instances; the
-# differential oracles of the single matcher behind subsumes and
-# variant_equal.  Exponential in the worst case, so for small clauses only.
+# differential oracles of the single matcher behind subsumes, variant_equal
+# and enumerate_local_instances (whose own oracle is below).  Exponential in
+# the worst case, so for small clauses only.
 
 def ref_subsumes(d: Clause, c: Clause) -> bool:
     goals = [(d.antecedent, c.antecedent), (d.succedent, c.succedent)]

@@ -17,12 +17,14 @@ from helpers import (
     cl,
     compose,
     inference_redundant,
+    is_empty,
     rand_atom,
     rand_ground_atom,
     rand_ground_clause,
     rand_grounding,
     rand_term,
     rand_clause,
+    serialize_problem,
     sig_ordering,
     tm,
     truth_table_satisfiable,
@@ -43,7 +45,6 @@ from satloc import (
     verify_saturated,
 )
 from satloc.entailment import clause_redundant, ground_sat
-from satloc.parsing import serialize_problem
 from satloc.resolution import a_priori_resolvents, is_a_posteriori
 from satloc.rewriting import canonical_rule, reach, rules_of
 from satloc.cli import main as cli_main
@@ -167,7 +168,7 @@ def _make_queries(problem, state, rng: random.Random):
         ground_atoms = ()
     taut_atom = ground_atoms[0] if ground_atoms else Atom("p", (pool[0],))
     queries.append((Clause([taut_atom], [taut_atom]), "entailed"))
-    consistent = not any(c.is_empty() for c in state.clauses)
+    consistent = not any(is_empty(c) for c in state.clauses)
     fresh_expect = "not-entailed" if consistent else None
     queries.append((cl("zzq(a) ->"), fresh_expect))
     queries.append((cl("-> zzq(a)"), fresh_expect))

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import make_corpus
 from helpers import (
     at,
     cl,
@@ -21,7 +22,7 @@ from helpers import (
     truth_table_satisfiable,
 )
 import satloc.entailment
-from satloc import Clause, Ordering, RewriteSystem
+from satloc import Clause, Ordering, RewriteSystem, parse_problem, saturate
 from satloc.entailment import (
     _dpll,
     clause_redundant,
@@ -34,6 +35,7 @@ from satloc.entailment import (
 )
 from satloc.resolution import a_priori_resolvents
 from satloc.rewriting import rules_of
+from satloc.saturation import LIMIT_REACHED
 from satloc.terms import Atom, Fn, Var, rename_apart, substitute, vars_of
 
 FG = Ordering(["f", "g", "a"])
@@ -321,7 +323,8 @@ BIG_C = cl(
 )
 
 
-def count_matches(monkeypatch) -> list[int]:
+def count_matches(monkeypatch, limit: int | None = None) -> list[int]:
+    """Count match_onto calls in satloc.entailment; past the limit, fail."""
     import satloc.entailment
 
     calls = [0]
@@ -329,6 +332,8 @@ def count_matches(monkeypatch) -> list[int]:
 
     def counted(pattern, target):
         calls[0] += 1
+        if limit is not None and calls[0] > limit:
+            raise AssertionError(f"more than {limit} match_onto calls")
         return match_onto(pattern, target)
 
     monkeypatch.setattr(satloc.entailment, "match_onto", counted)
@@ -350,6 +355,33 @@ def test_clause_matching_matches_each_atom_pair_at_most_once(monkeypatch):
     renamed = rename_apart(BIG_C, vars_of(BIG_C))
     assert variant_equal(BIG_C, renamed)
     assert calls[0] <= size(BIG_C) ** 2, calls[0]
+
+
+def test_enumeration_matches_each_atom_against_its_bucket_once(monkeypatch):
+    # a count, not a timing: the instances of p(X), q(Y) -> r(X) are the
+    # product of the p and q matches, but each clause atom is matched against
+    # each member of its predicate's bucket once, not once per partial instance
+    d = cl("p(X), q(Y) -> r(X)")
+    universe = {at(f"p(a{i})") for i in range(4)} | {at(f"q(b{i})") for i in range(5)}
+    universe |= {at(f"r(a{i})") for i in range(4)} | {at("r(c0)"), at("r(c1)")}
+    buckets = sum(len([u for u in universe if u.pred == a.pred]) for a in d.atoms())
+    calls = count_matches(monkeypatch)
+    got = enumerate_local_instances([d], universe)
+    assert len(got) == 4 * 5
+    assert got == ref_enumerate_local_instances([d], universe)
+    assert calls[0] <= buckets, (calls[0], buckets)
+
+
+def test_mixed_1072_saturation_stops_at_its_limit(monkeypatch):
+    # a count, not a timing: saturating make_corpus.gen_mixed(Random(1072))
+    # reaches the curation limits after about 10^5 matches; a join that
+    # re-matched clause atoms at every node made over 10^6 without finishing,
+    # stuck in one local instance enumeration (20 clauses, 8 variables,
+    # 16 atoms, |U| = 18)
+    problem = parse_problem(make_corpus.gen_mixed(random.Random(1072)))
+    count_matches(monkeypatch, limit=200_000)
+    state = saturate(problem.ordering, problem.clauses, make_corpus.CURATION_LIMITS)
+    assert state.status == LIMIT_REACHED
 
 
 def test_failing_variant_check_never_combines_clashing_renamings(monkeypatch):

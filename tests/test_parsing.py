@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cl, rand_clause
+from helpers import cl, rand_clause, serialize_problem
 from satloc import (
     Clause,
     Ordering,
@@ -17,7 +17,6 @@ from satloc import (
     saturate,
     serialize_state,
 )
-from satloc.parsing import serialize_problem
 
 
 def test_parse_problem_example():
