@@ -281,35 +281,7 @@ def _side_goals(d: Clause, c: Clause) -> list[Goal]:
 
 def subsumes(d: Clause, c: Clause) -> bool:
     """True iff some substitution embeds d's sides into c's sides."""
-    return next(_embeddings(_side_goals(d, c)), None) is not None
-
-
-def _renames(sigma: Subst) -> bool:
-    """True iff sigma maps variables to distinct variables."""
-    values = sigma.values()
-    return all(isinstance(t, Var) for t in values) and len(set(values)) == len(sigma)
-
-
-def variant_equal(c: Clause, d: Clause) -> bool:
-    """Equality modulo variable renaming.
-
-    One direction suffices: an embedding of c into d that renames variables
-    one-to-one and gives exactly d has an inverse that gives back c.  Such
-    an embedding renames within each atom too, so the search is given only
-    those matches, each binding v -> w also recorded as (w,) -> v: two
-    matches sending different variables to w then disagree and are never
-    combined.
-    """
-    if len(c.antecedent) != len(d.antecedent) or len(c.succedent) != len(d.succedent):
+    goals = _side_goals(d, c)
+    if goals and not goals[-1][3]:  # an atom of d matches no atom of c
         return False
-    if c == d:
-        return True
-    renamings = [
-        (p, vs, ts, [{**m, **{(w,): v for v, w in m.items()}} for m in found if _renames(m)])
-        for p, vs, ts, found in _side_goals(c, d)
-    ]
-    for both_ways in _embeddings(renamings):
-        sigma = {v: t for v, t in both_ways.items() if isinstance(v, Var)}
-        if _renames(sigma) and substitute(sigma, c) == d:
-            return True
-    return False
+    return next(_embeddings(goals), None) is not None

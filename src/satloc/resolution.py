@@ -36,7 +36,10 @@ class Inference:
     premises are the renamed-apart clauses actually used; resolved holds the
     pre-unification atom occurrences (A in the first premise's succedent and
     A' in the second premise's antecedent for resolution; the kept and the
-    dropped succedent atom for factoring).
+    dropped succedent atom for factoring).  For resolution, siblings holds
+    the other atom occurrences of each premise under the unifier, one list
+    per premise, antecedent first: the conclusion's atoms before
+    deduplication, and what is_a_posteriori compares the resolved atom with.
     """
 
     kind: str
@@ -45,6 +48,7 @@ class Inference:
     resolved: tuple[Atom, ...]
     resolved_atom: Atom
     conclusion: Clause
+    siblings: tuple[list[Atom], list[Atom]] | None
 
     @property
     def premise_instances(self) -> tuple[Clause, ...]:
@@ -106,11 +110,10 @@ def a_priori_resolvents(
             alpha = mgu(a, ap)
             if alpha is None:
                 continue
-            ant = c1.antecedent + tuple(x for x in c2r.antecedent if x != ap)
-            suc = tuple(x for x in c1.succedent if x != a) + c2r.succedent
-            conclusion = Clause(
-                [substitute(alpha, x) for x in ant], [substitute(alpha, x) for x in suc]
-            )
+            ant1 = [substitute(alpha, x) for x in c1.antecedent]
+            ant2 = [substitute(alpha, x) for x in c2r.antecedent if x != ap]
+            suc1 = [substitute(alpha, x) for x in c1.succedent if x != a]
+            suc2 = [substitute(alpha, x) for x in c2r.succedent]
             out.append(
                 Inference(
                     kind=RESOLUTION,
@@ -118,7 +121,8 @@ def a_priori_resolvents(
                     unifier=alpha,
                     resolved=(a, ap),
                     resolved_atom=substitute(alpha, a),
-                    conclusion=conclusion,
+                    conclusion=Clause(ant1 + ant2, suc1 + suc2),
+                    siblings=(ant1 + suc1, ant2 + suc2),
                 )
             )
     return out
@@ -153,6 +157,7 @@ def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:
                     resolved=(kept, dropped),
                     resolved_atom=substitute(alpha, kept),
                     conclusion=conclusion,
+                    siblings=None,
                 )
             )
     return out
@@ -162,17 +167,11 @@ def is_a_posteriori(ordering: Ordering, inf: Inference) -> bool:
     """Re-test maximality on the unified premise instances of a resolution.
 
     Occurrence-level: each premise atom other than the resolved occurrence is
-    instantiated separately, so a sibling collapsing onto the resolved atom
-    blocks strict maximality.
+    instantiated separately (inf.siblings), so a sibling collapsing onto the
+    resolved atom blocks strict maximality.
     """
-    alpha = inf.unifier
+    others1, others2 = inf.siblings
     a_inst = inf.resolved_atom
-    c1, c2 = inf.premises
-    a, ap = inf.resolved
-    others1 = [substitute(alpha, b) for b in c1.antecedent]
-    others1 += [substitute(alpha, b) for b in c1.succedent if b != a]
-    others2 = [substitute(alpha, b) for b in c2.antecedent if b != ap]
-    others2 += [substitute(alpha, b) for b in c2.succedent]
     return ordering.is_strictly_maximal(a_inst, others1) and ordering.is_maximal(
         a_inst, others2
     )

@@ -3,25 +3,37 @@
 Saturation is by a priori ordered resolution alone (every factoring
 inference is redundant, see resolution.py), so the loop and the verifier
 check the same inferences, and both settle redundancy with one test
-(ClauseIndex.redundancy): a stored clause subsumes the conclusion, or the
-conclusion is locally provable within its frozen reach set.  Clauses are
-prepared for resolution as they enter the index (their variables and
-eligible atoms are kept, and renamed-apart copies are kept once made) and
-indexed by predicates, so only the clause pairs that can resolve are
-queued, and subsumption and the variant check only try the clauses whose
-predicates fit.  Each a priori inference is classified by the
-first matching case: non-maximality (harvest rules from the unified premise
-instances), redundancy (under the current clauses and rules), discovery
-(add the conclusion and its rules, queue new work).
+(ClauseIndex.redundancy): a live clause subsumes the conclusion, or the
+conclusion is locally provable within its frozen reach set.
+
+Input clauses and discovered conclusions are stored by one rule
+(SaturationState.add_clause): a clause that a live clause subsumes is not
+stored, a variant included, and a stored clause deletes every live clause
+that it subsumes (backward subsumption).  The subsumer gives a local proof
+wherever the deleted clause did, so the live clauses prove what all the
+stored ones did, and rules, once harvested, stay.  A deleted clause leaves
+a tombstone in the index, and queued pairs with a deleted premise are
+skipped.
+
+Clauses are prepared for resolution as they enter the index (their
+variables and eligible atoms are kept, and renamed-apart copies are kept
+once made) and indexed by predicates, so only the clause pairs that can
+resolve are queued, and by their symbols, so backward subsumption only
+tries the clauses that hold every symbol of the new one.  Forward
+subsumption tries the live clauses whose predicates fit.  Each a priori
+inference is classified by the first matching case: non-maximality
+(harvest rules from the unified premise instances), redundancy (under the
+live clauses and rules), discovery (store the conclusion, harvest its
+rules, queue new work).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .entailment import clause_redundant, subsumes, variant_equal
+from .entailment import clause_redundant, subsumes
 from .orderings import Ordering
 from .resolution import (
     Inference,
@@ -34,7 +46,7 @@ from .resolution import (
 # name here; nothing in satloc factors.
 from .resolution import a_priori_factors  # noqa: F401
 from .rewriting import RewriteSystem, rules_of
-from .terms import Atom, Clause, Var, vars_in_order
+from .terms import Atom, Clause, Var, atom_symbols, vars_in_order
 
 SATURATED = "saturated"
 LIMIT_REACHED = "limit_reached"
@@ -43,6 +55,10 @@ RUNNING = "running"
 
 @dataclass
 class Limits:
+    """Bounds on a saturation run.  A discovery made while max_clauses
+    clauses are live stops the loop once the conclusion is stored; so does
+    reaching max_steps inferences."""
+
     max_clauses: int | None = None
     max_steps: int | None = None
 
@@ -55,6 +71,7 @@ class SaturationStats:
     redundant: int = 0
     redundant_by_subsumption: int = 0
     discovered: int = 0
+    deleted: int = 0
 
     def summary(self) -> str:
         return (
@@ -62,7 +79,7 @@ class SaturationStats:
             f" {self.inferences_considered} inferences"
             f" (non-maximality {self.non_maximality},"
             f" redundant {self.redundant} (by subsumption {self.redundant_by_subsumption}),"
-            f" discovered {self.discovered})"
+            f" discovered {self.discovered}, deleted {self.deleted})"
         )
 
 
@@ -70,9 +87,35 @@ def _side_predicates(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
     return frozenset(a.pred for a in c.antecedent), frozenset(a.pred for a in c.succedent)
 
 
+Features = tuple[tuple[set[str], int], tuple[set[str], int]]
+
+
+def _features(c: Clause) -> Features:
+    """For c's antecedent and for its succedent: the predicate and function
+    symbols, and the greatest term depth (0 when the side is empty).  A
+    substitution keeps every symbol and the depth of a term and may add
+    more, so if d subsumes c, each side of d has no symbol and no depth
+    that the same side of c lacks."""
+    out = []
+    for atoms in (c.antecedent, c.succedent):
+        names: set[str] = set()
+        deepest = 0
+        for a in atoms:
+            symbols, depth = atom_symbols(a)
+            names |= symbols
+            if depth > deepest:
+                deepest = depth
+        out.append((names, deepest))
+    return out[0], out[1]
+
+
 class ClauseIndex:
-    """Clauses prepared for resolution, and a predicate index over them,
-    kept in list order.
+    """Clauses prepared for resolution and subsumption, and predicate and
+    symbol indexes over them, kept in list order.
+
+    A clause keeps its position in the list for good.  Deleting it leaves a
+    tombstone: it leaves `live` and every index, so no lookup returns it
+    again, but no later clause moves.
 
     What a clause needs as a premise is worked out once, when it is added,
     and kept: its variables, the eligible (maximal) atoms of each side, and
@@ -81,43 +124,66 @@ class ClauseIndex:
     renamed copy and its eligible antecedent atoms are kept per (clause,
     first-premise variable set); maximality is invariant under renaming.
 
-    The predicate filters are necessary conditions, so they change no
-    verdict: clause i resolves into clause j (i's succedent atom against
-    j's antecedent atom) only if an eligible succedent predicate of i is an
-    eligible antecedent predicate of j; d subsumes c only if each side's
-    predicates of d are among those of c's side; variants have equal
-    predicate sets.
+    The filters are necessary conditions, so they change no verdict: clause
+    i resolves into clause j (i's succedent atom against j's antecedent
+    atom) only if an eligible succedent predicate of i is an eligible
+    antecedent predicate of j; d subsumes c only if each side's predicates
+    of d are among those of c's side, and only if d's _features fit into
+    c's.  Atom counts are no such condition: clauses are atom sets, and a
+    substitution can merge two atoms of d into one of c.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
         self.clauses: list[Clause] = []
+        self.live: dict[int, Clause] = {}
         self.vars: list[frozenset[Var]] = []
         # per clause, (antecedent, succedent): eligible atoms, all
         # predicates, and eligible predicates
         self.eligible_atoms: list[tuple[tuple[Atom, ...], ...]] = []
         self.sides: list[tuple[frozenset[str], frozenset[str]]] = []
         self.eligible: list[tuple[frozenset[str], ...]] = []
-        self._by_eligible: tuple[dict[str, list[int]], ...] = ({}, {})
-        self._by_sides: dict[tuple[frozenset[str], frozenset[str]], list[Clause]] = {}
+        self.features: list[Features] = []
+        self._by_eligible = (defaultdict(set), defaultdict(set))
+        self._by_symbol = (defaultdict(set), defaultdict(set))
         self._renamed: dict[tuple[int, frozenset[Var]], tuple[Clause, tuple[Atom, ...]]] = {}
+        # the last clause that subsumed() found no subsumer for, while no
+        # clause has been added since: deleting clauses keeps that answer
+        self._unsubsumed: Clause | None = None
         for c in clauses:
             self.add(c)
 
-    def add(self, c: Clause) -> None:
-        """Index the next clause of the list."""
+    def add(self, c: Clause) -> int:
+        """Index c as the next clause of the list; return its position."""
+        k = len(self.clauses)
         atoms = eligible_atoms(self.ordering, c)
         eligible = (frozenset([a.pred for a in atoms[0]]), frozenset([a.pred for a in atoms[1]]))
         for preds, by_pred in zip(eligible, self._by_eligible):
             for p in preds:
-                by_pred.setdefault(p, []).append(len(self.clauses))
-        sides = _side_predicates(c)
-        self._by_sides.setdefault(sides, []).append(c)
+                by_pred[p].add(k)
+        features = _features(c)
+        for (names, _), by_name in zip(features, self._by_symbol):
+            for name in names:
+                by_name[name].add(k)
         self.clauses.append(c)
+        self.live[k] = c
         self.vars.append(frozenset(vars_in_order(c)))
         self.eligible_atoms.append(atoms)
-        self.sides.append(sides)
+        self.sides.append(_side_predicates(c))
         self.eligible.append(eligible)
+        self.features.append(features)
+        self._unsubsumed = None
+        return k
+
+    def delete(self, k: int) -> None:
+        """Make clause k a tombstone."""
+        del self.live[k]
+        for preds, by_pred in zip(self.eligible[k], self._by_eligible):
+            for p in preds:
+                by_pred[p].discard(k)
+        for (names, _), by_name in zip(self.features[k], self._by_symbol):
+            for name in names:
+                by_name[name].discard(k)
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
         """The a priori resolution inferences of clause i into clause j,
@@ -136,14 +202,14 @@ class ClauseIndex:
         return not self.eligible[i][1].isdisjoint(self.eligible[j][0])
 
     def targets(self, i: int) -> list[int]:
-        """Every j with resolves(i, j), in increasing order."""
+        """Every live j with resolves(i, j), in increasing order."""
         found: set[int] = set()
         for p in self.eligible[i][1]:
             found.update(self._by_eligible[0].get(p, ()))
         return sorted(found)
 
     def partners(self, k: int) -> list[int]:
-        """Every indexed i such that clauses i and k resolve in some
+        """Every live i such that clauses i and k resolve in some
         direction, in increasing order."""
         found: set[int] = set()
         for preds, by_pred in zip(self.eligible[k], reversed(self._by_eligible)):
@@ -151,21 +217,58 @@ class ClauseIndex:
                 found.update(by_pred.get(p, ()))
         return sorted(found)
 
-    def has_variant(self, c: Clause) -> bool:
-        """Is a variant of c stored?"""
-        return any(variant_equal(c, d) for d in self._by_sides.get(_side_predicates(c), ()))
+    def subsumed(self, c: Clause) -> bool:
+        """Does a live clause subsume c?  Tried in list order."""
+        if c is self._unsubsumed:
+            return False
+        ant, suc = _side_predicates(c)
+        sides = self.sides
+        for k, d in self.live.items():
+            d_ant, d_suc = sides[k]
+            if d_ant <= ant and d_suc <= suc and subsumes(d, c):
+                return True
+        self._unsubsumed = c
+        return False
+
+    def subsumed_by(self, k: int) -> list[int]:
+        """The other live clauses that clause k subsumes, in list order.
+
+        The candidates hold each side's symbols of clause k on the same
+        side, so they are in the posting set of each of those symbols (every
+        live clause is a candidate of the empty clause); then each of their
+        sides must be as deep as clause k's.
+        """
+        (ant, ant_depth), (suc, suc_depth) = self.features[k]
+        found: set[int] | None = None
+        for names, by_name in zip((ant, suc), self._by_symbol):
+            for name in names:
+                found = by_name[name] if found is None else found & by_name[name]
+                if len(found) == 1:  # clause k alone
+                    return []
+        if found is None:
+            found = set(self.live)
+        d = self.clauses[k]
+        out = []
+        for m in sorted(found):
+            (_, m_ant_depth), (_, m_suc_depth) = self.features[m]
+            if (
+                m != k
+                and m_ant_depth >= ant_depth
+                and m_suc_depth >= suc_depth
+                and subsumes(d, self.clauses[m])
+            ):
+                out.append(m)
+        return out
 
     def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
-        """How c is redundant with respect to the stored clauses and `rules`:
-        "subsumption" if a stored clause subsumes it (tried in list order),
-        else "local proof" if its frozen instance is locally provable, else
-        None.  Subsumption implies a local proof, so it only saves time.
+        """How c is redundant with respect to the live clauses and `rules`:
+        "subsumption" if a live clause subsumes it, else "local proof" if
+        its frozen instance is locally provable, else None.  Subsumption
+        implies a local proof, so it only saves time.
         """
-        ant, suc = _side_predicates(c)
-        for d, (d_ant, d_suc) in zip(self.clauses, self.sides):
-            if d_ant <= ant and d_suc <= suc and subsumes(d, c):
-                return "subsumption"
-        return "local proof" if clause_redundant(self.clauses, rules, c) else None
+        if self.subsumed(c):
+            return "subsumption"
+        return "local proof" if clause_redundant(self.live.values(), rules, c) else None
 
 
 @dataclass
@@ -173,28 +276,35 @@ class SaturationState:
     ordering: Ordering
     clauses: list[Clause] = field(default_factory=list)
     rules: RewriteSystem = field(default_factory=RewriteSystem)
-    queue: deque = field(default_factory=deque)  # clause index pairs (i, j), i <= j
+    queue: deque = field(default_factory=deque)  # index positions (i, j), i <= j
     stats: SaturationStats = field(default_factory=SaturationStats)
     status: str = RUNNING
 
     @cached_property
     def index(self) -> ClauseIndex:
-        """The predicate index of `clauses`, built on first use.  Only
-        add_clause extends it, so once built, clauses enter through it."""
+        """The index of `clauses`, built on first use.  Only add_clause
+        extends it, so once built, clauses enter through it, and `clauses`
+        holds its live clauses in order."""
         return ClauseIndex(self.ordering, self.clauses)
 
     def add_clause(self, c: Clause) -> bool:
-        """Add a clause unless a variant is already present; queue its work.
+        """Store c unless a live clause subsumes it; delete every live clause
+        that c subsumes; queue c's work.
 
-        A pair (i, k) is queued only for each partner i, in increasing
+        A pair (i, k) is queued only for each live partner i, in increasing
         order, so the inferences keep the all-pairs FIFO order.
         """
         index = self.index
-        if index.has_variant(c):
+        if index.subsumed(c):
             return False
-        k = len(self.clauses)
+        k = index.add(c)
         self.clauses.append(c)
-        index.add(c)
+        deleted = index.subsumed_by(k)
+        if deleted:
+            for m in deleted:
+                index.delete(m)
+            self.clauses[:] = index.live.values()
+            self.stats.deleted += len(deleted)
         self.queue.extend((i, k) for i in index.partners(k))
         return True
 
@@ -215,17 +325,23 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
 
     Returns the final state; status is "saturated" iff the work queue
     emptied, else "limit_reached" (the state is still usable but carries no
-    completeness guarantee).
+    completeness guarantee).  Either way its clauses are the live ones, in
+    the order they were stored, and its rules start from those of every
+    input clause.
     """
+    clauses = list(clauses)
     state = SaturationState(ordering)
     for c in clauses:
         state.add_clause(c)
-    state.rules = rules_of(ordering, state.clauses)
+    state.rules = rules_of(ordering, clauses)
+    live = state.index.live
     while state.queue:
         if limits.max_steps is not None and state.stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
         i, j = state.queue.popleft()
+        if i not in live or j not in live:
+            continue
         state.stats.items_processed += 1
         for inf in _inferences_for(state, i, j):
             state.stats.inferences_considered += 1
@@ -238,9 +354,10 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
                     state.stats.redundant_by_subsumption += 1
             else:
                 state.stats.discovered += 1
+                full = limits.max_clauses is not None and len(state.clauses) >= limits.max_clauses
                 state.add_clause(inf.conclusion)
                 state.rules = state.rules | rules_of(ordering, [inf.conclusion])
-                if limits.max_clauses is not None and len(state.clauses) > limits.max_clauses:
+                if full:
                     state.status = LIMIT_REACHED
                     return state
     state.status = SATURATED

@@ -96,10 +96,10 @@ Term = Union[Var, Fn]
 
 
 class Atom(_Interned):
-    """Predicate application.  `ground` is stored as in Fn; the atom_key of
-    the atom is stored on its first use."""
+    """Predicate application.  `ground` is stored as in Fn; the atom_key and
+    the atom_symbols of the atom are stored on their first use."""
 
-    __slots__ = ("pred", "args", "ground", "_key")
+    __slots__ = ("pred", "args", "ground", "_key", "_symbols")
     _table: dict[tuple, Atom] = {}
 
     def __new__(cls, pred: str, args: Iterable[Term] = ()) -> Atom:
@@ -112,6 +112,7 @@ class Atom(_Interned):
             _set(a, "args", args)
             _set(a, "ground", all(t.ground for t in args))
             _set(a, "_key", None)
+            _set(a, "_symbols", None)
             a = Atom._table.setdefault(key, a)
         return a
 
@@ -181,6 +182,29 @@ def _flat_key(a: Atom) -> tuple:
             if args:
                 stack += args[::-1]
     return tuple(out)
+
+
+def atom_symbols(a: Atom) -> tuple[frozenset[str], int]:
+    """The predicate and function symbols of an atom, and the depth of its
+    deepest argument (0 without arguments; a variable or constant has depth
+    1).  Worked out level by level, once per atom, and stored on it; two
+    threads may both store it, with equal values."""
+    symbols = a._symbols
+    if symbols is None:
+        names = {a.pred}
+        level = a.args
+        depth = 0
+        while level:
+            depth += 1
+            below: list = []
+            for t in level:
+                if type(t) is Fn:
+                    names.add(t.name)
+                    below += t.args
+            level = below
+        symbols = frozenset(names), depth
+        _set(a, "_symbols", symbols)
+    return symbols
 
 
 @dataclass(frozen=True, init=False)

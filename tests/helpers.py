@@ -6,7 +6,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from satloc.entailment import clause_redundant, subsumes, variant_equal
+import satloc.entailment as entailment
+from satloc.entailment import clause_redundant, subsumes
 from satloc.orderings import Ordering
 from satloc.parsing import Problem, parse_clause_text
 from satloc.resolution import Inference, a_priori_resolvents, is_a_posteriori
@@ -129,11 +130,44 @@ def r_less(system: RewriteSystem, a: Atom, b: Atom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reference clause matching: plain backtracking over the pattern atoms in
-# clause order, and variants as mutual variable-for-variable instances; the
+# Clause matching for tests: the variant check, built on satloc's one
+# matcher, and its references, plain backtracking over the pattern atoms in
+# clause order and variants as mutual variable-for-variable instances; the
 # differential oracles of the single matcher behind subsumes, variant_equal
 # and enumerate_local_instances (whose own oracle is below).  Exponential in
 # the worst case, so for small clauses only.
+
+def _renames(sigma: Subst) -> bool:
+    """True iff sigma maps variables to distinct variables."""
+    values = sigma.values()
+    return all(isinstance(t, Var) for t in values) and len(set(values)) == len(sigma)
+
+
+def variant_equal(c: Clause, d: Clause) -> bool:
+    """Equality modulo variable renaming, by satloc's matcher.
+
+    One direction suffices: an embedding of c into d that renames variables
+    one-to-one and gives exactly d has an inverse that gives back c.  Such
+    an embedding renames within each atom too, so the search is given only
+    those matches, each binding v -> w also recorded as (w,) -> v: two
+    matches sending different variables to w then disagree and are never
+    combined.  The search is looked up on the entailment module, so a test
+    can count its embeddings.
+    """
+    if len(c.antecedent) != len(d.antecedent) or len(c.succedent) != len(d.succedent):
+        return False
+    if c == d:
+        return True
+    renamings = [
+        (p, vs, ts, [{**m, **{(w,): v for v, w in m.items()}} for m in found if _renames(m)])
+        for p, vs, ts, found in entailment._side_goals(c, d)
+    ]
+    for both_ways in entailment._embeddings(renamings):
+        sigma = {v: t for v, t in both_ways.items() if isinstance(v, Var)}
+        if _renames(sigma) and substitute(sigma, c) == d:
+            return True
+    return False
+
 
 def ref_subsumes(d: Clause, c: Clause) -> bool:
     goals = [(d.antecedent, c.antecedent), (d.succedent, c.succedent)]
@@ -302,34 +336,46 @@ def ref_enumerate_local_instances(clauses, universe) -> set[Clause]:
 
 # ---------------------------------------------------------------------------
 # Reference saturation and verification: every clause pair is queued and
-# tried in both directions, and forward subsumption and the variant check
-# scan every stored clause; the differential oracle of the indexed versions.
+# tried in both directions, and forward and backward subsumption scan every
+# live clause; the differential oracle of the indexed versions.  Deleted
+# clauses keep their positions, and pairs with a deleted premise are
+# skipped uncounted, as in saturate.
 
 def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> SaturationState:
+    clauses = list(clauses)
     state = SaturationState(ordering)
+    stored: list[Clause] = []  # every clause stored, by position
+    live: list[int] = []  # positions of the clauses not deleted, in order
 
     def add(c: Clause) -> None:
-        if any(variant_equal(c, d) for d in state.clauses):
+        if any(subsumes(stored[m], c) for m in live):
             return
-        k = len(state.clauses)
-        state.clauses.append(c)
-        state.queue.extend((i, k) for i in range(k + 1))
+        deleted = [m for m in live if subsumes(c, stored[m])]
+        live[:] = [m for m in live if m not in deleted]
+        state.stats.deleted += len(deleted)
+        k = len(stored)
+        stored.append(c)
+        live.append(k)
+        state.queue.extend((i, k) for i in live)
+        state.clauses = [stored[m] for m in live]
 
     def inferences(i, j):
-        out = a_priori_resolvents(ordering, state.clauses[i], state.clauses[j])
+        out = a_priori_resolvents(ordering, stored[i], stored[j])
         if i != j:
-            out += a_priori_resolvents(ordering, state.clauses[j], state.clauses[i])
+            out += a_priori_resolvents(ordering, stored[j], stored[i])
         return out
 
     for c in clauses:
         add(c)
-    state.rules = rules_of(ordering, state.clauses)
+    state.rules = rules_of(ordering, clauses)
     stats = state.stats
     while state.queue:
         if limits.max_steps is not None and stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
         i, j = state.queue.popleft()
+        if i not in live or j not in live:
+            continue
         stats.items_processed += 1
         for inf in inferences(i, j):
             stats.inferences_considered += 1
@@ -343,9 +389,10 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
                 stats.redundant += 1
             else:
                 stats.discovered += 1
+                full = limits.max_clauses is not None and len(live) >= limits.max_clauses
                 add(inf.conclusion)
                 state.rules = state.rules | rules_of(ordering, [inf.conclusion])
-                if limits.max_clauses is not None and len(state.clauses) > limits.max_clauses:
+                if full:
                     state.status = LIMIT_REACHED
                     return state
     state.status = SATURATED

@@ -31,7 +31,13 @@ def test_saturate_reports_items_and_subsumption_counters(tmp_path, capsys):
     err = capsys.readouterr().err
     # one item per resolving pair, none for factoring: 6 clauses, 4 pairs
     assert "4 items processed, 4 inferences" in err
-    assert "redundant 1 (by subsumption 1)" in err
+    assert "redundant 1 (by subsumption 1), discovered 3, deleted 0)" in err
+    # the second clause subsumes the first, which is deleted
+    subsumed = "clause: q(b) -> p(f(a))\nclause: q(X) -> p(f(Y)), p(f(a))\n"
+    assert main(["saturate", write(tmp_path, "subsumed.p", subsumed)]) == 0
+    err = capsys.readouterr().err
+    assert "saturated: 1 clauses" in err
+    assert "discovered 0, deleted 1)" in err
 
 
 def test_saturate_out_file_and_rerun_byte_identical(tmp_path, capsys):

@@ -20,6 +20,7 @@ from helpers import (
     ref_variant_equal,
     sig_ordering,
     truth_table_satisfiable,
+    variant_equal,
 )
 import satloc.entailment
 from satloc import Clause, Ordering, RewriteSystem, parse_problem, saturate
@@ -31,7 +32,6 @@ from satloc.entailment import (
     ground_sat,
     negated_units,
     subsumes,
-    variant_equal,
 )
 from satloc.resolution import a_priori_resolvents
 from satloc.rewriting import rules_of

@@ -6,7 +6,7 @@ import itertools
 import random
 from pathlib import Path
 
-from helpers import at, cl, plain_resolvents, rand_clause, sig_ordering
+from helpers import at, cl, plain_resolvents, rand_clause, sig_ordering, variant_equal
 from satloc import Clause, Ordering, RewriteSystem, parse_problem
 from satloc.entailment import clause_redundant
 from satloc.resolution import a_priori_factors, a_priori_resolvents, is_a_posteriori
@@ -85,8 +85,6 @@ def test_posteriori_unit_case():
 
 
 def test_plain_rules_examples():
-    from satloc.entailment import variant_equal
-
     infs = plain_resolvents(cl("-> p(a)"), cl("p(a) ->"))
     assert [i.conclusion for i in infs] == [Clause()]
     infs2 = plain_resolvents(cl("-> p(X)"), cl("p(f(Y)) -> q(Y)"))
@@ -148,8 +146,6 @@ def test_a_priori_contains_a_posteriori():
 def test_renaming_invariance():
     rng = random.Random(97)
     ordering = sig_ordering()
-    from satloc.entailment import variant_equal
-
     for _ in range(300):
         c1, c2 = rand_clause(rng), rand_clause(rng)
         base = a_priori_resolvents(ordering, c1, c2)

@@ -1,8 +1,12 @@
 """Saturation loop behaviour, limits, and the saturatedness verifier."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
-from helpers import at, cl, sig_ordering
+import make_corpus
+from helpers import at, cl, sig_ordering, variant_equal
 from satloc import (
     Clause,
     Limits,
@@ -13,7 +17,7 @@ from satloc import (
     serialize_state,
     verify_saturated,
 )
-from satloc.entailment import variant_equal
+from satloc.entailment import subsumes
 from satloc.rewriting import canonical_rule, rules_of
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
@@ -78,7 +82,7 @@ def test_monotone_growth_and_rule_containment():
         ordering = sig_ordering()
         state = saturate(ordering, clauses, Limits(max_clauses=25, max_steps=400))
         for c in clauses:
-            assert any(variant_equal(c, d) for d in state.clauses)
+            assert any(subsumes(d, c) for d in state.clauses)
         assert rules_of(ordering, state.clauses).rules <= state.rules.rules
 
 
@@ -159,3 +163,80 @@ def test_forward_subsumption_keeps_unsubsumed_resolvent():
     report = verify_saturated(problem.ordering, state.clauses, state.rules)
     assert report.ok, report.violations
     assert entails(state, cl("p1(f(b)), p2(b) -> p3(f(b))")).verdict == "entailed"
+
+
+def test_a_stored_clause_deletes_the_clauses_it_subsumes():
+    # q(X) -> p(f(Y)), p(f(a)) subsumes q(b) -> p(f(a)) by X -> b, Y -> a,
+    # although it has more succedent atoms and more occurrences of f: a
+    # prefilter on atom or symbol counts would keep both
+    general, special = cl("q(X) -> p(f(Y)), p(f(a))"), cl("q(b) -> p(f(a))")
+    for clauses, deleted in (([special, general], 1), ([general, special], 0)):
+        state = saturate(Ordering(["f", "a", "b"]), clauses)
+        assert state.status == "saturated"
+        assert state.clauses == [general]
+        assert state.stats.deleted == deleted
+        assert rules_of(state.ordering, clauses).rules <= state.rules.rules
+
+
+def test_a_limit_reached_state_holds_live_clauses_only():
+    # the empty clause deletes both inputs as the clause limit stops the loop
+    problem = parse_problem("clause: -> p(X)\nclause: p(X) ->")
+    state = saturate(problem.ordering, problem.clauses, Limits(max_clauses=2))
+    assert state.status == "limit_reached"
+    assert state.clauses == [Clause()] and state.stats.deleted == 2
+    # step limits cut runs that deleted clauses at every point
+    cut = 0
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.p")):
+        problem = parse_problem(path.read_text(encoding="utf-8"))
+        full = saturate(problem.ordering, problem.clauses)
+        if not full.stats.deleted:
+            continue
+        for steps in range(full.stats.inferences_considered):
+            state = saturate(problem.ordering, problem.clauses, Limits(max_steps=steps))
+            assert state.clauses == list(state.index.live.values())
+            assert not any(
+                subsumes(d, c) for d in state.clauses for c in state.clauses if c is not d
+            )
+            cut += state.status == "limit_reached" and state.stats.deleted > 0
+    assert cut > 20, cut
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_states_keep_only_clauses_no_other_clause_subsumes():
+    problems = [
+        (parse_problem(path.read_text(encoding="utf-8")), Limits())
+        for path in sorted((Path(__file__).parent / "corpus").glob("*.p"))
+    ]
+    rng = random.Random(23)
+    families = [gen for _, gen, _ in make_corpus.FAMILIES]
+    problems += [
+        (parse_problem(families[k % len(families)](rng)), make_corpus.CURATION_LIMITS)
+        for k in range(200)
+    ]
+    workloads = bench_workloads()
+    for generate in workloads.GENERATORS.values():
+        problems += [
+            (parse_problem(p.text), Limits(max_clauses=400, max_steps=40000))
+            for p in generate(1).problems
+        ]
+    deleted = 0
+    for problem, limits in problems:
+        state = saturate(problem.ordering, problem.clauses, limits)
+        assert state.status == "saturated"
+        for d in state.clauses:
+            assert not any(subsumes(d, c) for c in state.clauses if c is not d), str(d)
+        for c in problem.clauses:
+            assert any(subsumes(d, c) for d in state.clauses), str(c)
+        report = verify_saturated(state.ordering, state.clauses, state.rules)
+        assert report.ok, report.violations
+        deleted += state.stats.deleted
+    assert deleted > 300, deleted

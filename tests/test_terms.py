@@ -35,6 +35,7 @@ from satloc.terms import (
     Signature,
     Var,
     atom_key,
+    atom_symbols,
     freeze,
     is_ground,
     match_onto,
@@ -340,6 +341,24 @@ def test_stored_groundness_and_key_agree_with_references():
         assert atom_key(a) is atom_key(a)
     for a, b in zip(atoms, atoms[1:]):
         assert (atom_key(a) < atom_key(b)) == (ref_atom_key(a) < ref_atom_key(b))
+
+
+def _ref_depth(t) -> int:
+    return 1 + max((_ref_depth(a) for a in t.args), default=0) if isinstance(t, Fn) else 1
+
+
+def test_stored_atom_symbols_agree_with_a_recursive_walk():
+    rng = random.Random(31)
+    for _ in range(300):
+        for a in rand_clause(rng, depth=3).atoms():
+            names = {a.pred} | {s.name for t in a.args for s in subterms(t) if isinstance(s, Fn)}
+            depth = max((_ref_depth(t) for t in a.args), default=0)
+            assert atom_symbols(a) == (names, depth)
+            assert atom_symbols(a) is atom_symbols(a)
+    deep = Fn("a")
+    for _ in range(5000):
+        deep = Fn("f", (deep,))
+    assert atom_symbols(Atom("p", (deep,))) == ({"p", "f", "a"}, 5001)
 
 
 def test_deep_terms_need_no_recursion():
