@@ -1,9 +1,9 @@
 """Command line front end: saturate, query, verify, oracle.
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
-unsaturated query, 3 input errors (usage, parse, arity, non-ground query,
-terms nested too deeply for the recursive reader, substitution or path
-ordering), 4 verification violations.
+unsaturated query, 3 input errors (usage, a negative limit included, parse,
+arity, non-ground query, terms nested too deeply for the recursive reader,
+substitution or path ordering), 4 verification violations.
 """
 
 from __future__ import annotations
@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+def _limit(text: str) -> int:
+    """A limit option's value: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="satloc",
@@ -44,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sat = sub.add_parser("saturate", help="saturate a problem file")
     p_sat.add_argument("file", help="problem file")
-    p_sat.add_argument("--max-clauses", type=int, default=None)
-    p_sat.add_argument("--max-steps", type=int, default=None)
+    p_sat.add_argument("--max-clauses", type=_limit, default=None)
+    p_sat.add_argument("--max-steps", type=_limit, default=None)
     p_sat.add_argument("--out", default=None, help="write the state here instead of stdout")
 
     p_query = sub.add_parser("query", help="decide ground entailment against a state")
@@ -66,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("file", help="problem file")
     p_oracle.add_argument("clause", help="ground clause to test")
     p_oracle.add_argument("--depth", type=int, required=True, help="max term height")
-    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_oracle.add_argument("--budget", type=_limit, default=DEFAULT_BUDGET)
     return parser
 
 

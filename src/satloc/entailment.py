@@ -281,7 +281,4 @@ def _side_goals(d: Clause, c: Clause) -> list[Goal]:
 
 def subsumes(d: Clause, c: Clause) -> bool:
     """True iff some substitution embeds d's sides into c's sides."""
-    goals = _side_goals(d, c)
-    if goals and not goals[-1][3]:  # an atom of d matches no atom of c
-        return False
-    return next(_embeddings(goals), None) is not None
+    return next(_embeddings(_side_goals(d, c)), None) is not None

@@ -7,10 +7,11 @@ defeats strict maximality).
 
 A clause's eligible atoms (the maximal ones of each side) belong to the
 clause, not to a pair of premises, and maximality is invariant under
-variable renaming.  So a caller that keeps a clause's eligible atoms, and a
-renamed-apart copy of a second premise with the images of its eligible
-antecedent atoms (renamed_apart), can hand them to a_priori_resolvents
-instead of having them worked out again for every pair.
+variable renaming.  So a_priori_resolvents takes its premises prepared:
+the first premise with its eligible succedent atoms, and a renamed-apart
+copy of the second with the images of its eligible antecedent atoms
+(renamed_apart).  The saturation index keeps both per clause, so nothing
+is worked out again for every pair.
 
 Saturation uses resolution alone.  Clauses are atom sets, so a factor's
 frozen conclusion is a ground instance of its own premise inside its own
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .orderings import Ordering
-from .terms import Atom, Clause, Subst, mgu, rename_apart, renaming, substitute, vars_of
+from .terms import Atom, Clause, Subst, mgu, renaming, substitute
 
 RESOLUTION = "resolution"
 FACTORING = "factoring"
@@ -75,9 +76,9 @@ def eligible_atoms(ordering: Ordering, c: Clause) -> tuple[tuple[Atom, ...], ...
 def renamed_apart(
     c: Clause, eligible_antecedent: tuple[Atom, ...], forbidden
 ) -> tuple[Clause, tuple[Atom, ...]]:
-    """rename_apart(c, forbidden), and the images of c's eligible antecedent
-    atoms in the copy's order, which are the copy's eligible antecedent
-    atoms since renaming keeps maximality."""
+    """A variant of c whose variables avoid the forbidden set, and the
+    images of c's eligible antecedent atoms in the copy's order, which are
+    the copy's eligible antecedent atoms since renaming keeps maximality."""
     rho = renaming(c, forbidden)
     if not rho:
         return c, eligible_antecedent
@@ -87,23 +88,14 @@ def renamed_apart(
 
 
 def a_priori_resolvents(
-    ordering: Ordering,
-    c1: Clause,
-    c2: Clause,
-    prepared: tuple[tuple[Atom, ...], Clause, tuple[Atom, ...]] | None = None,
+    c1: Clause, eligible1: tuple[Atom, ...], c2r: Clause, eligible2: tuple[Atom, ...]
 ) -> list[Inference]:
-    """Resolution inferences whose premise-side maximality conditions hold.
-
-    The second premise is renamed apart from the first; enumeration follows
-    the canonical atom order, so the output is deterministic.  `prepared`,
-    if given, is (the eligible succedent atoms of c1, the renamed-apart c2,
-    its eligible antecedent atoms), as ClauseIndex keeps them; otherwise
-    they are worked out here.  Either way the inferences are the same.
+    """Resolution inferences whose premise-side maximality conditions hold:
+    c1's eligible succedent atoms eligible1 against eligible2, the eligible
+    antecedent atoms of c2r, a second premise already renamed apart from c1.
+    Enumeration follows the canonical atom order, so the output is
+    deterministic.
     """
-    if prepared is None:
-        c2r = rename_apart(c2, vars_of(c1))
-        prepared = eligible_atoms(ordering, c1)[1], c2r, eligible_atoms(ordering, c2r)[0]
-    eligible1, c2r, eligible2 = prepared
     out: list[Inference] = []
     for a in eligible1:
         for ap in eligible2:

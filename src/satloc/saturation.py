@@ -18,13 +18,15 @@ skipped.
 Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
 once made) and indexed by predicates, so only the clause pairs that can
-resolve are queued, and by their symbols, so backward subsumption only
-tries the clauses that hold every symbol of the new one.  Forward
-subsumption tries the live clauses whose predicates fit.  Each a priori
-inference is classified by the first matching case: non-maximality
-(harvest rules from the unified premise instances), redundancy (under the
-live clauses and rules), discovery (store the conclusion, harvest its
-rules, queue new work).
+resolve are queued.  Subsumption is pre-tested in both directions by the
+same features, each side's symbols and depths (_features): forward
+subsumption scans the live clauses for those whose features are among the
+new clause's, and backward subsumption finds those holding the new
+clause's features in posting sets.  Each a priori inference is
+classified by the first matching case: non-maximality (harvest rules from
+the unified premise instances), redundancy (under the live clauses and
+rules), discovery (store the conclusion, harvest its rules, queue new
+work).
 """
 
 from __future__ import annotations
@@ -83,29 +85,27 @@ class SaturationStats:
         )
 
 
-def _side_predicates(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
-    return frozenset(a.pred for a in c.antecedent), frozenset(a.pred for a in c.succedent)
-
-
-Features = tuple[tuple[set[str], int], tuple[set[str], int]]
+Features = tuple[set, set]
 
 
 def _features(c: Clause) -> Features:
     """For c's antecedent and for its succedent: the predicate and function
-    symbols, and the greatest term depth (0 when the side is empty).  A
-    substitution keeps every symbol and the depth of a term and may add
-    more, so if d subsumes c, each side of d has no symbol and no depth
-    that the same side of c lacks."""
+    symbols, and the depths 1 to the greatest term depth (none when the side
+    is empty).  A substitution keeps every symbol and the depth of a term
+    and may add more, so if d subsumes c, each side of d has no feature
+    that the same side of c lacks: the pre-test of both subsumption
+    directions."""
     out = []
     for atoms in (c.antecedent, c.succedent):
-        names: set[str] = set()
+        side: set = set()
         deepest = 0
         for a in atoms:
             symbols, depth = atom_symbols(a)
-            names |= symbols
+            side |= symbols
             if depth > deepest:
                 deepest = depth
-        out.append((names, deepest))
+        side.update(range(1, deepest + 1))
+        out.append(side)
     return out[0], out[1]
 
 
@@ -123,13 +123,14 @@ class ClauseIndex:
     first premise's variables, which is all the renaming depends on, so the
     renamed copy and its eligible antecedent atoms are kept per (clause,
     first-premise variable set); maximality is invariant under renaming.
+    Its _features are worked out once too, for subsumption.
 
     The filters are necessary conditions, so they change no verdict: clause
     i resolves into clause j (i's succedent atom against j's antecedent
     atom) only if an eligible succedent predicate of i is an eligible
-    antecedent predicate of j; d subsumes c only if each side's predicates
-    of d are among those of c's side, and only if d's _features fit into
-    c's.  Atom counts are no such condition: clauses are atom sets, and a
+    antecedent predicate of j; d subsumes c only if each side's _features
+    of d are among those of c's side, which both subsumption directions
+    test.  Atom counts are no such condition: clauses are atom sets, and a
     substitution can merge two atoms of d into one of c.
     """
 
@@ -138,18 +139,18 @@ class ClauseIndex:
         self.clauses: list[Clause] = []
         self.live: dict[int, Clause] = {}
         self.vars: list[frozenset[Var]] = []
-        # per clause, (antecedent, succedent): eligible atoms, all
-        # predicates, and eligible predicates
+        # per clause, (antecedent, succedent): eligible atoms and eligible
+        # predicates
         self.eligible_atoms: list[tuple[tuple[Atom, ...], ...]] = []
-        self.sides: list[tuple[frozenset[str], frozenset[str]]] = []
         self.eligible: list[tuple[frozenset[str], ...]] = []
         self.features: list[Features] = []
         self._by_eligible = (defaultdict(set), defaultdict(set))
-        self._by_symbol = (defaultdict(set), defaultdict(set))
+        self._by_feature = (defaultdict(set), defaultdict(set))
         self._renamed: dict[tuple[int, frozenset[Var]], tuple[Clause, tuple[Atom, ...]]] = {}
-        # the last clause that subsumed() found no subsumer for, while no
-        # clause has been added since: deleting clauses keeps that answer
-        self._unsubsumed: Clause | None = None
+        # the last clause that subsumed() found no subsumer for, and its
+        # features, while no clause has been added since: deleting clauses
+        # keeps that answer
+        self._unsubsumed: tuple[Clause, Features] | None = None
         for c in clauses:
             self.add(c)
 
@@ -161,15 +162,15 @@ class ClauseIndex:
         for preds, by_pred in zip(eligible, self._by_eligible):
             for p in preds:
                 by_pred[p].add(k)
-        features = _features(c)
-        for (names, _), by_name in zip(features, self._by_symbol):
-            for name in names:
-                by_name[name].add(k)
+        unsubsumed = self._unsubsumed
+        features = unsubsumed[1] if unsubsumed and unsubsumed[0] is c else _features(c)
+        for side, by_feature in zip(features, self._by_feature):
+            for feature in side:
+                by_feature[feature].add(k)
         self.clauses.append(c)
         self.live[k] = c
         self.vars.append(frozenset(vars_in_order(c)))
         self.eligible_atoms.append(atoms)
-        self.sides.append(_side_predicates(c))
         self.eligible.append(eligible)
         self.features.append(features)
         self._unsubsumed = None
@@ -181,9 +182,9 @@ class ClauseIndex:
         for preds, by_pred in zip(self.eligible[k], self._by_eligible):
             for p in preds:
                 by_pred[p].discard(k)
-        for (names, _), by_name in zip(self.features[k], self._by_symbol):
-            for name in names:
-                by_name[name].discard(k)
+        for side, by_feature in zip(self.features[k], self._by_feature):
+            for feature in side:
+                by_feature[feature].discard(k)
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
         """The a priori resolution inferences of clause i into clause j,
@@ -193,20 +194,12 @@ class ClauseIndex:
         if renamed is None:
             renamed = renamed_apart(self.clauses[j], self.eligible_atoms[j][0], self.vars[i])
             self._renamed[key] = renamed
-        prepared = (self.eligible_atoms[i][1],) + renamed
-        return a_priori_resolvents(self.ordering, self.clauses[i], self.clauses[j], prepared)
+        return a_priori_resolvents(self.clauses[i], self.eligible_atoms[i][1], *renamed)
 
     def resolves(self, i: int, j: int) -> bool:
         """Can an eligible succedent atom of clause i meet an eligible
         antecedent atom of clause j?"""
         return not self.eligible[i][1].isdisjoint(self.eligible[j][0])
-
-    def targets(self, i: int) -> list[int]:
-        """Every live j with resolves(i, j), in increasing order."""
-        found: set[int] = set()
-        for p in self.eligible[i][1]:
-            found.update(self._by_eligible[0].get(p, ()))
-        return sorted(found)
 
     def partners(self, k: int) -> list[int]:
         """Every live i such that clauses i and k resolve in some
@@ -218,47 +211,37 @@ class ClauseIndex:
         return sorted(found)
 
     def subsumed(self, c: Clause) -> bool:
-        """Does a live clause subsume c?  Tried in list order."""
-        if c is self._unsubsumed:
+        """Does a live clause subsume c?  Tried in list order, on the clauses
+        whose features on each side are among c's."""
+        unsubsumed = self._unsubsumed
+        if unsubsumed and unsubsumed[0] is c:
             return False
-        ant, suc = _side_predicates(c)
-        sides = self.sides
+        c_features = ant, suc = _features(c)
+        features = self.features
         for k, d in self.live.items():
-            d_ant, d_suc = sides[k]
+            d_ant, d_suc = features[k]
             if d_ant <= ant and d_suc <= suc and subsumes(d, c):
                 return True
-        self._unsubsumed = c
+        self._unsubsumed = c, c_features
         return False
 
     def subsumed_by(self, k: int) -> list[int]:
         """The other live clauses that clause k subsumes, in list order.
 
-        The candidates hold each side's symbols of clause k on the same
-        side, so they are in the posting set of each of those symbols (every
-        live clause is a candidate of the empty clause); then each of their
-        sides must be as deep as clause k's.
+        The candidates hold each side's features of clause k on the same
+        side, so they are the clauses in the posting set of each of those
+        features (every live clause is a candidate of the empty clause).
         """
-        (ant, ant_depth), (suc, suc_depth) = self.features[k]
         found: set[int] | None = None
-        for names, by_name in zip((ant, suc), self._by_symbol):
-            for name in names:
-                found = by_name[name] if found is None else found & by_name[name]
+        for side, by_feature in zip(self.features[k], self._by_feature):
+            for feature in side:
+                found = by_feature[feature] if found is None else found & by_feature[feature]
                 if len(found) == 1:  # clause k alone
                     return []
         if found is None:
             found = set(self.live)
         d = self.clauses[k]
-        out = []
-        for m in sorted(found):
-            (_, m_ant_depth), (_, m_suc_depth) = self.features[m]
-            if (
-                m != k
-                and m_ant_depth >= ant_depth
-                and m_suc_depth >= suc_depth
-                and subsumes(d, self.clauses[m])
-            ):
-                out.append(m)
-        return out
+        return [m for m in sorted(found) if m != k and subsumes(d, self.clauses[m])]
 
     def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
         """How c is redundant with respect to the live clauses and `rules`:
@@ -391,7 +374,9 @@ def verify_saturated(ordering: Ordering, clauses, rules: RewriteSystem) -> Verif
     for rule in sorted(missing, key=str):
         report.violations.append(f"condition 2: missing rule {rule}")
     for i in range(len(clauses)):
-        for j in index.targets(i):
+        for j in index.partners(i):
+            if not index.resolves(i, j):
+                continue
             for inf in index.resolvents(i, j):
                 if not index.redundancy(rules, inf.conclusion):
                     report.violations.append(f"condition 1: not redundant: {inf}")

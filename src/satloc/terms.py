@@ -292,11 +292,16 @@ def sorted_vars(e) -> list[Var]:
 
 
 def subterms(t: Term) -> set[Term]:
-    """The subterm set Sub(t), including t itself."""
-    out: set[Term] = {t}
-    if isinstance(t, Fn):
-        for a in t.args:
-            out |= subterms(a)
+    """The subterm set Sub(t), including t itself.  Walked with a stack, so
+    term depth does not meet the recursion limit."""
+    out: set[Term] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t not in out:
+            out.add(t)
+            if isinstance(t, Fn):
+                stack += t.args
     return out
 
 
@@ -425,17 +430,12 @@ def fresh_names(used: set[str], count: int, prefix: str = "V") -> list[str]:
 
 
 def renaming(c: Clause, forbidden: Iterable[Var]) -> Subst:
-    """The substitution rename_apart applies to c: c's variables, by name,
-    to the first fresh names that avoid the forbidden set and c's own."""
+    """The substitution that renames c apart from the forbidden variables:
+    c's variables, by name, to the first fresh names that avoid the
+    forbidden set and c's own."""
     own = sorted(vars_of(c), key=lambda v: v.name)
     used = {v.name for v in forbidden} | {v.name for v in own}
     return {v: Var(n) for v, n in zip(own, fresh_names(used, len(own)))}
-
-
-def rename_apart(c: Clause, forbidden: Iterable[Var]) -> Clause:
-    """Variant of c whose variables avoid the forbidden set; always systematic."""
-    rho = renaming(c, forbidden)
-    return substitute(rho, c) if rho else c
 
 
 FreezeMap = dict[Var, Fn]
@@ -485,10 +485,14 @@ class Signature:
             raise ArityError(f"predicate '{name}' used with arities {old} and {arity}")
 
     def scan_term(self, t: Term) -> None:
-        if isinstance(t, Fn):
-            self.note_function(t.name, len(t.args))
-            for a in t.args:
-                self.scan_term(a)
+        """Note t's function symbols in left-to-right preorder, so the
+        first arity conflict met is the leftmost; walked with a stack."""
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Fn):
+                self.note_function(t.name, len(t.args))
+                stack += reversed(t.args)
 
     def scan_atom(self, a: Atom) -> None:
         self.note_predicate(a.pred, len(a.args))

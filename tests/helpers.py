@@ -10,7 +10,7 @@ import satloc.entailment as entailment
 from satloc.entailment import clause_redundant, subsumes
 from satloc.orderings import Ordering
 from satloc.parsing import Problem, parse_clause_text
-from satloc.resolution import Inference, a_priori_resolvents, is_a_posteriori
+from satloc.resolution import Inference, a_priori_resolvents, eligible_atoms, is_a_posteriori
 from satloc.rewriting import RewriteSystem, reach, rules_of
 from satloc.saturation import LIMIT_REACHED, SATURATED, Limits, SaturationState, VerifyReport
 from satloc.terms import (
@@ -24,6 +24,7 @@ from satloc.terms import (
     atom_key,
     is_ground,
     match_onto,
+    renaming,
     substitute,
     vars_of,
 )
@@ -102,6 +103,22 @@ def unfreeze(mapping: FreezeMap, e):
     return back(e)
 
 
+def rename_apart(c: Clause, forbidden) -> Clause:
+    """Variant of c whose variables avoid the forbidden set; always systematic."""
+    rho = renaming(c, forbidden)
+    return substitute(rho, c) if rho else c
+
+
+def ref_a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Inference]:
+    """a_priori_resolvents with its premises prepared from scratch for this
+    one pair: c2 renamed apart from c1, and the eligible atoms of c1 and of
+    the renamed copy tested here."""
+    c2r = rename_apart(c2, vars_of(c1))
+    return a_priori_resolvents(
+        c1, eligible_atoms(ordering, c1)[1], c2r, eligible_atoms(ordering, c2r)[0]
+    )
+
+
 class _NoOrdering(Ordering):
     """Every atom is maximal, so the a priori rule resolves every pair."""
 
@@ -111,7 +128,7 @@ class _NoOrdering(Ordering):
 
 def plain_resolvents(c1: Clause, c2: Clause) -> list[Inference]:
     """Standard resolution, no ordering conditions."""
-    return a_priori_resolvents(_NoOrdering(), c1, c2)
+    return ref_a_priori_resolvents(_NoOrdering(), c1, c2)
 
 
 def inference_redundant(clauses, rules: RewriteSystem, inf: Inference) -> bool:
@@ -360,9 +377,9 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
         state.clauses = [stored[m] for m in live]
 
     def inferences(i, j):
-        out = a_priori_resolvents(ordering, stored[i], stored[j])
+        out = ref_a_priori_resolvents(ordering, stored[i], stored[j])
         if i != j:
-            out += a_priori_resolvents(ordering, stored[j], stored[i])
+            out += ref_a_priori_resolvents(ordering, stored[j], stored[i])
         return out
 
     for c in clauses:
@@ -407,7 +424,7 @@ def ref_verify_saturated(ordering: Ordering, clauses, rules) -> VerifyReport:
         report.violations.append(f"condition 2: missing rule {rule}")
     for c1 in clauses:
         for c2 in clauses:
-            for inf in a_priori_resolvents(ordering, c1, c2):
+            for inf in ref_a_priori_resolvents(ordering, c1, c2):
                 if not clause_redundant(clauses, rules, inf.conclusion):
                     report.violations.append(f"condition 1: not redundant: {inf}")
                 if not is_a_posteriori(ordering, inf):

@@ -91,6 +91,35 @@ def test_tracer_records_every_layer():
     assert not missing, missing
 
 
+def unused_sibling_imports(path: Path, used_elsewhere=()) -> list[str]:
+    """The names a module imports from a sibling module (from .x import y)
+    and never reads, except those in used_elsewhere."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(used_elsewhere)
+    return [
+        f"{path.name}: {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if (alias.asname or alias.name) not in read
+    ]
+
+
+def test_src_imports_are_used():
+    # an import left behind when code moves to another module or to the
+    # tests reads as a dependency that is not there; __init__ re-exports
+    # through __all__, and saturation imports a_priori_factors for the
+    # benchmark's tracer alone
+    used_elsewhere = {"__init__.py": satloc.__all__, "saturation.py": ["a_priori_factors"]}
+    unused = [
+        name
+        for path in sorted((ROOT / "src" / "satloc").glob("*.py"))
+        for name in unused_sibling_imports(path, used_elsewhere.get(path.name, ()))
+    ]
+    assert not unused, unused
+
+
 def test_every_exported_name_resolves():
     assert len(set(satloc.__all__)) == len(satloc.__all__)
     for name in satloc.__all__:

@@ -198,6 +198,26 @@ def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
     assert "--certificate" in capsys.readouterr().out
 
 
+def test_negative_limits_are_usage_errors_and_zero_is_a_limit(tmp_path, capsys):
+    problem = write(tmp_path, "demo.p", WORKED)
+    for option in ("--max-clauses", "--max-steps"):
+        assert main(["saturate", problem, option, "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must not be negative, got -1" in captured.err
+    assert main(["oracle", problem, "-> q(a)", "--depth", "1", "--budget", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: must not be negative, got -1" in captured.err
+    assert main(["saturate", problem, "--max-steps", "0"]) == 2
+    assert "limit_reached: 2 clauses" in capsys.readouterr().err
+    # WORKED discovers no clause, so a clause limit of 0 never stops it
+    assert main(["saturate", problem, "--max-clauses", "0"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", problem, "q(f(a),a) ->", "--depth", "1", "--budget", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "unknown (budget)"
+
+
 def test_deep_term_exits_3(tmp_path, capsys):
     problem = write(tmp_path, "demo.p", WORKED)
     state = write(tmp_path, "demo.state", "")

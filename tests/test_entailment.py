@@ -14,10 +14,12 @@ from helpers import (
     rand_clause,
     rand_ground_atom,
     rand_ground_clause,
+    ref_a_priori_resolvents,
     ref_dpll,
     ref_enumerate_local_instances,
     ref_subsumes,
     ref_variant_equal,
+    rename_apart,
     sig_ordering,
     truth_table_satisfiable,
     variant_equal,
@@ -33,10 +35,9 @@ from satloc.entailment import (
     negated_units,
     subsumes,
 )
-from satloc.resolution import a_priori_resolvents
 from satloc.rewriting import rules_of
 from satloc.saturation import LIMIT_REACHED
-from satloc.terms import Atom, Fn, Var, rename_apart, substitute, vars_of
+from satloc.terms import Atom, Fn, Var, substitute, vars_of
 
 FG = Ordering(["f", "g", "a"])
 WORKED_S = [cl("-> p(g(W,W))"), cl("p(g(X,Y)), q(f(Y),X) ->")]
@@ -259,12 +260,12 @@ def test_inference_redundant_examples():
     o = sig_ordering()
     # conclusion already in S
     c1, c2 = cl("-> p(a)"), cl("p(a) -> r(b)")
-    (inf,) = a_priori_resolvents(o, c1, c2)
+    (inf,) = ref_a_priori_resolvents(o, c1, c2)
     assert inf.conclusion == cl("-> r(b)")
     assert inference_redundant([c1, c2, cl("-> r(b)")], RewriteSystem(), inf)
 
     # worked non-maximality inference: redundant with the harvested rules
-    (inf2,) = a_priori_resolvents(FG, WORKED_S[0], WORKED_S[1])
+    (inf2,) = ref_a_priori_resolvents(FG, WORKED_S[0], WORKED_S[1])
     harvested = rules_of(FG, inf2.premise_instances)
     assert inference_redundant(WORKED_S, harvested, inf2)
     # the conclusion-level check alone suffices
@@ -274,13 +275,13 @@ def test_inference_redundant_examples():
     # but the premises refute themselves inside their own frozen universes,
     # so the full test (premise escape) still reports redundant
     u1, u2 = cl("-> p(X)"), cl("p(Y) ->")
-    (inf3,) = a_priori_resolvents(o, u1, u2)
+    (inf3,) = ref_a_priori_resolvents(o, u1, u2)
     assert inf3.conclusion == Clause()
     assert not clause_redundant([u1, u2], RewriteSystem(), inf3.conclusion)
     assert inference_redundant([u1, u2], RewriteSystem(), inf3)
 
     # premises outside S with a fresh conclusion: nothing is redundant
-    (inf4,) = a_priori_resolvents(o, cl("-> p(b)"), cl("p(b) -> r(b)"))
+    (inf4,) = ref_a_priori_resolvents(o, cl("-> p(b)"), cl("p(b) -> r(b)"))
     assert not inference_redundant([cl("-> q(a,a)")], RewriteSystem(), inf4)
 
 

@@ -3,11 +3,22 @@ reference loop (tests/helpers.py): same states, counters and violations,
 with far fewer inference and subsumption attempts."""
 
 import glob
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import make_corpus
-from helpers import at, cl, ref_saturate, ref_verify_saturated
+from helpers import (
+    at,
+    cl,
+    rand_clause,
+    rand_term,
+    ref_a_priori_resolvents,
+    ref_saturate,
+    ref_verify_saturated,
+    sig_ordering,
+)
 from satloc import (
     Clause,
     Limits,
@@ -21,9 +32,10 @@ from satloc import (
 )
 from satloc import resolution as resolution_module
 from satloc import saturation as saturation_module
-from satloc.resolution import a_priori_resolvents
-from satloc.saturation import ClauseIndex
+from satloc.entailment import subsumes
+from satloc.saturation import ClauseIndex, _features
 from satloc import terms as terms_module
+from satloc.terms import substitute, vars_of
 from satloc.orderings import Ordering
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
@@ -134,18 +146,16 @@ def test_index_follows_a_clause_list_built_elsewhere():
 
 class CallCounter:
     """Counts the calls to a name the saturation module looks up, and keeps
-    their arguments and results."""
+    their results."""
 
     def __init__(self, monkeypatch, name):
         self.calls = 0
-        self.arguments = []
         self.results = []
-        self.original = original = getattr(saturation_module, name)
+        original = getattr(saturation_module, name)
 
         def counted(*args):
             self.calls += 1
             result = original(*args)
-            self.arguments.append(args)
             self.results.append(result)
             return result
 
@@ -164,6 +174,57 @@ def test_chain_attempts_are_counted_not_timed(monkeypatch):
     resolvents.calls = 0
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok
     assert resolvents.calls <= 500
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parent.parent / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_ground_mix_subsumption_attempts_are_pre_tested_by_features(monkeypatch):
+    # forward subsumption tries only the live clauses whose symbols and
+    # depths on each side are among the new clause's; filtering by side
+    # predicates alone made 908 calls
+    attempts = CallCounter(monkeypatch, "subsumes")
+    for bench_problem in bench_workloads().ground_mix(1).problems:
+        problem = parse_problem(bench_problem.text)
+        assert saturate(problem.ordering, problem.clauses).status == "saturated"
+    assert attempts.calls <= 600, attempts.calls
+
+
+def _instance_of(rng, d: Clause) -> Clause:
+    """d under a random substitution, sometimes with atoms added."""
+    c = substitute({v: rand_term(rng, 1) for v in vars_of(d)}, d)
+    if rng.random() < 0.5:
+        extra = rand_clause(rng)
+        c = Clause(c.antecedent + extra.antecedent, c.succedent + extra.succedent)
+    return c
+
+
+def test_the_subsumption_pre_test_admits_every_subsuming_pair_both_ways():
+    # the feature pre-test is a necessary condition: whenever d subsumes c,
+    # the forward scan tries d for c and the backward lookup finds c for d
+    rng = random.Random(23)
+    ordering = sig_ordering()
+    pairs = [(cl("q(X) -> p(f(Y)), p(f(a))"), cl("q(b) -> p(f(a))"))]
+    for _ in range(1500):
+        d = rand_clause(rng)
+        pairs.append((d, rand_clause(rng) if rng.random() < 0.3 else _instance_of(rng, d)))
+    hits = 0
+    for d, c in pairs:
+        if not subsumes(d, c):
+            continue
+        hits += 1
+        for d_side, c_side in zip(_features(d), _features(c)):
+            assert d_side <= c_side, (str(d), str(c))
+        assert ClauseIndex(ordering, [d]).subsumed(c), (str(d), str(c))
+        assert ClauseIndex(ordering, [c, d]).subsumed_by(1) == [0], (str(d), str(c))
+    assert hits > 1000, hits
 
 
 def test_verify_settles_subsumed_conclusions_without_local_proofs(monkeypatch):
@@ -226,21 +287,27 @@ def fields(inferences):
 
 def test_prepared_resolvents_equal_those_worked_out_from_scratch(monkeypatch):
     # the index passes each clause's kept eligible atoms and a kept renamed
-    # copy of the second premise; from scratch, a_priori_resolvents renames
-    # the second premise and tests maximality itself
+    # copy of the second premise; from scratch, ref_a_priori_resolvents
+    # renames the second premise and tests maximality itself
     problems = [(parse_problem(Path(p).read_text(encoding="utf-8")), Limits()) for p in CORPUS]
     problems += [(p, make_corpus.CURATION_LIMITS) for p in generated_problems(340, seed=17)]
-    resolvents = CallCounter(monkeypatch, "a_priori_resolvents")
+    calls = []
+    resolvents = ClauseIndex.resolvents
+
+    def recorded(index, i, j):
+        out = resolvents(index, i, j)
+        calls.append((index.ordering, index.clauses[i], index.clauses[j], out))
+        return out
+
+    monkeypatch.setattr(ClauseIndex, "resolvents", recorded)
     compared = 0
     for problem, limits in problems:
         state = saturate(problem.ordering, problem.clauses, limits)
         verify_saturated(state.ordering, state.clauses, state.rules)
-        for (ordering, c1, c2, prepared), out in zip(resolvents.arguments, resolvents.results):
-            assert prepared is not None
-            assert fields(out) == fields(resolvents.original(ordering, c1, c2))
+        for ordering, c1, c2, out in calls:
+            assert fields(out) == fields(ref_a_priori_resolvents(ordering, c1, c2))
             compared += len(out)
-        resolvents.arguments.clear()
-        resolvents.results.clear()
+        calls.clear()
     assert compared > 2000, compared
 
 
@@ -257,7 +324,7 @@ def test_kept_eligible_atoms_follow_a_reordering_rename():
     (inf,) = index.resolvents(0, 1)
     assert inf.premises[1].antecedent == (at("p(V10)"), at("p(V2)"), at("s(f(V2))"))
     assert inf.resolved == (at("p(V0)"), at("p(V10)"))
-    assert fields([inf]) == fields(a_priori_resolvents(ordering, c1, c2))
+    assert fields([inf]) == fields(ref_a_priori_resolvents(ordering, c1, c2))
 
 
 def test_chain_prepares_each_clause_once(monkeypatch):

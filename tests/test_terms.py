@@ -24,9 +24,11 @@ from helpers import (
     rand_grounding,
     ref_atom_key,
     ref_mgu,
+    rename_apart,
     tm,
     unfreeze,
 )
+from satloc.oracle import HerbrandBound, oracle_entails
 from satloc.terms import (
     ArityError,
     Atom,
@@ -40,7 +42,6 @@ from satloc.terms import (
     is_ground,
     match_onto,
     mgu,
-    rename_apart,
     substitute,
     subterms,
     vars_in_order,
@@ -301,6 +302,11 @@ def test_signature_arity_conflicts():
         sig.note_function("f", 2)
     with pytest.raises(ArityError):
         sig.note_predicate("f", 1)
+    # symbols are noted in left-to-right preorder: the g conflict comes
+    # before the k one
+    with pytest.raises(ArityError, match="'g' used with arities 1 and 2"):
+        a, b, c, k = Fn("a"), Fn("b"), Fn("c"), Fn("k")
+        Signature().scan_atom(Atom("h", (Fn("g", (a,)), Fn("g", (a, b)), Fn("k", (c,)), k)))
 
 
 def test_equal_terms_are_one_object():
@@ -375,6 +381,21 @@ def test_deep_terms_need_no_recursion():
     assert list(vars_in_order(Atom("p", (open_, y)))) == [x, y]
     text = str(Atom("p", (ground,)))
     assert text == "p(" + "f(" * depth + "a" + ")" * (depth + 1)
+
+
+def test_signatures_subterms_and_the_oracle_walk_deep_terms():
+    depth = 5000
+    deep = Fn("a")
+    for _ in range(depth):
+        deep = Fn("f", (deep,))
+    unit = Clause((), (Atom("p", (deep,)),))
+    sig = Signature()
+    sig.scan_clause(unit)
+    assert sig.functions == {"f": 1, "a": 0} and sig.predicates == {"p": 1}
+    assert len(subterms(deep)) == depth + 1
+    # ground clauses only: the oracle scans and seeds the goal's subterms but
+    # builds no term layer
+    assert oracle_entails([unit], unit, HerbrandBound(0)).verdict == "entailed"
 
 
 def test_threads_building_the_same_terms_share_one_object_each():
