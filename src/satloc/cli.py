@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="bounded brute-force entailment check")
     p_oracle.add_argument("file", help="problem file")
     p_oracle.add_argument("clause", help="ground clause to test")
-    p_oracle.add_argument("--depth", type=int, required=True, help="max term height")
+    p_oracle.add_argument("--depth", type=_limit, required=True, help="max term height")
     p_oracle.add_argument("--budget", type=_limit, default=DEFAULT_BUDGET)
     return parser
 

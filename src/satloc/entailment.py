@@ -20,7 +20,6 @@ from .terms import (
     Var,
     atom_key,
     freeze,
-    is_ground,
     match_onto,
     substitute,
     vars_of,
@@ -64,7 +63,7 @@ def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) ->
     """
     by_pred: dict[str, list[Atom]] = {}
     for a in universe:
-        if not is_ground(a):
+        if not a.ground:
             raise ValueError(f"universe must be ground, got {a}")
         by_pred.setdefault(a.pred, []).append(a)
     out: set[Clause] = set()

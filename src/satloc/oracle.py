@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .entailment import ground_sat, negated_units
-from .terms import Clause, Fn, Signature, Term, fresh_names, is_ground, sorted_vars, substitute, subterms
+from .terms import Clause, Fn, Signature, Term, fresh_names, sorted_vars, substitute, subterms
 
 ENTAILED = "entailed"
 UNKNOWN = "unknown"
@@ -23,14 +23,10 @@ DEFAULT_BUDGET = 10**6
 @dataclass(frozen=True)
 class HerbrandBound:
     depth: int
-    extra_terms: frozenset[Term] = frozenset()
 
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise ValueError("depth must be non-negative")
-        for t in self.extra_terms:
-            if not is_ground(t):
-                raise ValueError(f"seed terms must be ground, got {t}")
 
 
 @dataclass
@@ -39,15 +35,17 @@ class OracleResult:
     reason: str | None = None  # "depth" or "budget" when unknown
 
 
-def herbrand_terms(signature: Signature, bound: HerbrandBound, too_many=None) -> set[Term] | None:
-    """Ground terms built from constants and seeds by at most `depth` function layers.
+def herbrand_terms(
+    signature: Signature, bound: HerbrandBound, seeds=(), too_many=None
+) -> set[Term] | None:
+    """Ground terms built from the constants and the ground `seeds` by at
+    most `depth` function layers.
 
-    A default constant is injected when the signature has none and no seed
-    terms were supplied.  None as soon as too_many holds for a lower bound on
-    the next layer's size (each function on each argument tuple, all distinct).
+    A default constant is injected when the signature has none and no seeds
+    are given.  None as soon as too_many holds for a lower bound on the next
+    layer's size (each function on each argument tuple, all distinct).
     """
-    seeds: set[Term] = {Fn(name) for name in signature.constants()}
-    seeds |= set(bound.extra_terms)
+    seeds = {Fn(name) for name in signature.constants()} | set(seeds)
     if not seeds:
         taken = set(signature.functions) | set(signature.predicates)
         seeds = {Fn(fresh_names(taken, 1, prefix="c")[0])}
@@ -87,9 +85,8 @@ def oracle_entails(
     def too_many(n: int) -> bool:  # more instances over n terms than the budget?
         return sum(n ** w for w in widths) > budget
 
-    seeded = HerbrandBound(bound.depth, frozenset(bound.extra_terms) | frozenset(harvested))
     # only clauses with variables need terms
-    terms = herbrand_terms(signature, seeded, too_many) if any(widths) else set()
+    terms = herbrand_terms(signature, bound, harvested, too_many) if any(widths) else set()
     if terms is None or too_many(len(terms)):
         return OracleResult(UNKNOWN, "budget")
     terms = sorted(terms, key=str)

@@ -17,8 +17,9 @@ class Ordering:
     """Total strict precedence on function symbols plus the derived orders.
 
     Symbols are ranked by position in the construction sequence, highest
-    first.  Frozen constants rank below every listed symbol and among
-    themselves by creation index.
+    first.  Frozen constants (`#` names) are refused: frozen clauses are
+    only read by reach and the local decision, which never consult the
+    ordering.
 
     The precedence never changes once an ordering is built (symbols are
     appended only while it is being constructed; `extended` builds a new
@@ -62,10 +63,8 @@ class Ordering:
         return f"Ordering({' > '.join(self._chain)})"
 
     def sym_key(self, name: str):
-        if is_frozen_symbol(name):
-            return (0, int(name[1:]))
         try:
-            return (1, self._rank[name])
+            return self._rank[name]
         except KeyError:
             raise KeyError(f"symbol '{name}' is not in the precedence") from None
 

@@ -214,15 +214,7 @@ class Problem:
     ordering: Ordering
     clauses: list[Clause] = field(default_factory=list)
     queries: list[Clause] = field(default_factory=list)
-    signature: Signature = field(default_factory=Signature)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Problem)
-            and self.ordering == other.ordering
-            and self.clauses == other.clauses
-            and self.queries == other.queries
-        )
+    signature: Signature = field(default_factory=Signature, compare=False)
 
 
 def parse_problem(text: str) -> Problem:

@@ -19,7 +19,6 @@ from .terms import (
     Var,
     atom_key,
     fresh_names,
-    is_ground,
     match_onto,
     substitute,
     vars_in_order,
@@ -122,7 +121,7 @@ def rewrite_one(system: RewriteSystem, a: Atom) -> set[Atom]:
 
 def reach(system: RewriteSystem, a: Atom) -> set[Atom]:
     """Atoms reachable from a ground atom, including the atom itself."""
-    if not is_ground(a):
+    if not a.ground:
         raise ValueError(f"reach requires a ground atom, got {a}")
     seen: set[Atom] = {a}
     frontier: list[Atom] = [a]

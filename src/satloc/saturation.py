@@ -19,10 +19,10 @@ Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
 once made) and indexed by predicates, so only the clause pairs that can
 resolve are queued.  Subsumption is pre-tested in both directions by the
-same features, each side's symbols and depths (_features): forward
-subsumption scans the live clauses for those whose features are among the
-new clause's, and backward subsumption finds those holding the new
-clause's features in posting sets.  Each a priori inference is
+same features, each side's symbols (_features): forward subsumption scans
+the live clauses for those whose features are among the new clause's, and
+backward subsumption finds those holding the new clause's features in
+posting sets keyed by side and symbol.  Each a priori inference is
 classified by the first matching case: non-maximality (harvest rules from
 the unified premise instances), redundancy (under the live clauses and
 rules), discovery (store the conclusion, harvest its rules, queue new
@@ -85,28 +85,18 @@ class SaturationStats:
         )
 
 
-Features = tuple[set, set]
+Features = tuple[frozenset[str], frozenset[str]]
 
 
 def _features(c: Clause) -> Features:
     """For c's antecedent and for its succedent: the predicate and function
-    symbols, and the depths 1 to the greatest term depth (none when the side
-    is empty).  A substitution keeps every symbol and the depth of a term
-    and may add more, so if d subsumes c, each side of d has no feature
-    that the same side of c lacks: the pre-test of both subsumption
-    directions."""
-    out = []
-    for atoms in (c.antecedent, c.succedent):
-        side: set = set()
-        deepest = 0
-        for a in atoms:
-            symbols, depth = atom_symbols(a)
-            side |= symbols
-            if depth > deepest:
-                deepest = depth
-        side.update(range(1, deepest + 1))
-        out.append(side)
-    return out[0], out[1]
+    symbols.  A substitution keeps every symbol and may add more, so if d
+    subsumes c, each side of d has no symbol that the same side of c lacks:
+    the pre-test of both subsumption directions."""
+    return (
+        frozenset().union(*map(atom_symbols, c.antecedent)),
+        frozenset().union(*map(atom_symbols, c.succedent)),
+    )
 
 
 class ClauseIndex:
@@ -128,10 +118,10 @@ class ClauseIndex:
     The filters are necessary conditions, so they change no verdict: clause
     i resolves into clause j (i's succedent atom against j's antecedent
     atom) only if an eligible succedent predicate of i is an eligible
-    antecedent predicate of j; d subsumes c only if each side's _features
-    of d are among those of c's side, which both subsumption directions
-    test.  Atom counts are no such condition: clauses are atom sets, and a
-    substitution can merge two atoms of d into one of c.
+    antecedent predicate of j; d subsumes c only if each side's symbols
+    (_features) of d are among those of c's side, which both subsumption
+    directions test.  Atom counts are no such condition: clauses are atom
+    sets, and a substitution can merge two atoms of d into one of c.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
@@ -228,9 +218,10 @@ class ClauseIndex:
     def subsumed_by(self, k: int) -> list[int]:
         """The other live clauses that clause k subsumes, in list order.
 
-        The candidates hold each side's features of clause k on the same
+        The candidates hold each side's symbols of clause k on the same
         side, so they are the clauses in the posting set of each of those
-        features (every live clause is a candidate of the empty clause).
+        (side, symbol) keys (every live clause is a candidate of the empty
+        clause).
         """
         found: set[int] | None = None
         for side, by_feature in zip(self.features[k], self._by_feature):

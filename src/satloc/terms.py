@@ -97,7 +97,8 @@ Term = Union[Var, Fn]
 
 class Atom(_Interned):
     """Predicate application.  `ground` is stored as in Fn; the atom_key and
-    the atom_symbols of the atom are stored on their first use."""
+    the symbol set (atom_symbols) of the atom are stored on their first
+    use."""
 
     __slots__ = ("pred", "args", "ground", "_key", "_symbols")
     _table: dict[tuple, Atom] = {}
@@ -184,25 +185,20 @@ def _flat_key(a: Atom) -> tuple:
     return tuple(out)
 
 
-def atom_symbols(a: Atom) -> tuple[frozenset[str], int]:
-    """The predicate and function symbols of an atom, and the depth of its
-    deepest argument (0 without arguments; a variable or constant has depth
-    1).  Worked out level by level, once per atom, and stored on it; two
-    threads may both store it, with equal values."""
+def atom_symbols(a: Atom) -> frozenset[str]:
+    """The predicate and function symbols of an atom.  Worked out with a
+    stack, once per atom, and stored on it; two threads may both store it,
+    with equal values."""
     symbols = a._symbols
     if symbols is None:
         names = {a.pred}
-        level = a.args
-        depth = 0
-        while level:
-            depth += 1
-            below: list = []
-            for t in level:
-                if type(t) is Fn:
-                    names.add(t.name)
-                    below += t.args
-            level = below
-        symbols = frozenset(names), depth
+        stack = list(a.args)
+        while stack:
+            t = stack.pop()
+            if type(t) is Fn:
+                names.add(t.name)
+                stack += t.args
+        symbols = frozenset(names)
         _set(a, "_symbols", symbols)
     return symbols
 
@@ -303,14 +299,6 @@ def subterms(t: Term) -> set[Term]:
             if isinstance(t, Fn):
                 stack += t.args
     return out
-
-
-def is_ground(e) -> bool:
-    if isinstance(e, _Interned):
-        return e.ground
-    if isinstance(e, Clause):
-        return e.is_ground()
-    raise TypeError(f"cannot test groundness of {e!r}")
 
 
 def substitute(sigma: Subst, e):

@@ -3,8 +3,11 @@ implementations used as independent oracles, and seeded random generators."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import satloc.entailment as entailment
 from satloc.entailment import clause_redundant, subsumes
@@ -22,12 +25,22 @@ from satloc.terms import (
     Term,
     Var,
     atom_key,
-    is_ground,
     match_onto,
     renaming,
     substitute,
     vars_of,
 )
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded read-only as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def cl(text: str) -> Clause:
@@ -141,7 +154,7 @@ def inference_redundant(clauses, rules: RewriteSystem, inf: Inference) -> bool:
 
 def r_less(system: RewriteSystem, a: Atom, b: Atom) -> bool:
     """Derived finite-complexity order: a below b iff a reachable from b, a != b."""
-    if not is_ground(a) or not is_ground(b):
+    if not a.ground or not b.ground:
         raise ValueError("r_less requires ground atoms")
     return a != b and a in reach(system, b)
 
@@ -330,7 +343,7 @@ def ref_atom_key(a: Atom):
 
 def ref_enumerate_local_instances(clauses, universe) -> set[Clause]:
     for a in universe:
-        if not is_ground(a):
+        if not a.ground:
             raise ValueError(f"universe must be ground, got {a}")
     members = sorted(universe, key=atom_key)
     out: set[Clause] = set()

@@ -120,6 +120,53 @@ def test_src_imports_are_used():
     assert not unused, unused
 
 
+def src_definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions and classes of a module, and the methods
+    of its classes but the dunder ones."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                item.name
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            ]
+    return out
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name a module reads: names, attributes, imported names, and
+    strings that are identifiers (the benchmark's tracer names its targets
+    in strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_src_definitions_are_read():
+    # a function left behind when its last caller goes reads as code that
+    # runs; only the public surface may be defined and not read in src/
+    # or the benchmark
+    src = [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "src" / "satloc").glob("*.py")]
+    bench = [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "bench").glob("*.py")]
+    defined = [name for tree in src for name in src_definitions(tree)]
+    read = set(satloc.__all__).union(*map(names_read, src + bench))
+    assert len(defined) > 100, len(defined)
+    unread = sorted(set(defined) - read)
+    assert not unread, unread
+
+
 def test_every_exported_name_resolves():
     assert len(set(satloc.__all__)) == len(satloc.__all__)
     for name in satloc.__all__:
@@ -146,7 +193,6 @@ def test_readme_lists_every_exported_name():
         (lambda: ground_sat([cl("-> p(X)")]), ValueError),
         (lambda: reach_clause(RewriteSystem(), cl("p(a) -> q(X)")), ValueError),
         (lambda: HerbrandBound(-1), ValueError),
-        (lambda: HerbrandBound(1, frozenset({tm("f(X)")})), ValueError),
         (lambda: Ordering(["f", "#1"]), ValueError),
         (lambda: vars_in_order([Var("X")]), TypeError),
         (lambda: substitute({}, "p(X)"), TypeError),
@@ -157,7 +203,6 @@ def test_readme_lists_every_exported_name():
         "ground_sat-non-ground",
         "reach_clause-non-ground",
         "herbrand-negative-depth",
-        "herbrand-non-ground-seed",
         "ordering-frozen-name",
         "vars_in_order-list",
         "substitute-string",

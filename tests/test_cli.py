@@ -205,10 +205,11 @@ def test_negative_limits_are_usage_errors_and_zero_is_a_limit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {option}: must not be negative, got -1" in captured.err
-    assert main(["oracle", problem, "-> q(a)", "--depth", "1", "--budget", "-1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --budget: must not be negative, got -1" in captured.err
+    for option, other in (("--budget", "--depth"), ("--depth", "--budget")):
+        assert main(["oracle", problem, "q(f(a),a) ->", other, "1", option, "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}: must not be negative, got -1" in captured.err
     assert main(["saturate", problem, "--max-steps", "0"]) == 2
     assert "limit_reached: 2 clauses" in capsys.readouterr().err
     # WORKED discovers no clause, so a clause limit of 0 never stops it

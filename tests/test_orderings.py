@@ -23,7 +23,7 @@ from helpers import (
     tm,
 )
 from satloc import Ordering, parse_problem, parse_state, saturate, serialize_state, verify_saturated
-from satloc.terms import Fn, Var, vars_of
+from satloc.terms import Var, vars_of
 
 FGBA = Ordering(["f", "g", "b", "a"])
 
@@ -164,14 +164,6 @@ def test_shared_argument_blocks_domination():
     # the converse is an ordinary comparison and follows the precedence
     assert Ordering(["a", "b"]).atom_greater(at("i(a,b)"), at("i(b,b)"))
     assert not Ordering(["b", "a"]).atom_greater(at("i(a,b)"), at("i(b,b)"))
-
-
-def test_frozen_constants_rank_below_everything():
-    o = Ordering(["f", "a"])
-    assert o.lpo_greater(Fn("a"), Fn("#1"))
-    assert o.lpo_greater(Fn("#2"), Fn("#1"))
-    assert not o.lpo_greater(Fn("#1"), Fn("#2"))
-    assert o.lpo_greater(Fn("f", (Fn("#1"),)), Fn("#1"))
 
 
 def test_ordering_construction_errors():

@@ -1,12 +1,10 @@
 """Saturation loop behaviour, limits, and the saturatedness verifier."""
 
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import make_corpus
-from helpers import at, cl, sig_ordering, variant_equal
+from helpers import at, bench_workloads, cl, sig_ordering, variant_equal
 from satloc import (
     Clause,
     Limits,
@@ -199,16 +197,6 @@ def test_a_limit_reached_state_holds_live_clauses_only():
             )
             cut += state.status == "limit_reached" and state.stats.deleted > 0
     assert cut > 20, cut
-
-
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def test_states_keep_only_clauses_no_other_clause_subsumes():

@@ -3,14 +3,13 @@ reference loop (tests/helpers.py): same states, counters and violations,
 with far fewer inference and subsumption attempts."""
 
 import glob
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import make_corpus
 from helpers import (
     at,
+    bench_workloads,
     cl,
     rand_clause,
     rand_term,
@@ -35,7 +34,7 @@ from satloc import saturation as saturation_module
 from satloc.entailment import subsumes
 from satloc.saturation import ClauseIndex, _features
 from satloc import terms as terms_module
-from satloc.terms import substitute, vars_of
+from satloc.terms import Atom, Fn, substitute, vars_of
 from satloc.orderings import Ordering
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
@@ -176,20 +175,11 @@ def test_chain_attempts_are_counted_not_timed(monkeypatch):
     assert resolvents.calls <= 500
 
 
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", Path(__file__).parent.parent / "bench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up
-    spec.loader.exec_module(workloads)
-    return workloads
-
 
 def test_ground_mix_subsumption_attempts_are_pre_tested_by_features(monkeypatch):
-    # forward subsumption tries only the live clauses whose symbols and
-    # depths on each side are among the new clause's; filtering by side
-    # predicates alone made 908 calls
+    # forward subsumption tries only the live clauses whose symbols on
+    # each side are among the new clause's; filtering by side predicates
+    # alone made 908 calls
     attempts = CallCounter(monkeypatch, "subsumes")
     for bench_problem in bench_workloads().ground_mix(1).problems:
         problem = parse_problem(bench_problem.text)
@@ -225,6 +215,18 @@ def test_the_subsumption_pre_test_admits_every_subsuming_pair_both_ways():
         assert ClauseIndex(ordering, [d]).subsumed(c), (str(d), str(c))
         assert ClauseIndex(ordering, [c, d]).subsumed_by(1) == [0], (str(d), str(c))
     assert hits > 1000, hits
+
+
+def test_subsumption_features_are_the_symbols_of_each_side():
+    # term depth separated no pair the symbols admit, so it is no feature:
+    # a deep unit clause has as many features as a shallow one
+    deep = Fn("a")
+    for _ in range(5000):
+        deep = Fn("f", (deep,))
+    c = Clause((), (Atom("p", (deep,)),))
+    assert _features(c) == (frozenset(), {"p", "f", "a"})
+    index = ClauseIndex(Ordering(["f", "a"]), [c])
+    assert sum(len(ks) for by_feature in index._by_feature for ks in by_feature.values()) == 3
 
 
 def test_verify_settles_subsumed_conclusions_without_local_proofs(monkeypatch):

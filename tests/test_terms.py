@@ -39,7 +39,6 @@ from satloc.terms import (
     atom_key,
     atom_symbols,
     freeze,
-    is_ground,
     match_onto,
     mgu,
     substitute,
@@ -170,7 +169,7 @@ def test_substitute_preserves_groundness():
     for _ in range(500):
         a = rand_atom(rng)
         sigma = rand_grounding(rng, vars_of(a))
-        assert is_ground(substitute(sigma, a))
+        assert substitute(sigma, a).ground
 
 
 def test_clause_canonical_form():
@@ -266,7 +265,7 @@ def test_vars_in_order_is_first_occurrence_preorder():
     for _ in range(5000):
         deep = Fn("f", (deep,))
     assert list(vars_in_order(Atom("p", (deep, y)))) == [x, y]
-    assert not is_ground(deep)
+    assert not deep.ground
 
 
 def test_freeze_examples():
@@ -349,22 +348,17 @@ def test_stored_groundness_and_key_agree_with_references():
         assert (atom_key(a) < atom_key(b)) == (ref_atom_key(a) < ref_atom_key(b))
 
 
-def _ref_depth(t) -> int:
-    return 1 + max((_ref_depth(a) for a in t.args), default=0) if isinstance(t, Fn) else 1
-
-
 def test_stored_atom_symbols_agree_with_a_recursive_walk():
     rng = random.Random(31)
     for _ in range(300):
         for a in rand_clause(rng, depth=3).atoms():
             names = {a.pred} | {s.name for t in a.args for s in subterms(t) if isinstance(s, Fn)}
-            depth = max((_ref_depth(t) for t in a.args), default=0)
-            assert atom_symbols(a) == (names, depth)
+            assert atom_symbols(a) == names
             assert atom_symbols(a) is atom_symbols(a)
     deep = Fn("a")
     for _ in range(5000):
         deep = Fn("f", (deep,))
-    assert atom_symbols(Atom("p", (deep,))) == ({"p", "f", "a"}, 5001)
+    assert atom_symbols(Atom("p", (deep,))) == {"p", "f", "a"}
 
 
 def test_deep_terms_need_no_recursion():
@@ -377,7 +371,7 @@ def test_deep_terms_need_no_recursion():
     atoms = {Atom("p", (ground,)), Atom("p", (open_,))}
     assert Atom("p", (ground,)) in atoms and len(atoms) == 2
     assert len(atom_key(Atom("p", (ground,)))) == 1 + 3 * (depth + 1)
-    assert is_ground(ground) and not is_ground(open_)
+    assert ground.ground and not open_.ground
     assert list(vars_in_order(Atom("p", (open_, y)))) == [x, y]
     text = str(Atom("p", (ground,)))
     assert text == "p(" + "f(" * depth + "a" + ")" * (depth + 1)
