@@ -109,6 +109,9 @@ def _cmd_query(args) -> int:
         for goal in problem.queries:
             sig.scan_clause(goal)
         goals.extend(problem.queries)
+    for goal in goals:  # refuse input before any verdict is printed
+        if not goal.is_ground():
+            raise ValueError(f"queries must be ground, got {goal}")
     for goal in goals:
         result = entails(state, goal, allow_unsaturated=args.unsound_ok)
         print(result.verdict)
@@ -147,8 +150,16 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse fills query's clause list, empty if need be, at its first
+        # positional argument, so clauses after an option are left over
+        args, rest = parser.parse_known_args(argv)
+        if args.command == "query":
+            args.clauses += [a for a in rest if not parser._parse_optional(a)]
+            rest = [a for a in rest if parser._parse_optional(a)]
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         if exc.code == 0:  # --help
             raise

@@ -58,7 +58,7 @@ def herbrand_terms(
             return None
         layer = set(terms)
         for name, k in functions:
-            for args in itertools.product(sorted(terms, key=str), repeat=k):
+            for args in itertools.product(terms, repeat=k):
                 layer.add(Fn(name, args))
         terms = layer
     return terms
@@ -89,7 +89,6 @@ def oracle_entails(
     terms = herbrand_terms(signature, bound, harvested, too_many) if any(widths) else set()
     if terms is None or too_many(len(terms)):
         return OracleResult(UNKNOWN, "budget")
-    terms = sorted(terms, key=str)
     instances: set[Clause] = set()
     for c in clauses:
         variables = sorted_vars(c)

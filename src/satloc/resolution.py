@@ -10,8 +10,8 @@ clause, not to a pair of premises, and maximality is invariant under
 variable renaming.  So a_priori_resolvents takes its premises prepared:
 the first premise with its eligible succedent atoms, and a renamed-apart
 copy of the second with the images of its eligible antecedent atoms
-(renamed_apart).  The saturation index keeps both per clause, so nothing
-is worked out again for every pair.
+(renamed_apart).  The saturation index keeps both in each live clause's
+record, so nothing is worked out again for every pair.
 
 Saturation uses resolution alone.  Clauses are atom sets, so a factor's
 frozen conclusion is a ground instance of its own premise inside its own

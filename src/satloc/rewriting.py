@@ -119,12 +119,14 @@ def rewrite_one(system: RewriteSystem, a: Atom) -> set[Atom]:
     return out
 
 
-def reach(system: RewriteSystem, a: Atom) -> set[Atom]:
-    """Atoms reachable from a ground atom, including the atom itself."""
-    if not a.ground:
-        raise ValueError(f"reach requires a ground atom, got {a}")
-    seen: set[Atom] = {a}
-    frontier: list[Atom] = [a]
+def reach(system: RewriteSystem, *atoms: Atom) -> set[Atom]:
+    """Atoms reachable from ground atoms, including the atoms themselves;
+    one search, so each atom is rewritten once."""
+    for a in atoms:
+        if not a.ground:
+            raise ValueError(f"reach requires a ground atom, got {a}")
+    seen: set[Atom] = set(atoms)
+    frontier: list[Atom] = list(seen)
     while frontier:
         current = frontier.pop()
         for nxt in rewrite_one(system, current):
@@ -138,7 +140,4 @@ def reach_clause(system: RewriteSystem, c: Clause) -> set[Atom]:
     """Union of the reach sets of a ground clause's atoms."""
     if not c.is_ground():
         raise ValueError(f"reach_clause requires a ground clause, got {c}")
-    out: set[Atom] = set()
-    for a in c.atoms():
-        out |= reach(system, a)
-    return out
+    return reach(system, *c.atoms())

@@ -11,18 +11,19 @@ Input clauses and discovered conclusions are stored by one rule
 stored, a variant included, and a stored clause deletes every live clause
 that it subsumes (backward subsumption).  The subsumer gives a local proof
 wherever the deleted clause did, so the live clauses prove what all the
-stored ones did, and rules, once harvested, stay.  A deleted clause leaves
-a tombstone in the index, and queued pairs with a deleted premise are
-skipped.
+stored ones did, and rules, once harvested, stay.  The index holds the
+live clauses only: a deleted clause leaves it whole, and queued pairs with
+a deleted premise are skipped.
 
 Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
-once made) and indexed by predicates, so only the clause pairs that can
-resolve are queued.  Subsumption is pre-tested in both directions by the
-same features, each side's symbols (_features): forward subsumption scans
-the live clauses for those whose features are among the new clause's, and
-backward subsumption finds those holding the new clause's features in
-posting sets keyed by side and symbol.  Each a priori inference is
+once made, all in one record per clause) and indexed by eligible
+predicates, so only the clause pairs that can resolve are queued.
+Subsumption is pre-tested in both directions by the same features, each
+side's symbols (_features): forward subsumption scans the live clauses for
+those whose features are among the new clause's, and backward subsumption
+finds those holding the new clause's features in posting sets keyed by
+side and symbol.  Each a priori inference is
 classified by the first matching case: non-maximality (harvest rules from
 the unified premise instances), redundancy (under the live clauses and
 rules), discovery (store the conclusion, harvest its rules, queue new
@@ -31,9 +32,10 @@ work).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 
 from .entailment import clause_redundant, subsumes
 from .orderings import Ordering
@@ -99,44 +101,64 @@ def _features(c: Clause) -> Features:
     )
 
 
+class _Record:
+    """What the index keeps for one live clause: the clause, its variables,
+    its eligible atoms and eligible predicates per side (antecedent,
+    succedent), its _features, its posting keys, and its renamed-apart
+    copies as a second premise, with their eligible antecedent atoms, keyed
+    by the first premise's variable set."""
+
+    __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed")
+
+    def __init__(self, ordering: Ordering, c: Clause, features: Features):
+        self.clause = c
+        self.vars = frozenset(vars_in_order(c))
+        self.atoms = eligible_atoms(ordering, c)
+        self.eligible = tuple(frozenset([a.pred for a in side]) for side in self.atoms)
+        self.features = features
+        self.keys = [
+            (kind, side, name)
+            for kind, sides in (("eligible", self.eligible), ("symbol", features))
+            for side, names in enumerate(sides)
+            for name in names
+        ]
+        self.renamed: dict[frozenset[Var], tuple[Clause, tuple[Atom, ...]]] = {}
+
+
 class ClauseIndex:
-    """Clauses prepared for resolution and subsumption, and predicate and
-    symbol indexes over them, kept in list order.
+    """The live clauses, each prepared for resolution and subsumption, and
+    one posting map over them.
 
-    A clause keeps its position in the list for good.  Deleting it leaves a
-    tombstone: it leaves `live` and every index, so no lookup returns it
-    again, but no later clause moves.
+    A clause is numbered when it is added, and numbers are never reused, so
+    they keep the order of adding.  `live` maps the number of each live
+    clause to its record (_Record); deleting a clause drops its record and
+    its number from every posting set, so nothing of it remains.
 
-    What a clause needs as a premise is worked out once, when it is added,
-    and kept: its variables, the eligible (maximal) atoms of each side, and
-    their predicates.  As a second premise it is renamed apart from the
-    first premise's variables, which is all the renaming depends on, so the
-    renamed copy and its eligible antecedent atoms are kept per (clause,
-    first-premise variable set); maximality is invariant under renaming.
-    Its _features are worked out once too, for subsumption.
+    What a clause needs as a premise is worked out once, when it is added:
+    its variables, the eligible (maximal) atoms of each side, and their
+    predicates.  As a second premise it is renamed apart from the first
+    premise's variables, which is all the renaming depends on, so its record
+    keeps each renamed copy and the copy's eligible antecedent atoms per
+    first-premise variable set; maximality is invariant under renaming.  Its
+    _features are worked out once too, for subsumption.
 
-    The filters are necessary conditions, so they change no verdict: clause
-    i resolves into clause j (i's succedent atom against j's antecedent
-    atom) only if an eligible succedent predicate of i is an eligible
-    antecedent predicate of j; d subsumes c only if each side's symbols
-    (_features) of d are among those of c's side, which both subsumption
-    directions test.  Atom counts are no such condition: clauses are atom
-    sets, and a substitution can merge two atoms of d into one of c.
+    The posting map takes a key to the numbers of the live clauses that have
+    it: ("eligible", side, predicate) for each eligible predicate of a side,
+    ("symbol", side, symbol) for each of its _features.  The filters are
+    necessary conditions, so they change no verdict: clause i resolves into
+    clause j (i's succedent atom against j's antecedent atom) only if an
+    eligible succedent predicate of i is an eligible antecedent predicate of
+    j; d subsumes c only if each side's symbols (_features) of d are among
+    those of c's side, which both subsumption directions test.  Atom counts
+    are no such condition: clauses are atom sets, and a substitution can
+    merge two atoms of d into one of c.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
-        self.clauses: list[Clause] = []
-        self.live: dict[int, Clause] = {}
-        self.vars: list[frozenset[Var]] = []
-        # per clause, (antecedent, succedent): eligible atoms and eligible
-        # predicates
-        self.eligible_atoms: list[tuple[tuple[Atom, ...], ...]] = []
-        self.eligible: list[tuple[frozenset[str], ...]] = []
-        self.features: list[Features] = []
-        self._by_eligible = (defaultdict(set), defaultdict(set))
-        self._by_feature = (defaultdict(set), defaultdict(set))
-        self._renamed: dict[tuple[int, frozenset[Var]], tuple[Clause, tuple[Atom, ...]]] = {}
+        self.live: dict[int, _Record] = {}
+        self._postings: dict[tuple, set[int]] = {}
+        self._numbers = count()
         # the last clause that subsumed() found no subsumer for, and its
         # features, while no clause has been added since: deleting clauses
         # keeps that answer
@@ -145,94 +167,79 @@ class ClauseIndex:
             self.add(c)
 
     def add(self, c: Clause) -> int:
-        """Index c as the next clause of the list; return its position."""
-        k = len(self.clauses)
-        atoms = eligible_atoms(self.ordering, c)
-        eligible = (frozenset([a.pred for a in atoms[0]]), frozenset([a.pred for a in atoms[1]]))
-        for preds, by_pred in zip(eligible, self._by_eligible):
-            for p in preds:
-                by_pred[p].add(k)
+        """Index c as a live clause; return its number."""
+        k = next(self._numbers)
         unsubsumed = self._unsubsumed
         features = unsubsumed[1] if unsubsumed and unsubsumed[0] is c else _features(c)
-        for side, by_feature in zip(features, self._by_feature):
-            for feature in side:
-                by_feature[feature].add(k)
-        self.clauses.append(c)
-        self.live[k] = c
-        self.vars.append(frozenset(vars_in_order(c)))
-        self.eligible_atoms.append(atoms)
-        self.eligible.append(eligible)
-        self.features.append(features)
+        record = self.live[k] = _Record(self.ordering, c, features)
+        for key in record.keys:
+            self._postings.setdefault(key, set()).add(k)
         self._unsubsumed = None
         return k
 
     def delete(self, k: int) -> None:
-        """Make clause k a tombstone."""
-        del self.live[k]
-        for preds, by_pred in zip(self.eligible[k], self._by_eligible):
-            for p in preds:
-                by_pred[p].discard(k)
-        for side, by_feature in zip(self.features[k], self._by_feature):
-            for feature in side:
-                by_feature[feature].discard(k)
+        """Drop clause k and its posting keys."""
+        for key in self.live.pop(k).keys:
+            postings = self._postings[key]
+            postings.remove(k)
+            if not postings:
+                del self._postings[key]
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
-        """The a priori resolution inferences of clause i into clause j,
-        from the kept eligible atoms and renamed copies."""
-        key = (j, self.vars[i])
-        renamed = self._renamed.get(key)
+        """The a priori resolution inferences of clause i into clause j, from
+        the kept eligible atoms and renamed copies; none unless an eligible
+        succedent predicate of i is an eligible antecedent predicate of j."""
+        first, second = self.live[i], self.live[j]
+        if first.eligible[1].isdisjoint(second.eligible[0]):
+            return []
+        renamed = second.renamed.get(first.vars)
         if renamed is None:
-            renamed = renamed_apart(self.clauses[j], self.eligible_atoms[j][0], self.vars[i])
-            self._renamed[key] = renamed
-        return a_priori_resolvents(self.clauses[i], self.eligible_atoms[i][1], *renamed)
-
-    def resolves(self, i: int, j: int) -> bool:
-        """Can an eligible succedent atom of clause i meet an eligible
-        antecedent atom of clause j?"""
-        return not self.eligible[i][1].isdisjoint(self.eligible[j][0])
+            renamed = renamed_apart(second.clause, second.atoms[0], first.vars)
+            second.renamed[first.vars] = renamed
+        return a_priori_resolvents(first.clause, first.atoms[1], *renamed)
 
     def partners(self, k: int) -> list[int]:
         """Every live i such that clauses i and k resolve in some
         direction, in increasing order."""
         found: set[int] = set()
-        for preds, by_pred in zip(self.eligible[k], reversed(self._by_eligible)):
+        for side, preds in enumerate(self.live[k].eligible):
             for p in preds:
-                found.update(by_pred.get(p, ()))
+                found.update(self._postings.get(("eligible", 1 - side, p), ()))
         return sorted(found)
 
     def subsumed(self, c: Clause) -> bool:
-        """Does a live clause subsume c?  Tried in list order, on the clauses
-        whose features on each side are among c's."""
+        """Does a live clause subsume c?  Tried in number order, on the
+        clauses whose features on each side are among c's."""
         unsubsumed = self._unsubsumed
         if unsubsumed and unsubsumed[0] is c:
             return False
         c_features = ant, suc = _features(c)
-        features = self.features
-        for k, d in self.live.items():
-            d_ant, d_suc = features[k]
-            if d_ant <= ant and d_suc <= suc and subsumes(d, c):
+        for d in self.live.values():
+            d_ant, d_suc = d.features
+            if d_ant <= ant and d_suc <= suc and subsumes(d.clause, c):
                 return True
         self._unsubsumed = c, c_features
         return False
 
     def subsumed_by(self, k: int) -> list[int]:
-        """The other live clauses that clause k subsumes, in list order.
+        """The other live clauses that clause k subsumes, in number order.
 
         The candidates hold each side's symbols of clause k on the same
         side, so they are the clauses in the posting set of each of those
-        (side, symbol) keys (every live clause is a candidate of the empty
-        clause).
+        ("symbol", side, symbol) keys (every live clause is a candidate of
+        the empty clause).
         """
-        found: set[int] | None = None
-        for side, by_feature in zip(self.features[k], self._by_feature):
-            for feature in side:
-                found = by_feature[feature] if found is None else found & by_feature[feature]
+        record = self.live[k]
+        found = None
+        for side, symbols in enumerate(record.features):
+            for symbol in symbols:
+                postings = self._postings[("symbol", side, symbol)]
+                found = postings if found is None else found & postings
                 if len(found) == 1:  # clause k alone
                     return []
         if found is None:
-            found = set(self.live)
-        d = self.clauses[k]
-        return [m for m in sorted(found) if m != k and subsumes(d, self.clauses[m])]
+            found = self.live
+        return [m for m in sorted(found) if m != k and subsumes(record.clause, self.live[m].clause)]
 
     def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
         """How c is redundant with respect to the live clauses and `rules`:
@@ -242,7 +249,8 @@ class ClauseIndex:
         """
         if self.subsumed(c):
             return "subsumption"
-        return "local proof" if clause_redundant(self.live.values(), rules, c) else None
+        clauses = (d.clause for d in self.live.values())
+        return "local proof" if clause_redundant(clauses, rules, c) else None
 
 
 @dataclass
@@ -250,7 +258,7 @@ class SaturationState:
     ordering: Ordering
     clauses: list[Clause] = field(default_factory=list)
     rules: RewriteSystem = field(default_factory=RewriteSystem)
-    queue: deque = field(default_factory=deque)  # index positions (i, j), i <= j
+    queue: deque = field(default_factory=deque)  # clause numbers (i, j), i <= j
     stats: SaturationStats = field(default_factory=SaturationStats)
     status: str = RUNNING
 
@@ -277,7 +285,7 @@ class SaturationState:
         if deleted:
             for m in deleted:
                 index.delete(m)
-            self.clauses[:] = index.live.values()
+            self.clauses[:] = [d.clause for d in index.live.values()]
             self.stats.deleted += len(deleted)
         self.queue.extend((i, k) for i in index.partners(k))
         return True
@@ -286,12 +294,8 @@ class SaturationState:
 def _inferences_for(state: SaturationState, i: int, j: int) -> list[Inference]:
     """The resolution inferences between clauses i <= j, in both directions."""
     index = state.index
-    out: list[Inference] = []
-    if index.resolves(i, j):
-        out += index.resolvents(i, j)
-    if i != j and index.resolves(j, i):
-        out += index.resolvents(j, i)
-    return out
+    out = index.resolvents(i, j)
+    return out + index.resolvents(j, i) if i != j else out
 
 
 def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> SaturationState:
@@ -358,16 +362,14 @@ def verify_saturated(ordering: Ordering, clauses, rules: RewriteSystem) -> Verif
     system; (3) inferences failing the a posteriori conditions contributed
     the rules of their premise instances.
     """
+    clauses = list(clauses)
     index = ClauseIndex(ordering, clauses)
-    clauses = index.clauses
     report = VerifyReport()
     missing = rules_of(ordering, clauses).rules - rules.rules
     for rule in sorted(missing, key=str):
         report.violations.append(f"condition 2: missing rule {rule}")
-    for i in range(len(clauses)):
+    for i in index.live:
         for j in index.partners(i):
-            if not index.resolves(i, j):
-                continue
             for inf in index.resolvents(i, j):
                 if not index.redundancy(rules, inf.conclusion):
                     report.violations.append(f"condition 1: not redundant: {inf}")

@@ -98,6 +98,39 @@ def test_query_from_file_gets_the_state_symbol_checks(tmp_path, capsys):
     assert out == "" and "predicate 'p' used with arities 1 and 2" in err
 
 
+def test_query_options_and_clauses_interleave(tmp_path, capsys):
+    # argparse filled the clause list, empty, before the option, so the
+    # clause after it was refused as an unrecognized argument
+    problem = write(tmp_path, "demo.p", "clause: -> p(a)\nclause: p(X) -> q(X)\n")
+    state = write(tmp_path, "demo.state", "")
+    assert main(["saturate", problem, "--out", state]) == 0
+    capsys.readouterr()
+    assert main(["query", state, "--certificate", "-> p(a)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "entailed"
+    assert "instance: -> p(a)" in lines and "goal-unit: p(a) ->" in lines
+    assert main(["query", "--unsound-ok", state, "-> q(a)", "--certificate", "-> q(b)"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if ":" not in line] == ["entailed", "not-entailed"]
+    assert main(["query", state, "-> q(a)", "--bogus", "-> q(b)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --bogus" in captured.err
+
+
+def test_query_refuses_a_non_ground_goal_before_any_verdict(tmp_path, capsys):
+    problem = write(tmp_path, "demo.p", "clause: -> p(a)\n")
+    state = write(tmp_path, "demo.state", "")
+    assert main(["saturate", problem, "--out", state]) == 0
+    capsys.readouterr()
+    assert main(["query", state, "-> p(a)", "p(X) ->"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "queries must be ground" in captured.err
+    queries = write(tmp_path, "queries.p", "query: -> p(a)\nquery: p(X) ->\n")
+    assert main(["query", state, "--from", queries]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "queries must be ground" in captured.err
+
+
 def test_query_refuses_limit_state(tmp_path, capsys):
     problem = write(tmp_path, "race.p", RACE)
     state = write(tmp_path, "race.state", "")

@@ -6,6 +6,7 @@ from helpers import cl, tm
 from satloc import HerbrandBound, Signature, oracle_entails, parse_problem
 from satloc import oracle
 from satloc.oracle import herbrand_terms
+from satloc import terms as terms_module
 from satloc.terms import Fn
 
 
@@ -86,3 +87,23 @@ def test_oracle_budget_bounds_term_generation(monkeypatch):
     ground = parse_problem("clause: -> p(f(a))\nclause: p(f(a)) -> q(a)")
     assert oracle_entails(ground.clauses, cl("-> q(a)"), HerbrandBound(50)).verdict == "entailed"
     assert built == 0
+
+
+def test_oracle_prints_no_term_for_a_deep_goal(monkeypatch):
+    # the term lists fed sets, so sorting them by text decided nothing: at
+    # depth 50 it printed 103 terms (51 seeds, then 52 terms), each in time
+    # linear in its depth
+    printed = 0
+    text = terms_module._text
+
+    def counted(e):
+        nonlocal printed
+        printed += 1
+        return text(e)
+
+    deep = "f(" * 50 + "a" + ")" * 50
+    problem = parse_problem(f"clause: -> p({deep})\nclause: p(X) -> q(X)")
+    monkeypatch.setattr(terms_module, "_text", counted)
+    result = oracle_entails(problem.clauses, cl(f"-> q({deep})"), HerbrandBound(1))
+    assert result.verdict == "entailed"
+    assert printed == 0

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import at, cl, r_less, rand_atom, rand_ground_atom, sig_ordering
 from satloc import Ordering, RewriteSystem
+from satloc import rewriting
 from satloc.rewriting import (
     RewriteRule,
     canonical_rule,
@@ -82,6 +83,30 @@ def test_reach_clause_examples():
         at("p(a)"),
         at("q(a,a)"),
     }
+
+
+def test_reach_from_several_atoms_rewrites_each_atom_once(monkeypatch):
+    # one search with one seen set: reached one atom at a time, the atoms of
+    # q(f(a),a) -> p(g(a,a)) were rewritten 3 times, p(g(a,a)) twice
+    rewritten = []
+
+    def counted(system, a):
+        rewritten.append(a)
+        return rewrite_one(system, a)
+
+    monkeypatch.setattr(rewriting, "rewrite_one", counted)
+    goal = cl("q(f(a),a) -> p(g(a,a))")
+    assert reach_clause(WORKED_RULES, goal) == {at("q(f(a),a)"), at("p(g(a,a))")}
+    assert sorted(map(str, rewritten)) == ["p(g(a,a))", "q(f(a),a)"]
+    rng = random.Random(83)
+    ordering = sig_ordering()
+    for _ in range(200):
+        system = rand_system(rng, ordering)
+        a, b = rand_ground_atom(rng), rand_ground_atom(rng)
+        rewritten.clear()
+        both = reach(system, a, b)
+        assert len(rewritten) == len(both)
+        assert both == reach(system, a) | reach(system, b)
 
 
 def test_r_less_examples():

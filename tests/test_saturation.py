@@ -191,7 +191,7 @@ def test_a_limit_reached_state_holds_live_clauses_only():
             continue
         for steps in range(full.stats.inferences_considered):
             state = saturate(problem.ordering, problem.clauses, Limits(max_steps=steps))
-            assert state.clauses == list(state.index.live.values())
+            assert state.clauses == [d.clause for d in state.index.live.values()]
             assert not any(
                 subsumes(d, c) for d in state.clauses for c in state.clauses if c is not d
             )

@@ -133,14 +133,14 @@ def test_index_follows_a_clause_list_built_elsewhere():
     text = serialize_state(saturate(problem.ordering, problem.clauses))
     parsed = parse_state(text)
     state = SaturationState(ordering=parsed.ordering, clauses=parsed.clauses, rules=parsed.rules)
-    assert state.index.clauses == state.clauses
+    assert [d.clause for d in state.index.live.values()] == state.clauses
     # variants of parsed clauses are found, new clauses queue their partners
     assert not state.add_clause(cl("p3(Y) -> p4(Y)"))
     assert state.add_clause(cl("p5(X) -> q(X)"))
     k = len(state.clauses) - 1
     partner = state.clauses.index(cl("p4(X) -> p5(X)"))
     assert (partner, k) in state.queue
-    assert state.index.clauses == state.clauses
+    assert [d.clause for d in state.index.live.values()] == state.clauses
 
 
 class CallCounter:
@@ -226,7 +226,66 @@ def test_subsumption_features_are_the_symbols_of_each_side():
     c = Clause((), (Atom("p", (deep,)),))
     assert _features(c) == (frozenset(), {"p", "f", "a"})
     index = ClauseIndex(Ordering(["f", "a"]), [c])
-    assert sum(len(ks) for by_feature in index._by_feature for ks in by_feature.values()) == 3
+    assert sum(kind == "symbol" for kind, _, _ in index._postings) == 3
+
+
+def test_the_index_holds_live_clauses_only(monkeypatch):
+    # ground_mix deletes clauses; with tombstones the index kept 87 of 468
+    # stored clauses after deletion, and 49 renamed copies of them
+    deleted = []
+    delete = ClauseIndex.delete
+
+    def recorded(index, k):
+        deleted.append(index.live[k].clause)
+        delete(index, k)
+
+    monkeypatch.setattr(ClauseIndex, "delete", recorded)
+    total = 0
+    for bench_problem in bench_workloads().ground_mix(1).problems:
+        problem = parse_problem(bench_problem.text)
+        state = saturate(problem.ordering, problem.clauses, Limits(400, 40000))
+        index = state.index
+        assert len(index.live) == len(state.clauses)
+        assert [d.clause for d in index.live.values()] == state.clauses
+        assert not set(deleted) & set(state.clauses)
+        total += len(deleted)
+        deleted.clear()
+        for numbers in index._postings.values():
+            assert numbers and numbers <= index.live.keys()
+        for k, record in index.live.items():
+            assert all(k in index._postings[key] for key in record.keys)
+            for copy, _ in record.renamed.values():
+                assert subsumes(copy, record.clause) and subsumes(record.clause, copy)
+    assert total == 87
+
+
+def test_an_index_with_deletions_answers_as_a_fresh_one():
+    # numbers differ once clauses are deleted, so answers are compared as
+    # clauses
+    def clauses(ix, ks):
+        return [ix.live[k].clause for k in ks]
+
+    rng = random.Random(29)
+    ordering = sig_ordering()
+    compared = 0
+    for _ in range(60):
+        index = ClauseIndex(ordering)
+        for _ in range(rng.randint(2, 12)):
+            index.add(rand_clause(rng))
+            if rng.random() < 0.4:
+                index.delete(rng.choice(list(index.live)))
+        fresh = ClauseIndex(ordering, [d.clause for d in index.live.values()])
+        numbers = dict(zip(index.live, fresh.live))
+        for k, m in numbers.items():
+            assert clauses(index, index.partners(k)) == clauses(fresh, fresh.partners(m))
+            assert clauses(index, index.subsumed_by(k)) == clauses(fresh, fresh.subsumed_by(m))
+            for k2, m2 in numbers.items():
+                assert fields(index.resolvents(k, k2)) == fields(fresh.resolvents(m, m2))
+                compared += 1
+        for _ in range(5):
+            c = rand_clause(rng)
+            assert index.subsumed(c) == fresh.subsumed(c)
+    assert compared > 500, compared
 
 
 def test_verify_settles_subsumed_conclusions_without_local_proofs(monkeypatch):
@@ -298,7 +357,7 @@ def test_prepared_resolvents_equal_those_worked_out_from_scratch(monkeypatch):
 
     def recorded(index, i, j):
         out = resolvents(index, i, j)
-        calls.append((index.ordering, index.clauses[i], index.clauses[j], out))
+        calls.append((index.ordering, index.live[i].clause, index.live[j].clause, out))
         return out
 
     monkeypatch.setattr(ClauseIndex, "resolvents", recorded)
@@ -322,7 +381,7 @@ def test_kept_eligible_atoms_follow_a_reordering_rename():
     c1 = cl(", ".join(f"t(V{k})" for k in (0, 1, 3, 4, 5, 6, 7, 8, 9)) + " -> p(V0)")
     c2 = cl("p(A), p(B), s(f(A)) -> r(A,B)")
     index = ClauseIndex(ordering, [c1, c2])
-    assert index.eligible_atoms[1][0] == (at("p(B)"), at("s(f(A))"))
+    assert index.live[1].atoms[0] == (at("p(B)"), at("s(f(A))"))
     (inf,) = index.resolvents(0, 1)
     assert inf.premises[1].antecedent == (at("p(V10)"), at("p(V2)"), at("s(f(V2))"))
     assert inf.resolved == (at("p(V0)"), at("p(V10)"))
