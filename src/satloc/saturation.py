@@ -6,10 +6,13 @@ check the same inferences, and both settle redundancy with one test
 (ClauseIndex.redundancy): a live clause subsumes the conclusion, or the
 conclusion is locally provable within its frozen reach set.
 
-Input clauses and discovered conclusions are stored by one rule
-(SaturationState.add_clause): a clause that a live clause subsumes is not
-stored, a variant included, and a stored clause deletes every live clause
-that it subsumes (backward subsumption).  The subsumer gives a local proof
+Input clauses and discovered conclusions are stored by one rule: a clause
+that a live clause subsumes is not stored, a variant included, and a
+stored clause deletes every live clause that it subsumes (backward
+subsumption).  The callers of SaturationState.add_clause apply the first
+half, each clause once: saturate checks an input clause, and the
+redundancy test, whose first step is the same forward scan, checks a
+conclusion; add_clause applies the second.  The subsumer gives a local proof
 wherever the deleted clause did, so the live clauses prove what all the
 stored ones did, and rules, once harvested, stay.  The index holds the
 live clauses only: a deleted clause leaves it whole, and queued pairs with
@@ -87,10 +90,7 @@ class SaturationStats:
         )
 
 
-Features = tuple[frozenset[str], frozenset[str]]
-
-
-def _features(c: Clause) -> Features:
+def _features(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
     """For c's antecedent and for its succedent: the predicate and function
     symbols.  A substitution keeps every symbol and may add more, so if d
     subsumes c, each side of d has no symbol that the same side of c lacks:
@@ -102,23 +102,24 @@ def _features(c: Clause) -> Features:
 
 
 class _Record:
-    """What the index keeps for one live clause: the clause, its variables,
-    its eligible atoms and eligible predicates per side (antecedent,
-    succedent), its _features, its posting keys, and its renamed-apart
-    copies as a second premise, with their eligible antecedent atoms, keyed
-    by the first premise's variable set."""
+    """What the index keeps for one live clause: the clause and what is
+    worked out from it alone when it is added (its variables, its eligible
+    atoms and eligible predicates per side (antecedent, succedent), its
+    _features and its posting keys), and its renamed-apart copies as a
+    second premise, with their eligible antecedent atoms, keyed by the first
+    premise's variable set."""
 
     __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed")
 
-    def __init__(self, ordering: Ordering, c: Clause, features: Features):
+    def __init__(self, ordering: Ordering, c: Clause):
         self.clause = c
         self.vars = frozenset(vars_in_order(c))
         self.atoms = eligible_atoms(ordering, c)
         self.eligible = tuple(frozenset([a.pred for a in side]) for side in self.atoms)
-        self.features = features
+        self.features = _features(c)
         self.keys = [
             (kind, side, name)
-            for kind, sides in (("eligible", self.eligible), ("symbol", features))
+            for kind, sides in (("eligible", self.eligible), ("symbol", self.features))
             for side, names in enumerate(sides)
             for name in names
         ]
@@ -159,22 +160,16 @@ class ClauseIndex:
         self.live: dict[int, _Record] = {}
         self._postings: dict[tuple, set[int]] = {}
         self._numbers = count()
-        # the last clause that subsumed() found no subsumer for, and its
-        # features, while no clause has been added since: deleting clauses
-        # keeps that answer
-        self._unsubsumed: tuple[Clause, Features] | None = None
         for c in clauses:
             self.add(c)
 
     def add(self, c: Clause) -> int:
-        """Index c as a live clause; return its number."""
+        """Index c as a live clause and return its number.  Whether c should
+        be stored (no live clause subsumes it) is the caller's question."""
         k = next(self._numbers)
-        unsubsumed = self._unsubsumed
-        features = unsubsumed[1] if unsubsumed and unsubsumed[0] is c else _features(c)
-        record = self.live[k] = _Record(self.ordering, c, features)
+        record = self.live[k] = _Record(self.ordering, c)
         for key in record.keys:
             self._postings.setdefault(key, set()).add(k)
-        self._unsubsumed = None
         return k
 
     def delete(self, k: int) -> None:
@@ -210,15 +205,11 @@ class ClauseIndex:
     def subsumed(self, c: Clause) -> bool:
         """Does a live clause subsume c?  Tried in number order, on the
         clauses whose features on each side are among c's."""
-        unsubsumed = self._unsubsumed
-        if unsubsumed and unsubsumed[0] is c:
-            return False
-        c_features = ant, suc = _features(c)
+        ant, suc = _features(c)
         for d in self.live.values():
             d_ant, d_suc = d.features
             if d_ant <= ant and d_suc <= suc and subsumes(d.clause, c):
                 return True
-        self._unsubsumed = c, c_features
         return False
 
     def subsumed_by(self, k: int) -> list[int]:
@@ -269,16 +260,14 @@ class SaturationState:
         holds its live clauses in order."""
         return ClauseIndex(self.ordering, self.clauses)
 
-    def add_clause(self, c: Clause) -> bool:
-        """Store c unless a live clause subsumes it; delete every live clause
-        that c subsumes; queue c's work.
+    def add_clause(self, c: Clause) -> None:
+        """Store c, which the caller has found no live clause to subsume;
+        delete every live clause that c subsumes; queue c's work.
 
         A pair (i, k) is queued only for each live partner i, in increasing
         order, so the inferences keep the all-pairs FIFO order.
         """
         index = self.index
-        if index.subsumed(c):
-            return False
         k = index.add(c)
         self.clauses.append(c)
         deleted = index.subsumed_by(k)
@@ -288,7 +277,6 @@ class SaturationState:
             self.clauses[:] = [d.clause for d in index.live.values()]
             self.stats.deleted += len(deleted)
         self.queue.extend((i, k) for i in index.partners(k))
-        return True
 
 
 def _inferences_for(state: SaturationState, i: int, j: int) -> list[Inference]:
@@ -310,7 +298,8 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
     clauses = list(clauses)
     state = SaturationState(ordering)
     for c in clauses:
-        state.add_clause(c)
+        if not state.index.subsumed(c):
+            state.add_clause(c)
     state.rules = rules_of(ordering, clauses)
     live = state.index.live
     while state.queue:
@@ -330,7 +319,7 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
                 state.stats.redundant += 1
                 if how == "subsumption":
                     state.stats.redundant_by_subsumption += 1
-            else:
+            else:  # no live clause subsumes the conclusion: store it
                 state.stats.discovered += 1
                 full = limits.max_clauses is not None and len(state.clauses) >= limits.max_clauses
                 state.add_clause(inf.conclusion)

@@ -421,7 +421,7 @@ def renaming(c: Clause, forbidden: Iterable[Var]) -> Subst:
     """The substitution that renames c apart from the forbidden variables:
     c's variables, by name, to the first fresh names that avoid the
     forbidden set and c's own."""
-    own = sorted(vars_of(c), key=lambda v: v.name)
+    own = sorted_vars(c)
     used = {v.name for v in forbidden} | {v.name for v in own}
     return {v: Var(n) for v, n in zip(own, fresh_names(used, len(own)))}
 

@@ -344,10 +344,13 @@ def test_criterion_9_cli_round_trips(tmp_path):
     import subprocess
     import sys
 
+    # the child processes import satloc from this checkout's src directory
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for sample in ("h00_worked.p", "g_horn_00.p", "g_mixed_03.p"):
         outputs = []
         for seed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
             proc = subprocess.run(
                 [sys.executable, "-m", "satloc.cli", "saturate",
                  str(Path(__file__).parent / "corpus" / sample)],

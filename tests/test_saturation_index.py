@@ -135,8 +135,10 @@ def test_index_follows_a_clause_list_built_elsewhere():
     state = SaturationState(ordering=parsed.ordering, clauses=parsed.clauses, rules=parsed.rules)
     assert [d.clause for d in state.index.live.values()] == state.clauses
     # variants of parsed clauses are found, new clauses queue their partners
-    assert not state.add_clause(cl("p3(Y) -> p4(Y)"))
-    assert state.add_clause(cl("p5(X) -> q(X)"))
+    assert state.index.subsumed(cl("p3(Y) -> p4(Y)"))
+    new = cl("p5(X) -> q(X)")
+    assert not state.index.subsumed(new)
+    state.add_clause(new)
     k = len(state.clauses) - 1
     partner = state.clauses.index(cl("p4(X) -> p5(X)"))
     assert (partner, k) in state.queue
@@ -185,6 +187,31 @@ def test_ground_mix_subsumption_attempts_are_pre_tested_by_features(monkeypatch)
         problem = parse_problem(bench_problem.text)
         assert saturate(problem.ordering, problem.clauses).status == "saturated"
     assert attempts.calls <= 600, attempts.calls
+
+
+def test_each_clause_meets_forward_subsumption_once(monkeypatch):
+    # saturate checks each input clause, and the redundancy test each
+    # conclusion, before add_clause stores it
+    calls = 0
+    subsumed = ClauseIndex.subsumed
+
+    def counted(index, c):
+        nonlocal calls
+        calls += 1
+        return subsumed(index, c)
+
+    monkeypatch.setattr(ClauseIndex, "subsumed", counted)
+    problem = parse_problem(CHAIN)
+    state = saturate(problem.ordering, problem.clauses)
+    conclusions = state.stats.inferences_considered - state.stats.non_maximality
+    assert calls == len(problem.clauses) + conclusions == 14 + 442
+    calls = 0
+    for bench_problem in bench_workloads().ground_mix(1).problems:
+        problem = parse_problem(bench_problem.text)
+        saturate(problem.ordering, problem.clauses)
+    assert calls == 597
+    # the index keeps nothing between calls beyond the live clauses
+    assert set(vars(ClauseIndex(problem.ordering))) == {"ordering", "live", "_postings", "_numbers"}
 
 
 def _instance_of(rng, d: Clause) -> Clause:
