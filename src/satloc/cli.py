@@ -22,7 +22,7 @@ from .parsing import (
 )
 from .query import NotSaturatedError, entails
 from .saturation import SATURATED, Limits, saturate, verify_saturated
-from .terms import Signature
+from .terms import ArityError, Signature
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,13 +107,15 @@ def _cmd_query(args) -> int:
     if args.from_file:
         problem = parse_problem(Path(args.from_file).read_text(encoding="utf-8"))
         for goal in problem.queries:
-            sig.scan_clause(goal)
+            try:
+                sig.scan_clause(goal)
+            except ArityError as exc:
+                raise ValueError(f"{args.from_file}: query {goal}: {exc}") from None
         goals.extend(problem.queries)
-    for goal in goals:  # refuse input before any verdict is printed
-        if not goal.is_ground():
-            raise ValueError(f"queries must be ground, got {goal}")
-    for goal in goals:
-        result = entails(state, goal, allow_unsaturated=args.unsound_ok)
+    # decide every goal before printing the first verdict, so that a goal
+    # refused by entails leaves no partial output
+    results = [entails(state, goal, allow_unsaturated=args.unsound_ok) for goal in goals]
+    for result in results:
         print(result.verdict)
         if args.certificate and result.certificate is not None:
             sys.stdout.write(serialize_certificate(result.certificate))
@@ -179,7 +181,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the reader, substitution and the path ordering recurse on term depth
+        # substitution and the path ordering recurse on term depth
         print("error: input nested too deeply", file=sys.stderr)
         return 3
 

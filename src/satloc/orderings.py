@@ -17,9 +17,9 @@ class Ordering:
     """Total strict precedence on function symbols plus the derived orders.
 
     Symbols are ranked by position in the construction sequence, highest
-    first.  Frozen constants (`#` names) are refused: frozen clauses are
-    only read by reach and the local decision, which never consult the
-    ordering.
+    first; `_rank` maps each symbol, in that order, to minus its position.
+    Frozen constants (`#` names) are refused: frozen clauses are only read
+    by reach and the local decision, which never consult the ordering.
 
     The precedence never changes once an ordering is built (symbols are
     appended only while it is being constructed; `extended` builds a new
@@ -30,7 +30,6 @@ class Ordering:
     """
 
     def __init__(self, symbols: Iterable[str] = ()):
-        self._chain: list[str] = []
         self._rank: dict[str, int] = {}
         self._atom_memo: dict[tuple[Atom, Atom], bool] = {}
         for name in symbols:
@@ -41,12 +40,11 @@ class Ordering:
             raise ValueError(f"frozen constant '{name}' cannot be ranked explicitly")
         if name in self._rank:
             raise ValueError(f"duplicate symbol '{name}' in precedence")
-        self._chain.append(name)
-        self._rank[name] = -len(self._chain)
+        self._rank[name] = -len(self._rank) - 1
 
     def extended(self, names: Iterable[str]) -> "Ordering":
-        """New ordering with unseen names appended below the existing chain."""
-        out = Ordering(self._chain)
+        """New ordering with unseen names appended below the ranked ones."""
+        out = Ordering(self._rank)
         for n in names:
             if n not in out._rank:
                 out._append(n)
@@ -54,13 +52,13 @@ class Ordering:
 
     def symbols(self) -> list[str]:
         """Ranked symbols, greatest first."""
-        return list(self._chain)
+        return list(self._rank)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ordering) and self._chain == other._chain
+        return isinstance(other, Ordering) and self._rank == other._rank
 
     def __repr__(self) -> str:
-        return f"Ordering({' > '.join(self._chain)})"
+        return f"Ordering({' > '.join(self._rank)})"
 
     def sym_key(self, name: str):
         try:

@@ -105,9 +105,9 @@ def _declarations(text: str):
 
 
 def _too_deep(lineno: int) -> ParseError:
-    """The reader recurses once per nesting level (and a rule's sides are
-    compared by the recursive path ordering), so a term nested past the
-    interpreter's recursion limit surfaces as a RecursionError."""
+    """The reader's `_args` recurses once per nesting level (and a rule's
+    sides are compared by the recursive path ordering), so a term nested
+    past the interpreter's recursion limit surfaces as a RecursionError."""
     return ParseError("input nested too deeply", lineno, 1)
 
 
@@ -150,7 +150,10 @@ class _Reader:
         col = line.col
         if name[0].isupper():
             raise line.error(f"predicate symbols must start lowercase, found {name!r}")
-        args = self._args(line)
+        try:
+            args = self._args(line)
+        except RecursionError:
+            raise _too_deep(line.lineno) from None
         try:
             self.sig.note_predicate(name, len(args))
         except ArityError as exc:
@@ -165,22 +168,16 @@ class _Reader:
         return atoms
 
     def clause(self, line: _Line) -> Clause:
-        try:
-            antecedent = self._atoms(line, "->")
-            line.take("'->'", "->")
-            succedent = self._atoms(line, None)
-            line.require_end()
-            return Clause(antecedent, succedent)
-        except RecursionError:
-            raise _too_deep(line.lineno) from None
+        antecedent = self._atoms(line, "->")
+        line.take("'->'", "->")
+        succedent = self._atoms(line, None)
+        line.require_end()
+        return Clause(antecedent, succedent)
 
     def rule(self, line: _Line) -> tuple[Atom, Atom]:
-        try:
-            lhs = self._atom(line)
-            line.take("'->'", "->")
-            rhs = self._atom(line)
-        except RecursionError:
-            raise _too_deep(line.lineno) from None
+        lhs = self._atom(line)
+        line.take("'->'", "->")
+        rhs = self._atom(line)
         line.require_end()
         return lhs, rhs
 

@@ -96,6 +96,8 @@ def test_query_from_file_gets_the_state_symbol_checks(tmp_path, capsys):
     assert main(["query", state, "--from", queries]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "predicate 'p' used with arities 1 and 2" in err
+    # the file and the query are named, as a parse error gives its position
+    assert err == f"error: {queries}: query -> p(a,b): predicate 'p' used with arities 1 and 2\n"
 
 
 def test_query_options_and_clauses_interleave(tmp_path, capsys):

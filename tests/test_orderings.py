@@ -175,6 +175,15 @@ def test_ordering_construction_errors():
         Ordering(["f"]).lpo_greater(tm("zzz"), tm("f(a)"))
 
 
+def test_precedence_is_stored_once():
+    # the rank map alone holds the precedence, in rank order
+    o = Ordering(["f", "a"])
+    assert set(vars(o)) == {"_rank", "_atom_memo"}
+    assert o.symbols() == ["f", "a"] and o.extended(["b", "f"]).symbols() == ["f", "a", "b"]
+    assert o == Ordering(["f", "a"]) and o != Ordering(["a", "f"])
+    assert repr(o) == "Ordering(f > a)"
+
+
 def test_remembered_answers_agree_with_reference():
     # each pair is asked twice and both ways round, so every second ask is
     # answered from the memo; an extended ordering starts with its own

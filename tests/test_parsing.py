@@ -165,6 +165,8 @@ def test_deep_nesting_is_a_parse_error():
         (parse_problem, f"query: p({deep}) ->\n", 1),
         (parse_state, f"saturated: true\norder: f > a\nclause: -> p({deep})\n", 3),
         (parse_state, f"saturated: true\norder: f > a\nrule: p({deep}) -> q(a)\n", 3),
+        (parse_state, f"saturated: true\norder: f > a\nrule: q(a) -> p({deep})\n", 3),
+        (parse_problem, f"order: f > a\nclause: -> q(a)\nclause: q(f(a)) -> q(a), p({deep})\n", 3),
         (parse_clause_text, f"-> p({deep})", 1),
     ]
     for parse, text, line in cases:

@@ -227,20 +227,27 @@ def test_ground_mgu_decides_by_identity_like_the_general_algorithm(a, b, s, t):
 
 def test_mgu_agrees_with_the_general_algorithm_on_seeded_pairs():
     rng = random.Random(29)
-    same = unified = 0
+    other = random.Random(31)  # a2 has its own stream, so the other inputs stay as they were
+    same = unified = var_var = var_term = 0
     for _ in range(3000):
         g1, g2 = rand_ground_atom(rng, depth=1), rand_ground_atom(rng, depth=1)
         s1, s2 = rand_ground_term(rng, 1), rand_ground_term(rng, 1)
         a1 = rand_atom(rng)
-        for e1, e2 in ((g1, g2), (s1, s2), (a1, g2), (g1, a1), (a1, a1)):
+        a2 = rand_atom(other)
+        for e1, e2 in ((g1, g2), (s1, s2), (a1, g2), (g1, a1), (a1, a1), (a1, a2), (a2, a1)):
             expected = ref_mgu(e1, e2)
             assert mgu(e1, e2) == expected
             unified += expected is not None
+        # two non-ground atoms bind a variable to a variable and to a term
+        for t in (ref_mgu(a1, a2) or {}).values():
+            var_var += isinstance(t, Var)
+            var_term += not isinstance(t, Var)
         same += (g1 is g2) + (s1 is s2)
         for e1, e2 in ((g1, s1), (s2, g2), (a1, s1)):
             with pytest.raises(TypeError):
                 mgu(e1, e2)
     assert same > 300 and unified > 3500, (same, unified)
+    assert var_var > 5 and var_term > 100, (var_var, var_term)
 
 
 def test_rename_apart():
