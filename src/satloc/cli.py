@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .oracle import HerbrandBound, DEFAULT_BUDGET, oracle_entails
 from .parsing import (
+    ParseError,
     parse_clause_text,
     parse_problem,
     parse_state,
@@ -81,8 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str, parse):
+    """The parse of a file's text; a parse error names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ParseError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_saturate(args) -> int:
-    problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
+    problem = _read(args.file, parse_problem)
     limits = Limits(max_clauses=args.max_clauses, max_steps=args.max_steps)
     state = saturate(problem.ordering, problem.clauses, limits)
     text = serialize_state(state)
@@ -99,13 +108,13 @@ def _cmd_saturate(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    state = parse_state(Path(args.state).read_text(encoding="utf-8"))
+    state = _read(args.state, parse_state)
     sig = state_signature(state)
     goals = []
     for text in args.clauses:
         goals.append(parse_clause_text(text, sig))
     if args.from_file:
-        problem = parse_problem(Path(args.from_file).read_text(encoding="utf-8"))
+        problem = _read(args.from_file, parse_problem)
         for goal in problem.queries:
             try:
                 sig.scan_clause(goal)
@@ -131,7 +140,7 @@ def state_signature(state) -> Signature:
 
 
 def _cmd_verify(args) -> int:
-    state = parse_state(Path(args.state).read_text(encoding="utf-8"))
+    state = _read(args.state, parse_state)
     report = verify_saturated(state.ordering, state.clauses, state.rules)
     if report.ok:
         print("ok")
@@ -142,7 +151,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = parse_problem(Path(args.file).read_text(encoding="utf-8"))
+    problem = _read(args.file, parse_problem)
     goal = parse_clause_text(args.clause, problem.signature)
     result = oracle_entails(
         problem.clauses, goal, HerbrandBound(args.depth), budget=args.budget

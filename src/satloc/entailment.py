@@ -52,14 +52,15 @@ class LocalCertificate:
 def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) -> set[Clause]:
     """All ground instances of the clauses whose atoms lie in the universe.
 
-    The universe is indexed by predicate once per call.  Each clause atom is
-    a goal of _embeddings: its targets are the universe and its candidates
-    the members with its predicate, so each pattern is matched onto each
-    candidate once, and the search branches on the atom with the fewest
-    matches left.  A clause with a predicate absent from the universe has no
-    instance and is skipped.  Every clause variable occurs in some atom, so
-    the embeddings give ground instances.  The cost follows the matches the
-    universe admits, not |universe| to the power of the clause's atoms.
+    The universe is indexed by predicate once per call.  Each distinct atom
+    of a clause (an atom on both sides counts once) is a goal of
+    _embeddings: its targets are the universe and its candidates the members
+    with its predicate, so each pattern is matched onto each candidate once,
+    and the search branches on the atom with the fewest matches left.  A
+    clause with a predicate absent from the universe has no instance and is
+    skipped.  Every clause variable occurs in some atom, so the embeddings
+    give ground instances.  The cost follows the matches the universe
+    admits, not |universe| to the power of the clause's atoms.
     """
     by_pred: dict[str, list[Atom]] = {}
     for a in universe:
@@ -68,9 +69,10 @@ def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) ->
         by_pred.setdefault(a.pred, []).append(a)
     out: set[Clause] = set()
     for d in clauses:
-        if any(a.pred not in by_pred for a in d.antecedent + d.succedent):
+        atoms = d.antecedent + d.succedent
+        if any(a.pred not in by_pred for a in atoms):
             continue
-        goals = _goals((a, universe, by_pred[a.pred]) for a in d.atoms())
+        goals = _goals((a, universe, by_pred[a.pred]) for a in dict.fromkeys(atoms))
         for sigma in _embeddings(goals):
             out.add(substitute(sigma, d))
     return out
@@ -87,7 +89,7 @@ def ground_sat(clauses: Iterable[Clause]) -> dict[Atom, bool] | None:
     atoms: set[Atom] = set()
     clause_list = []
     for c in clauses:
-        if not c.is_ground():
+        if not c.ground:
             raise ValueError(f"ground_sat requires ground clauses, got {c}")
         atoms |= c.atom_set()
         clause_list.append(c)
@@ -185,7 +187,7 @@ def decide_local(
 
     The goal must be ground with all its atoms inside the universe.
     """
-    if not goal.is_ground():
+    if not goal.ground:
         raise ValueError(f"decide_local requires a ground goal, got {goal}")
     if not goal.atom_set() <= universe:
         raise ValueError("goal atoms must lie inside the universe")

@@ -72,12 +72,12 @@ def oracle_entails(
 ) -> OracleResult:
     """Semi-decide entailment of a ground clause by exhaustive instantiation,
     within `budget` instances (checked before each term layer is built)."""
-    if not goal.is_ground():
+    if not goal.ground:
         raise ValueError(f"oracle queries must be ground, got {goal}")
     clauses = list(clauses)
     signature = Signature.scan(clauses + [goal])
     harvested: set[Term] = set()
-    for atom in goal.atoms():
+    for atom in goal.antecedent + goal.succedent:
         for t in atom.args:
             harvested |= subterms(t)
     widths = [len(sorted_vars(c)) for c in clauses]

@@ -112,12 +112,11 @@ def _too_deep(lineno: int) -> ParseError:
 
 
 class _Reader:
-    """Parses declaration bodies into one signature, recording the order
-    declaration and the function symbols in order of occurrence."""
+    """Parses declaration bodies into one signature, whose functions are
+    kept in order of first occurrence, and records the order declaration."""
 
     def __init__(self):
         self.sig = Signature()
-        self.occurrence: dict[str, None] = {}
         self.declared: list[str] | None = None
         self.declared_line = 0
 
@@ -140,7 +139,6 @@ class _Reader:
                 self.sig.note_function(name, len(sub))
             except ArityError as exc:
                 raise ParseError(str(exc), line.lineno, col) from None
-            self.occurrence[name] = None
             args.append(Fn(name, sub))
         line.take("')'", ")")
         return tuple(args)
@@ -203,7 +201,7 @@ class _Reader:
             if name in self.sig.predicates:
                 message = f"symbol {name!r} is declared in the order but used as a predicate"
                 raise ParseError(message, self.declared_line, 1)
-        return Ordering(declared).extended(self.occurrence)
+        return Ordering(declared).extended(self.sig.functions)
 
 
 @dataclass

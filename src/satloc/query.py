@@ -37,7 +37,7 @@ def entails(state: SaturationState, goal: Clause, allow_unsaturated: bool = Fals
     case a negative answer is reported as "locally-not-provable" (a positive
     answer is still sound).
     """
-    if not goal.is_ground():
+    if not goal.ground:
         raise ValueError(f"queries must be ground, got {goal}")
     if state.status != SATURATED and not allow_unsaturated:
         raise NotSaturatedError(

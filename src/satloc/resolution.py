@@ -123,7 +123,7 @@ def a_priori_resolvents(
 def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:
     """Factoring inferences: one per unifiable pair of succedent atoms with a
     maximal member (the maximal one is kept)."""
-    atoms = c.atoms()
+    atoms = c.antecedent + c.succedent
     succ = c.succedent
     out: list[Inference] = []
     for i, a in enumerate(succ):

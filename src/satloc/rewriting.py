@@ -97,7 +97,7 @@ def rules_of(ordering: Ordering, clauses: Iterable[Clause]) -> RewriteSystem:
     """All ordered pairs of distinct atoms within single clauses."""
     rules = set()
     for c in clauses:
-        atoms = c.atoms()
+        atoms = c.antecedent + c.succedent
         for lhs in atoms:
             for rhs in atoms:
                 if lhs != rhs and ordering.atom_greater(lhs, rhs):
@@ -138,6 +138,4 @@ def reach(system: RewriteSystem, *atoms: Atom) -> set[Atom]:
 
 def reach_clause(system: RewriteSystem, c: Clause) -> set[Atom]:
     """Union of the reach sets of a ground clause's atoms."""
-    if not c.is_ground():
-        raise ValueError(f"reach_clause requires a ground clause, got {c}")
-    return reach(system, *c.atoms())
+    return reach(system, *c.antecedent, *c.succedent)

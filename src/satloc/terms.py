@@ -210,7 +210,12 @@ def atom_symbols(a: Atom) -> frozenset[str]:
 
 @dataclass(frozen=True, init=False)
 class Clause:
-    """Canonical clause: each side deduplicated and sorted syntactically."""
+    """Canonical clause: each side deduplicated and sorted syntactically.
+
+    Its atoms are walked as `antecedent + succedent`, which repeats an atom
+    that occurs on both sides; `atom_set()` has each atom once.  `ground`
+    holds when every atom is ground, as on terms and atoms.
+    """
 
     antecedent: tuple[Atom, ...]
     succedent: tuple[Atom, ...]
@@ -219,14 +224,11 @@ class Clause:
         object.__setattr__(self, "antecedent", tuple(sorted(set(antecedent), key=atom_key)))
         object.__setattr__(self, "succedent", tuple(sorted(set(succedent), key=atom_key)))
 
-    def atoms(self) -> tuple[Atom, ...]:
-        """All atoms of the clause in canonical order, without duplicates."""
-        return tuple(sorted(set(self.antecedent) | set(self.succedent), key=atom_key))
-
     def atom_set(self) -> frozenset[Atom]:
         return frozenset(self.antecedent) | frozenset(self.succedent)
 
-    def is_ground(self) -> bool:
+    @property
+    def ground(self) -> bool:
         return all(a.ground for a in self.antecedent) and all(a.ground for a in self.succedent)
 
     def __str__(self) -> str:
@@ -305,18 +307,19 @@ def subterms(t: Term) -> set[Term]:
 
 def substitute(sigma: Subst, e):
     """Apply an idempotent substitution; one simultaneous pass, no chasing.
-    Ground terms and atoms are returned as they are."""
-    if isinstance(e, Var):
+    Ground terms and atoms are returned as they are.  The arguments are
+    collected in a plain loop, so each nesting level costs one frame."""
+    kind = type(e)
+    if kind is Var:
         return sigma.get(e, e)
-    if isinstance(e, Fn):
+    if kind is Fn or kind is Atom:
         if e.ground:
             return e
-        return Fn(e.name, tuple(substitute(sigma, a) for a in e.args))
-    if isinstance(e, Atom):
-        if e.ground:
-            return e
-        return Atom(e.pred, tuple(substitute(sigma, a) for a in e.args))
-    if isinstance(e, Clause):
+        args = []
+        for a in e.args:
+            args.append(substitute(sigma, a))
+        return kind(e.pred if kind is Atom else e.name, args)
+    if kind is Clause:
         return Clause(
             (substitute(sigma, a) for a in e.antecedent),
             (substitute(sigma, a) for a in e.succedent),

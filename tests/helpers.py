@@ -348,7 +348,7 @@ def ref_enumerate_local_instances(clauses, universe) -> set[Clause]:
     members = sorted(universe, key=atom_key)
     out: set[Clause] = set()
     for d in clauses:
-        atoms = sorted(d.atoms(), key=lambda a: (len(vars_of(a)), atom_key(a)))
+        atoms = sorted(d.atom_set(), key=lambda a: (len(vars_of(a)), atom_key(a)))
 
         def join(i: int, sigma) -> None:
             if i == len(atoms):

@@ -49,7 +49,7 @@ from satloc.entailment import clause_redundant, ground_sat
 from satloc.resolution import is_a_posteriori
 from satloc.rewriting import canonical_rule, reach, rules_of
 from satloc.cli import main as cli_main
-from satloc.terms import Atom, Fn, Var, match_onto, mgu, substitute, vars_of
+from satloc.terms import Atom, Fn, Var, atom_key, match_onto, mgu, substitute, vars_of
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
 # instantiation cap for the differential suite: depth-3 attempts on problems
@@ -164,7 +164,9 @@ def _make_queries(problem, state, rng: random.Random):
         queries.append((substitute(theta, d), "entailed"))
     if problem.clauses:
         first = problem.clauses[0]
-        ground_atoms = substitute({v: pool[0] for v in vars_of(first)}, first).atoms()
+        ground_atoms = sorted(
+            substitute({v: pool[0] for v in vars_of(first)}, first).atom_set(), key=atom_key
+        )
     else:
         ground_atoms = ()
     taut_atom = ground_atoms[0] if ground_atoms else Atom("p", (pool[0],))

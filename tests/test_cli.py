@@ -203,14 +203,29 @@ def test_oracle_takes_a_clause_without_a_space_after_the_arrow(tmp_path, capsys)
 
 
 def test_parse_errors_exit_3(tmp_path, capsys):
+    # an error in a file names the file; a clause given on the command line
+    # is an argument, and its errors give only the position
     bad = write(tmp_path, "bad.p", "clause: p(X) -> p(X,X)\n")
-    assert main(["saturate", bad]) == 3
-    assert "error" in capsys.readouterr().err
+    expected = f"error: {bad}: line 1, column 17: predicate 'p' used with arities 1 and 2\n"
+    for command in (["saturate", bad], ["oracle", bad, "-> p(a)", "--depth", "1"]):
+        assert main(command) == 3
+        assert capsys.readouterr().err == expected
 
     problem = write(tmp_path, "demo.p", WORKED)
     state = write(tmp_path, "demo.state", "")
     assert main(["saturate", problem, "--out", state]) == 0
     capsys.readouterr()
+    queries = write(tmp_path, "q.p", "query: -> p(a\n")
+    assert main(["query", state, "--from", queries]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: {queries}: line 1, column 14: expected ')' at end of line\n"
+    )
+    text = Path(state).read_text(encoding="utf-8").splitlines()
+    broken = write(tmp_path, "broken.state", "\n".join(text[:2] + ["clause: -> p(a"] + text[2:]))
+    expected = f"error: {broken}: line 3, column 15: expected ')' at end of line\n"
+    for command in (["query", broken, "-> p(a)"], ["verify", broken]):
+        assert main(command) == 3
+        assert capsys.readouterr().err == expected
     assert main(["query", state, "-> p(Z)"]) == 3  # non-ground
     capsys.readouterr()
     assert main(["query", state, "p(a"]) == 3
@@ -282,6 +297,14 @@ def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("entailed\n")
     assert f"instance: -> q({deep})\n" in out
+    # non-ground: harvesting the rule p(X) -> r(f^900(X)) substitutes into
+    # the deep side, as do the inferences and the query's rewriting
+    problem = write(tmp_path, "open.p", f"clause: -> p(a)\nclause: p(X) -> r({deep.replace('a', 'X')})\n")
+    assert main(["saturate", problem, "--out", str(state)]) == 0
+    assert main(["verify", str(state)]) == 0
+    capsys.readouterr()
+    assert main(["query", str(state), f"-> r({deep})"]) == 0
+    assert capsys.readouterr().out == "entailed\n"
 
 
 def test_deep_clause_atoms_are_compared_within_the_reader_limit(tmp_path, capsys):

@@ -37,7 +37,7 @@ from satloc.entailment import (
 )
 from satloc.rewriting import rules_of
 from satloc.saturation import LIMIT_REACHED
-from satloc.terms import Atom, Fn, Var, substitute, vars_of
+from satloc.terms import Atom, Fn, Var, atom_key, substitute, vars_of
 
 FG = Ordering(["f", "g", "a"])
 WORKED_S = [cl("-> p(g(W,W))"), cl("p(g(X,Y)), q(f(Y),X) ->")]
@@ -64,7 +64,7 @@ def _grounded_universe(rng, clauses, space):
     for d in clauses:
         for _ in range(rng.randint(0, 3)):
             sigma = {v: rng.choice(space) for v in vars_of(d)}
-            universe |= {substitute(sigma, a) for a in d.atoms() if rng.random() < 0.9}
+            universe |= {substitute(sigma, a) for a in sorted(d.atom_set(), key=atom_key) if rng.random() < 0.9}
     universe |= {rand_ground_atom(rng, depth=1) for _ in range(rng.randint(0, 4))}
     return universe
 
@@ -78,6 +78,8 @@ def test_enumerate_agrees_with_scan_reference():
         Clause(),  # the empty clause
         cl("p(X), q(X,Y), q(Y,Z) -> r(Z)"),  # a join over three atoms
         cl("p(X), s -> r(X)"),
+        cl("p(X) -> p(X)"),  # tautologies: an atom on both sides
+        cl("p(a), q(a,a) -> p(a)"),
     ]
     produced = 0
     for _ in range(300):
@@ -362,15 +364,17 @@ def test_enumeration_matches_each_atom_against_its_bucket_once(monkeypatch):
     # a count, not a timing: the instances of p(X), q(Y) -> r(X) are the
     # product of the p and q matches, but each clause atom is matched against
     # each member of its predicate's bucket once, not once per partial instance
-    d = cl("p(X), q(Y) -> r(X)")
     universe = {at(f"p(a{i})") for i in range(4)} | {at(f"q(b{i})") for i in range(5)}
     universe |= {at(f"r(a{i})") for i in range(4)} | {at("r(c0)"), at("r(c1)")}
-    buckets = sum(len([u for u in universe if u.pred == a.pred]) for a in d.atoms())
     calls = count_matches(monkeypatch)
-    got = enumerate_local_instances([d], universe)
-    assert len(got) == 4 * 5
-    assert got == ref_enumerate_local_instances([d], universe)
-    assert calls[0] <= buckets, (calls[0], buckets)
+    # the second clause has p(X) on both sides, and it is matched once
+    for d in (cl("p(X), q(Y) -> r(X)"), cl("p(X), q(Y) -> r(X), p(X)")):
+        buckets = sum(len([u for u in universe if u.pred == a.pred]) for a in d.atom_set())
+        calls[0] = 0
+        got = enumerate_local_instances([d], universe)
+        assert len(got) == 4 * 5
+        assert got == ref_enumerate_local_instances([d], universe)
+        assert calls[0] <= buckets, (calls[0], buckets)
 
 
 def test_mixed_1072_saturation_stops_at_its_limit(monkeypatch):

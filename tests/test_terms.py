@@ -70,6 +70,12 @@ def test_substitute_examples():
     assert substitute({}, at("p(X)")) == at("p(X)")
     # literal sets collapse under substitution
     assert substitute({x: y}, cl("-> p(X), p(Y)")) == cl("-> p(Y)")
+    # one frame per nesting level: 900 levels fit under the default
+    # recursion limit, as in the reader
+    deep, ground = x, Fn("a")
+    for _ in range(900):
+        deep, ground = Fn("f", (deep,)), Fn("f", (ground,))
+    assert substitute({x: Fn("a")}, Atom("p", (deep, y))) is Atom("p", (ground, y))
 
 
 def test_compose_examples():
@@ -278,7 +284,7 @@ def test_vars_in_order_is_first_occurrence_preorder():
 def test_freeze_examples():
     c = cl("q(f(W),W) ->")
     frozen_c, fmap = freeze(c)
-    assert frozen_c.is_ground()
+    assert frozen_c.ground
     assert str(frozen_c) == "q(f(#1),#1) ->"
     assert fmap == {w: Fn("#1")}
 
@@ -297,7 +303,7 @@ def test_freeze_roundtrip():
     for _ in range(300):
         c = rand_clause(rng)
         frozen_c, fmap = freeze(c)
-        assert frozen_c.is_ground()
+        assert frozen_c.ground
         assert unfreeze(fmap, frozen_c) == c
 
 
@@ -345,7 +351,9 @@ def _ref_vars(t, out):
 
 def test_stored_groundness_and_key_agree_with_references():
     rng = random.Random(29)
-    atoms = [a for _ in range(300) for a in rand_clause(rng, depth=3).atoms()]
+    atoms = [
+        a for _ in range(300) for a in sorted(rand_clause(rng, depth=3).atom_set(), key=atom_key)
+    ]
     for a in atoms:
         for t in (a, *{s for arg in a.args for s in subterms(arg)}):
             assert t.ground == (not _ref_vars(t, {})) == (not vars_in_order(t))
@@ -358,7 +366,7 @@ def test_stored_groundness_and_key_agree_with_references():
 def test_stored_atom_symbols_agree_with_a_recursive_walk():
     rng = random.Random(31)
     for _ in range(300):
-        for a in rand_clause(rng, depth=3).atoms():
+        for a in rand_clause(rng, depth=3).atom_set():
             names = {a.pred} | {s.name for t in a.args for s in subterms(t) if isinstance(s, Fn)}
             assert atom_symbols(a) == names
             assert atom_symbols(a) is atom_symbols(a)
