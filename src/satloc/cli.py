@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
 unsaturated query, 3 input errors (usage, a negative limit included, parse,
-arity, non-ground query, terms nested too deeply for the recursive reader,
-substitution or path ordering), 4 verification violations.
+arity, non-ground query, terms nested too deeply for substitution or the
+path ordering), 4 verification violations.
 """
 
 from __future__ import annotations

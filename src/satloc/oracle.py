@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .entailment import ground_sat, negated_units
-from .terms import Clause, Fn, Signature, Term, fresh_names, sorted_vars, substitute, subterms
+from .terms import Clause, Fn, Signature, Term, Var, fresh_names, sorted_vars, substitute, subterms
+from .terms import _preorder
 
 ENTAILED = "entailed"
 UNKNOWN = "unknown"
@@ -64,6 +65,33 @@ def herbrand_terms(
     return terms
 
 
+def _total_size(terms) -> int:
+    """The symbols of the ground `terms` together, each term counted as a
+    tree.  Sizes are stored per term, so a shared subterm is walked once."""
+    size: dict[Term, int] = {}
+    for t in terms:
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u not in size:
+                todo = [a for a in u.args if a not in size]
+                if todo:
+                    stack += [u, *todo]
+                else:
+                    size[u] = 1 + sum(size[a] for a in u.args)
+    return sum(size[t] for t in terms)
+
+
+def _shape(c: Clause) -> tuple[int, int, int]:
+    """(variables, symbols, variable occurrences) of c: its instance with
+    each variable bound to a term of s symbols has `symbols` + s *
+    `occurrences` symbols."""
+    atoms = c.antecedent + c.succedent
+    terms = list(_preorder(tuple(t for a in atoms for t in a.args)))
+    occurrences = sum(type(t) is Var for t in terms)
+    return len(sorted_vars(c)), len(atoms) + len(terms) - occurrences, occurrences
+
+
 def oracle_entails(
     clauses,
     goal: Clause,
@@ -71,7 +99,8 @@ def oracle_entails(
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
     """Semi-decide entailment of a ground clause by exhaustive instantiation,
-    within `budget` instances (checked before each term layer is built)."""
+    within `budget` symbols over all instances together (checked before each
+    term layer is built, and before the instances are)."""
     if not goal.ground:
         raise ValueError(f"oracle queries must be ground, got {goal}")
     clauses = list(clauses)
@@ -80,14 +109,22 @@ def oracle_entails(
     for atom in goal.antecedent + goal.succedent:
         for t in atom.args:
             harvested |= subterms(t)
-    widths = [len(sorted_vars(c)) for c in clauses]
+    shapes = [_shape(c) for c in clauses]
 
-    def too_many(n: int) -> bool:  # more instances over n terms than the budget?
-        return sum(n ** w for w in widths) > budget
+    def too_many(n: int, total: int) -> bool:
+        """More symbols than the budget in the instances over n terms of
+        `total` symbols together?  Each binding of a variable to a term
+        appears in n ** (w - 1) of a clause's n ** w instances."""
+        return sum(
+            s * n**w + (o * total * n ** (w - 1) if w else 0) for w, s, o in shapes
+        ) > budget
 
-    # only clauses with variables need terms
-    terms = herbrand_terms(signature, bound, harvested, too_many) if any(widths) else set()
-    if terms is None or too_many(len(terms)):
+    # only clauses with variables need terms; a term has at least one symbol
+    if any(w for w, _, _ in shapes):
+        terms = herbrand_terms(signature, bound, harvested, lambda n: too_many(n, n))
+    else:
+        terms = set()
+    if terms is None or too_many(len(terms), _total_size(terms)):
         return OracleResult(UNKNOWN, "budget")
     instances: set[Clause] = set()
     for c in clauses:

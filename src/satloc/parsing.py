@@ -19,6 +19,7 @@ symbol both a function and a predicate, no predicate in the order).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -35,58 +36,68 @@ class ParseError(ValueError):
         self.col = col
 
 
-# group 1: a token; group 2: a comment; otherwise one stray character
-_TOKEN_RE = re.compile(r"(->|[>(),:]|[A-Za-z][A-Za-z0-9_]*)|(%)|\S")
+# a token; any other character before the comment that is not blank is a
+# stray one, which _STRAY_RE finds as a match without group 1
+_TOKEN = r"->|[>(),:]|[A-Za-z][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(_TOKEN)
+_STRAY_RE = re.compile(rf"({_TOKEN})|\S")
 
 
 class _Line:
-    """The tokens of one line, each a (text, column) pair, and a read position."""
+    """The token strings of one line, up to its `%` comment, and a read
+    position.  Columns are not kept: an error rescans the line for the
+    column of the token it is raised at, or of the stray character."""
 
     def __init__(self, text: str, lineno: int):
+        self.text = text
         self.lineno = lineno
-        self.end_col = len(text) + 1
-        self.col = 1  # column of the token taken last
         self.pos = 0
-        self.tokens: list[tuple[str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            token, comment = m.groups()
-            if token:
-                self.tokens.append((token, m.start() + 1))
-            elif comment:
-                break
+        code = text.partition("%")[0]
+        self.tokens: list[str] = _TOKEN_RE.findall(code)
+        if "".join(self.tokens) != "".join(code.split()):
+            stray = next(m for m in _STRAY_RE.finditer(code) if not m.group(1))
+            if stray.group() == "#":
+                message = "'#' is reserved for internal frozen constants"
             else:
-                self.col = m.start() + 1
-                if m.group() == "#":
-                    raise self.error("'#' is reserved for internal frozen constants")
-                raise self.error(f"unexpected character {m.group()!r}")
+                message = f"unexpected character {stray.group()!r}"
+            raise ParseError(message, lineno, stray.start() + 1)
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.lineno, self.col)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """An error at token `index` (by default the token taken last); past
+        the last token, at the end of the line."""
+        if index is None:
+            index = self.pos - 1
+        if index < len(self.tokens):
+            col = next(itertools.islice(_TOKEN_RE.finditer(self.text), index, None)).start() + 1
+        else:
+            col = len(self.text) + 1
+        return ParseError(message, self.lineno, col)
+
+    def expected(self, what: str, index: int) -> ParseError:
+        if index == len(self.tokens):
+            return self.error(f"expected {what} at end of line", index)
+        return self.error(f"expected {what}, found {self.tokens[index]!r}", index)
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def accept(self, text: str) -> bool:
         if self.peek() != text:
             return False
-        self.col = self.tokens[self.pos][1]
         self.pos += 1
         return True
 
     def take(self, what: str, want: str | None = None) -> str:
         """The next token: `want` itself, or an identifier when `want` is None."""
-        if self.pos == len(self.tokens):
-            raise ParseError(f"expected {what} at end of line", self.lineno, self.end_col)
-        text, self.col = self.tokens[self.pos]
-        if (text != want) if want else not text[0].isalpha():
-            raise self.error(f"expected {what}, found {text!r}")
+        text = self.peek()
+        if text is None or ((text != want) if want else not text[0].isalpha()):
+            raise self.expected(what, self.pos)
         self.pos += 1
         return text
 
     def require_end(self) -> None:
         if self.pos < len(self.tokens):
-            text, col = self.tokens[self.pos]
-            raise ParseError(f"unexpected {text!r}", self.lineno, col)
+            raise self.error(f"unexpected {self.tokens[self.pos]!r}", self.pos)
 
 
 def _lines(text: str):
@@ -105,9 +116,9 @@ def _declarations(text: str):
 
 
 def _too_deep(lineno: int) -> ParseError:
-    """The reader's `_args` recurses once per nesting level (and a rule's
-    sides are compared by the recursive path ordering), so a term nested
-    past the interpreter's recursion limit surfaces as a RecursionError."""
+    """The reader takes no frame per nesting level, but a rule's sides are
+    compared by the recursive path ordering, so a rule nested past the
+    interpreter's recursion limit surfaces as a RecursionError."""
     return ParseError("input nested too deeply", lineno, 1)
 
 
@@ -120,42 +131,61 @@ class _Reader:
         self.declared: list[str] | None = None
         self.declared_line = 0
 
-    def _args(self, line: _Line) -> tuple[Term, ...]:
-        """The parenthesised arguments after a symbol, if any.  Terms are read
-        here, not in a method of their own, so each nesting level costs one frame."""
-        if not line.accept("("):
-            return ()
-        args: list[Term] = []
-        while not args or line.accept(","):
-            name = line.take("a term")
-            col = line.col
-            if name[0].isupper():
-                if line.accept("("):
-                    raise line.error(f"variable {name!r} cannot take arguments")
-                args.append(Var(name))
-                continue
-            sub = self._args(line)
-            try:
-                self.sig.note_function(name, len(sub))
-            except ArityError as exc:
-                raise ParseError(str(exc), line.lineno, col) from None
-            args.append(Fn(name, sub))
-        line.take("')'", ")")
-        return tuple(args)
+    def _note(self, line: _Line, note, name: str, arity: int, index: int) -> None:
+        try:
+            note(name, arity)
+        except ArityError as exc:
+            raise line.error(str(exc), index) from None
 
     def _atom(self, line: _Line) -> Atom:
+        """One atom, read in one loop.  `name`, `at` and `args` are the symbol,
+        token index and arguments read so far of the innermost argument list
+        still open, and `outer` holds those of the lists around it.  A
+        function symbol is noted when its list closes, so the innermost
+        first, and a constant when it is read."""
         name = line.take("a predicate symbol")
-        col = line.col
         if name[0].isupper():
             raise line.error(f"predicate symbols must start lowercase, found {name!r}")
-        try:
-            args = self._args(line)
-        except RecursionError:
-            raise _too_deep(line.lineno) from None
-        try:
-            self.sig.note_predicate(name, len(args))
-        except ArityError as exc:
-            raise ParseError(str(exc), line.lineno, col) from None
+        tokens, end = line.tokens, len(line.tokens)
+        i = line.pos
+        at, args = i - 1, []
+        if i < end and tokens[i] == "(":
+            note = self.sig.note_function
+            outer: list[tuple[str, int, list[Term]]] = []
+            i += 1
+            while True:
+                if i == end or not tokens[i][0].isalpha():
+                    raise line.expected("a term", i)
+                term = tokens[i]
+                i += 1
+                token = tokens[i] if i < end else None
+                if term[0].isupper():
+                    if token == "(":
+                        raise line.error(f"variable {term!r} cannot take arguments", i)
+                    args.append(Var(term))
+                elif token == "(":
+                    outer.append((name, at, args))
+                    name, at, args = term, i - 1, []
+                    i += 1
+                    continue
+                else:
+                    self._note(line, note, term, 0, i - 1)
+                    args.append(Fn(term))
+                while token == ")" and outer:
+                    self._note(line, note, name, len(args), at)
+                    t = Fn(name, args)
+                    name, at, args = outer.pop()
+                    args.append(t)
+                    i += 1
+                    token = tokens[i] if i < end else None
+                if token != ",":
+                    break
+                i += 1
+            if token != ")":
+                raise line.expected("')'", i)
+            i += 1
+        line.pos = i
+        self._note(line, self.sig.note_predicate, name, len(args), at)
         return Atom(name, args)
 
     def _atoms(self, line: _Line, stop: str | None) -> list[Atom]:

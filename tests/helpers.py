@@ -3,20 +3,24 @@ implementations used as independent oracles, and seeded random generators."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import itertools
 import random
+import re
 import sys
 from pathlib import Path
 
 import satloc.entailment as entailment
+import satloc.parsing as parsing
 from satloc.entailment import clause_redundant, subsumes
 from satloc.orderings import Ordering
-from satloc.parsing import Problem, parse_clause_text
+from satloc.parsing import ParseError, Problem, parse_clause_text
 from satloc.resolution import Inference, a_priori_resolvents, eligible_atoms, is_a_posteriori
 from satloc.rewriting import RewriteSystem, reach, rules_of
 from satloc.saturation import LIMIT_REACHED, SATURATED, Limits, SaturationState, VerifyReport
 from satloc.terms import (
+    ArityError,
     Atom,
     Clause,
     FreezeMap,
@@ -67,6 +71,115 @@ def serialize_problem(problem: Problem) -> str:
     for q in problem.queries:
         lines.append(f"query: {q}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# A recursive reader, the reference for the one-loop reader in
+# `satloc.parsing`: a token is a (text, column) pair, every column is kept,
+# and terms are read by `_args`, one frame per nesting level.
+# `reference_reader()` swaps it into `satloc.parsing`, so the module's own
+# entry points (`parse_problem`, `parse_state`, `parse_clause_text`) run on it.
+
+# group 1: a token; group 2: a comment; otherwise one stray character
+_REF_TOKEN_RE = re.compile(r"(->|[>(),:]|[A-Za-z][A-Za-z0-9_]*)|(%)|\S")
+
+
+class RefLine:
+    """The tokens of one line, each a (text, column) pair, and a read position."""
+
+    def __init__(self, text: str, lineno: int):
+        self.lineno = lineno
+        self.end_col = len(text) + 1
+        self.col = 1  # column of the token taken last
+        self.pos = 0
+        self.tokens: list[tuple[str, int]] = []
+        for m in _REF_TOKEN_RE.finditer(text):
+            token, comment = m.groups()
+            if token:
+                self.tokens.append((token, m.start() + 1))
+            elif comment:
+                break
+            else:
+                self.col = m.start() + 1
+                if m.group() == "#":
+                    raise self.error("'#' is reserved for internal frozen constants")
+                raise self.error(f"unexpected character {m.group()!r}")
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.lineno, self.col)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def accept(self, text: str) -> bool:
+        if self.peek() != text:
+            return False
+        self.col = self.tokens[self.pos][1]
+        self.pos += 1
+        return True
+
+    def take(self, what: str, want: str | None = None) -> str:
+        if self.pos == len(self.tokens):
+            raise ParseError(f"expected {what} at end of line", self.lineno, self.end_col)
+        text, self.col = self.tokens[self.pos]
+        if (text != want) if want else not text[0].isalpha():
+            raise self.error(f"expected {what}, found {text!r}")
+        self.pos += 1
+        return text
+
+    def require_end(self) -> None:
+        if self.pos < len(self.tokens):
+            text, col = self.tokens[self.pos]
+            raise ParseError(f"unexpected {text!r}", self.lineno, col)
+
+
+class RefReader(parsing._Reader):
+    def _args(self, line: RefLine) -> tuple[Term, ...]:
+        if not line.accept("("):
+            return ()
+        args: list[Term] = []
+        while not args or line.accept(","):
+            name = line.take("a term")
+            col = line.col
+            if name[0].isupper():
+                if line.accept("("):
+                    raise line.error(f"variable {name!r} cannot take arguments")
+                args.append(Var(name))
+                continue
+            sub = self._args(line)
+            try:
+                self.sig.note_function(name, len(sub))
+            except ArityError as exc:
+                raise ParseError(str(exc), line.lineno, col) from None
+            args.append(Fn(name, sub))
+        line.take("')'", ")")
+        return tuple(args)
+
+    def _atom(self, line: RefLine) -> Atom:
+        name = line.take("a predicate symbol")
+        col = line.col
+        if name[0].isupper():
+            raise line.error(f"predicate symbols must start lowercase, found {name!r}")
+        try:
+            args = self._args(line)
+        except RecursionError:
+            raise ParseError("input nested too deeply", line.lineno, 1) from None
+        try:
+            self.sig.note_predicate(name, len(args))
+        except ArityError as exc:
+            raise ParseError(str(exc), line.lineno, col) from None
+        return Atom(name, args)
+
+
+@contextlib.contextmanager
+def reference_reader():
+    """`satloc.parsing` reads with RefLine and RefReader inside the block."""
+    saved = parsing._Line, parsing._Reader
+    parsing._Line, parsing._Reader = RefLine, RefReader
+    try:
+        yield
+    finally:
+        parsing._Line, parsing._Reader = saved
 
 
 def is_empty(c: Clause) -> bool:

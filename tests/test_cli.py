@@ -270,21 +270,35 @@ def test_negative_limits_are_usage_errors_and_zero_is_a_limit(tmp_path, capsys):
 
 
 def test_deep_term_exits_3(tmp_path, capsys):
-    problem = write(tmp_path, "demo.p", WORKED)
-    state = write(tmp_path, "demo.state", "")
+    # the reader takes any depth: a ground clause 5 000 deep saturates,
+    # verifies and answers, and the oracle's budget refuses a goal that deep;
+    # the recursive path ordering cannot orient a rule that deep, nor can
+    # substitution take a non-ground clause 3 000 deep
+    deep = "f(" * 5000 + "a" + ")" * 5000
+    problem = write(tmp_path, "deep.p", f"clause: -> p({deep})\n")
+    state = str(tmp_path / "deep.state")
     assert main(["saturate", problem, "--out", state]) == 0
+    assert main(["verify", state]) == 0
     capsys.readouterr()
-    deep = "f(" * 3000 + "a" + ")" * 3000
-    assert main(["query", state, f"-> p({deep})"]) == 3
-    assert "nested too deeply" in capsys.readouterr().err
-    deep_problem = write(tmp_path, "deep.p", f"clause: -> p({deep})\n")
-    assert main(["saturate", deep_problem]) == 3
-    assert "nested too deeply" in capsys.readouterr().err
+    assert main(["query", state, f"-> p({deep})"]) == 0
+    assert capsys.readouterr().out == "entailed\n"
+    # the oracle's budget counts the symbols of the 5 001 instances
+    problem = write(tmp_path, "copy.p", "clause: p(X) -> q(X)\n")
+    assert main(["oracle", problem, f"p({deep}) -> q({deep})", "--depth", "0"]) == 0
+    assert capsys.readouterr().out == "unknown (budget)\n"
+    rule = write(tmp_path, "rule.state", f"saturated: true\norder: f > a\nrule: p({deep}) -> q(a)\n")
+    assert main(["verify", rule]) == 3
+    assert capsys.readouterr().err == f"error: {rule}: line 3, column 1: input nested too deeply\n"
+    open_deep = "f(" * 3000 + "X" + ")" * 3000
+    problem = write(tmp_path, "open.p", f"clause: -> p(a)\nclause: p(X) -> r({open_deep})\n")
+    assert main(["saturate", problem]) == 3
+    assert capsys.readouterr().err == "error: input nested too deeply\n"
 
 
 def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
-    # 900 levels: within the reader's limit (one frame per level), so
-    # hashing, printing and the query path must not recurse at all
+    # 900 levels: within the limit of substitution and the path ordering
+    # (one frame per level); hashing, printing and the query path do not
+    # recurse at all
     deep = "f(" * 900 + "a" + ")" * 900
     problem = write(tmp_path, "deep.p", f"order: f > a\nclause: -> p({deep})\nclause: p(X) -> q(X)\n")
     state = tmp_path / "deep.state"
@@ -309,7 +323,7 @@ def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
 
 def test_deep_clause_atoms_are_compared_within_the_reader_limit(tmp_path, capsys):
     # the path ordering compares p(f^900(a)) with q(a), descending all 900
-    # levels; it takes one frame per level, as the reader does
+    # levels; it takes one frame per level, as substitution does
     deep = "f(" * 900 + "a" + ")" * 900
     problem = write(tmp_path, "deep.p", f"order: f > a\nclause: p({deep}) -> q(a)\n")
     assert main(["saturate", problem]) == 0

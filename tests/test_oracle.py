@@ -7,7 +7,7 @@ from satloc import HerbrandBound, Signature, oracle_entails, parse_problem
 from satloc import oracle
 from satloc.oracle import herbrand_terms
 from satloc import terms as terms_module
-from satloc.terms import Fn
+from satloc.terms import Fn, substitute
 
 
 def test_herbrand_terms_examples():
@@ -107,3 +107,29 @@ def test_oracle_prints_no_term_for_a_deep_goal(monkeypatch):
     result = oracle_entails(problem.clauses, cl(f"-> q({deep})"), HerbrandBound(1))
     assert result.verdict == "entailed"
     assert printed == 0
+
+
+def test_oracle_budget_counts_term_size(monkeypatch):
+    # p(X) -> q(X) has one instance per subterm of the goal, 5 001 of them,
+    # but together they hold over 25 million symbols: the budget refuses them
+    # before one is built, where a budget on instances let all be built
+    built = 0
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return substitute(*args)
+
+    monkeypatch.setattr(oracle, "substitute", counted)
+    clauses = parse_problem("clause: p(X) -> q(X)").clauses
+    deep = "f(" * 5000 + "a" + ")" * 5000
+    result = oracle_entails(clauses, cl(f"p({deep}) -> q({deep})"), HerbrandBound(0))
+    assert (result.verdict, result.reason, built) == ("unknown", "budget", 0)
+    # 50 deep: 51 terms of 1 326 symbols together; an instance has 2 atoms
+    # and binds X twice, so the 51 instances hold 2 * 51 + 2 * 1 326 symbols
+    shallow = "f(" * 50 + "a" + ")" * 50
+    goal = cl(f"p({shallow}) -> q({shallow})")
+    assert oracle_entails(clauses, goal, HerbrandBound(0), budget=2754).verdict == "entailed"
+    assert built == 51
+    result = oracle_entails(clauses, goal, HerbrandBound(0), budget=2753)
+    assert (result.verdict, result.reason, built) == ("unknown", "budget", 51)

@@ -6,17 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cl, rand_clause, serialize_problem
+from helpers import (
+    SIG_CONSTS,
+    SIG_FUNCS,
+    cl,
+    rand_atom,
+    rand_clause,
+    reference_reader,
+    serialize_problem,
+    sig_ordering,
+)
 from satloc import (
     Clause,
     Ordering,
     ParseError,
+    SaturationState,
+    Signature,
     parse_clause_text,
     parse_problem,
     parse_state,
     saturate,
     serialize_state,
 )
+from satloc.terms import Atom, Fn
 
 
 def test_parse_problem_example():
@@ -158,21 +170,36 @@ def test_state_limit_header():
     assert parse_state(text).status == "limit_reached"
 
 
-def test_deep_nesting_is_a_parse_error():
-    deep = "f(" * 1500 + "a" + ")" * 1500
-    cases = [
-        (parse_problem, f"order: f > a\nclause: -> p({deep})\n", 2),
-        (parse_problem, f"query: p({deep}) ->\n", 1),
-        (parse_state, f"saturated: true\norder: f > a\nclause: -> p({deep})\n", 3),
-        (parse_state, f"saturated: true\norder: f > a\nrule: p({deep}) -> q(a)\n", 3),
-        (parse_state, f"saturated: true\norder: f > a\nrule: q(a) -> p({deep})\n", 3),
-        (parse_problem, f"order: f > a\nclause: -> q(a)\nclause: q(f(a)) -> q(a), p({deep})\n", 3),
-        (parse_clause_text, f"-> p({deep})", 1),
+def test_deep_nesting_parses_and_deep_rules_are_refused():
+    # the reader takes no frame per nesting level, so clauses 5 000 deep
+    # parse and round-trip; orienting a rule still runs the recursive path
+    # ordering, which stops at about 990 levels
+    deep = "f(" * 5000 + "a" + ")" * 5000
+    term = Fn("a")
+    for _ in range(5000):
+        term = Fn("f", (term,))
+    clauses = [
+        parse_problem(f"order: f > a\nclause: -> p({deep})\n").clauses[0],
+        parse_problem(f"query: p({deep}) ->\n").queries[0],
+        parse_problem(f"order: f > a\nclause: -> q(a)\nclause: q(f(a)) -> q(a), p({deep})\n").clauses[1],
+        parse_clause_text(f"-> p({deep})"),
     ]
-    for parse, text, line in cases:
+    assert clauses[0] == clauses[3] == Clause((), (Atom("p", (term,)),))
+    assert clauses[1] == Clause((Atom("p", (term,)),), ())
+    for c in clauses:
+        text = serialize_state(SaturationState(Ordering(["f", "a"]), [c]))
+        assert f"p({deep})" in text
+        assert serialize_state(parse_state(text)) == text
+    # lpo_greater descends the whole left side first
+    deep_b = deep.replace("a", "b")
+    for rule in (f"p({deep}) -> q(a)", f"p({deep}) -> p({deep_b})"):
         with pytest.raises(ParseError, match="input nested too deeply") as info:
-            parse(text)
-        assert info.value.line == line
+            parse_state(f"saturated: true\norder: f > a > b\nrule: {rule}\n")
+        assert (info.value.line, info.value.col) == (3, 1)
+    # a deep right side under a shallow left one is refused at the top
+    with pytest.raises(ParseError, match=r"invalid rule: rule q\(a\) -> p\(f\(f") as info:
+        parse_state(f"saturated: true\norder: f > a\nrule: q(a) -> p({deep})\n")
+    assert (info.value.line, info.value.col) == (3, 1)
 
 
 # (entry point, text, line, column, message); the positions are part of the
@@ -264,3 +291,88 @@ def test_malformed_inputs_report_message_line_and_column():
 def test_clause_text_round_trips(seed):
     c = rand_clause(random.Random(seed), max_side=3, depth=3)
     assert parse_clause_text(str(c)) == c
+
+
+def _spaced(rng: random.Random, text: str) -> str:
+    """text with blanks after some punctuation and before some arrows, and
+    sometimes a trailing comment, so that columns are not all packed."""
+    out = []
+    for ch in text:
+        if ch == "-" and rng.random() < 0.3:
+            out.append(rng.choice(" \t"))
+        out.append(ch)
+        if ch in "(),>:" and rng.random() < 0.2:
+            out.append(rng.choice([" ", "  ", "\t"]))
+    if rng.random() < 0.2:
+        out.append(rng.choice(["%", " % x(", "\t%#"]))
+    return "".join(out)
+
+
+def _documents(rng: random.Random):
+    """One valid problem text, state text and clause text."""
+    symbols = [name for name, _ in SIG_FUNCS] + SIG_CONSTS
+    rng.shuffle(symbols)
+    order = "order: " + " > ".join(symbols[: rng.randint(0, len(symbols))])
+    problem = [order] if rng.random() < 0.7 else []
+    for _ in range(rng.randint(1, 4)):
+        problem.append(f"{rng.choice(['clause', 'query'])}: {rand_clause(rng, 3, 3)}")
+    ordering = sig_ordering()
+    state = ["saturated: " + rng.choice(["true", "limit"]), "order: " + " > ".join(ordering.symbols())]
+    for _ in range(rng.randint(0, 3)):
+        state.append(f"clause: {rand_clause(rng, 3, 3)}")
+    for _ in range(rng.randint(0, 2)):
+        while True:
+            lhs, rhs = rand_atom(rng, 3), rand_atom(rng, 2)
+            if ordering.atom_greater(lhs, rhs):
+                break
+        state.append(f"rule: {lhs} -> {rhs}")
+    return [
+        (parse_problem, "\n".join(_spaced(rng, line) for line in problem)),
+        (parse_state, "\n".join(_spaced(rng, line) for line in state)),
+        (parse_clause_text, _spaced(rng, str(rand_clause(rng, 3, 3)))),
+    ]
+
+
+def _mutated(rng: random.Random, text: str) -> str:
+    """text with one character put in, put in place of another, or dropped."""
+    k = rng.randrange(len(text) + 1)
+    ch = rng.choice(["(", ")", ",", ">", ":", "%", "#", rng.choice("aqxXZ"), ""])
+    if ch and rng.random() < 0.5:
+        return text[:k] + ch + text[k:]
+    return text[:k] + ch + text[k + 1:]
+
+
+def _read(parse, text: str):
+    """What `parse` makes of text: its result and the symbols it noted, in
+    their order, or the error's (line, column, message)."""
+    sig = Signature()
+    try:
+        if parse is parse_clause_text:
+            got = parse(text, sig)
+        elif parse is parse_state:
+            return ("state", serialize_state(parse(text)))
+        else:
+            got = parse(text)
+            sig = got.signature
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, str(exc))
+    return ("read", got, list(sig.functions.items()), list(sig.predicates.items()))
+
+
+def test_reader_agrees_with_the_recursive_reference():
+    rng = random.Random(20260419)
+    outcomes: dict[str, int] = {}
+    messages = set()
+    for _ in range(300):
+        for parse, text in _documents(rng):
+            for variant in [text] + [_mutated(rng, text) for _ in range(4)]:
+                got = _read(parse, variant)
+                with reference_reader():
+                    want = _read(parse, variant)
+                assert got == want, (parse.__name__, variant)
+                outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+                if got[0] == "error":
+                    messages.add(got[3].split(": ", 1)[1][:20])
+    # both readers were asked about valid and broken text of many kinds
+    assert min(outcomes.values()) >= 300, outcomes
+    assert len(messages) >= 20, sorted(messages)

@@ -71,7 +71,7 @@ def test_substitute_examples():
     # literal sets collapse under substitution
     assert substitute({x: y}, cl("-> p(X), p(Y)")) == cl("-> p(Y)")
     # one frame per nesting level: 900 levels fit under the default
-    # recursion limit, as in the reader
+    # recursion limit, as in the path ordering
     deep, ground = x, Fn("a")
     for _ in range(900):
         deep, ground = Fn("f", (deep,)), Fn("f", (ground,))
