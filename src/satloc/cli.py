@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
 unsaturated query, 3 input errors (usage, a negative limit included, parse,
-arity, non-ground query, terms nested too deeply for substitution or the
-path ordering), 4 verification violations.
+arity, non-ground query), 4 verification violations.  No part of satloc
+recurses on term depth or clause size, so deep or wide input needs no exit
+code of its own.
 """
 
 from __future__ import annotations
@@ -188,10 +189,6 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        # substitution and the path ordering recurse on term depth
-        print("error: input nested too deeply", file=sys.stderr)
         return 3
 
 

@@ -246,29 +246,42 @@ def _embeddings(goals: list[Goal]) -> Iterator[Subst]:
     fewest (fail-first).  The matches bind only pattern variables, so the
     targets' variables stay fixed even where their names clash with the
     patterns', and no renaming apart is needed.
-    """
 
-    def search(todo: list[Goal], sigma: Subst) -> Iterator[Subst]:
+    The search is one loop over an explicit stack of branch points, each
+    the goals left, the bindings and an iterator over the chosen goal's
+    matches, so no frame is taken per goal; the embeddings come in
+    depth-first order.
+    """
+    stack: list[tuple[list[Goal], Subst, Iterator[Subst]]] = []
+    todo, sigma = goals, {}
+    while True:
         open_goals: list[Goal] = []
         for pattern, variables, targets, matches in todo:
             if variables <= sigma.keys():
                 if substitute(sigma, pattern) not in targets:
-                    return
+                    break
                 continue
             if sigma:
                 matches = [m for m in matches if all(sigma.get(v, t) is t for v, t in m.items())]
             if not matches:
-                return
+                break
             open_goals.append((pattern, variables, targets, matches))
-        if not open_goals:
-            yield sigma
+        else:
+            if open_goals:
+                best = min(range(len(open_goals)), key=lambda i: len(open_goals[i][3]))
+                rest = open_goals[:best] + open_goals[best + 1 :]
+                stack.append((rest, sigma, iter(open_goals[best][3])))
+            else:
+                yield sigma
+        while stack:
+            rest, bound, branches = stack[-1]
+            m = next(branches, None)
+            if m is not None:
+                todo, sigma = rest, {**bound, **m}
+                break
+            stack.pop()
+        else:
             return
-        best = min(range(len(open_goals)), key=lambda i: len(open_goals[i][3]))
-        rest = open_goals[:best] + open_goals[best + 1 :]
-        for m in open_goals[best][3]:
-            yield from search(rest, {**sigma, **m})
-
-    yield from search(goals, {})
 
 
 def _side_goals(d: Clause, c: Clause) -> list[Goal]:

@@ -69,38 +69,70 @@ class Ordering:
     def lpo_greater(self, s: Term, t: Term) -> bool:
         """Standard lexicographic path ordering on terms.
 
-        Written with plain loops so that it takes one stack frame per
-        nesting level it descends.
+        Each comparison is a generator (`_lpo_steps`) that yields the
+        sub-comparisons it needs and is sent their answers; this loop runs
+        them from a stack, so no frame is taken per nesting level.
         """
-        if s is t or isinstance(s, Var):
-            return False
-        if isinstance(t, Var):
-            return t in vars_of(s)
-        # s = f(s1..sm), t = g(t1..tn)
-        for a in s.args:
-            if a is t or self.lpo_greater(a, t):
-                return True
-        ks = self.sym_key(s.name)
-        kt = self.sym_key(t.name)
-        if ks > kt:
-            rest = t.args
-        elif ks == kt:
-            # same symbol: lexicographic on arguments, remainder below s
-            for i, (a, b) in enumerate(zip(s.args, t.args)):
-                if a is b:
-                    continue
-                if not self.lpo_greater(a, b):
-                    return False
-                rest = t.args[i + 1:]
-                break
+        stack = [self._lpo_steps(s, t)]
+        answer = None
+        while stack:
+            try:
+                pair = stack[-1].send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
             else:
-                return False
-        else:
+                stack.append(self._lpo_steps(*pair))
+                answer = None
+        return answer
+
+    def _lpo_steps(self, s: Term, t: Term):
+        """s > t, as a generator of the sub-comparisons (s', t') it needs;
+        each is sent back its answer.
+
+        The cases are tried in Löchner's order ("Things to know when
+        implementing LPO", 2006), in which one case decides:
+        - equal heads: the first differing argument pair decides; if s's
+          argument is greater, s must be above t's remaining arguments,
+          otherwise one of s's remaining arguments must be at least t;
+        - a greater head: s must be above every argument of t;
+        - a smaller head: some argument of s must be at least t.
+        The subterm case is not tried on its own: an argument of s that is
+        at least t puts s above every argument of t, and s's arguments up
+        to the differing pair cannot be at least t.  Trying it first made
+        f^n(a) against f^n(b) take about 1.75^n comparisons; this order
+        takes n + 1.  A symbol used with two arities compares the common
+        prefix of its argument lists; when that is all equal, one of s's
+        later arguments must be at least t.
+        """
+        if s is t or type(s) is Var:
             return False
-        for b in rest:
-            if not self.lpo_greater(s, b):
-                return False
-        return True
+        if type(t) is Var:
+            return t in vars_of(s)
+        above = None  # s must be above each of these; else some of reach must be >= t
+        if s.name == t.name:
+            n = min(len(s.args), len(t.args))
+            i = 0
+            while i < n and s.args[i] is t.args[i]:
+                i += 1
+            if i < n:
+                if (yield s.args[i], t.args[i]):
+                    above = t.args[i + 1:]
+                i += 1
+            reach = s.args[i:]
+        elif self.sym_key(s.name) > self.sym_key(t.name):
+            above = t.args
+        else:
+            reach = s.args
+        if above is not None:
+            for b in above:
+                if not (yield s, b):
+                    return False
+            return True
+        for a in reach:
+            if a is t or (yield a, t):
+                return True
+        return False
 
     def atom_greater(self, a: Atom, b: Atom) -> bool:
         """True iff a is strictly above b in the argumentwise atom ordering.

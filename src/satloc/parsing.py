@@ -115,13 +115,6 @@ def _declarations(text: str):
         yield keyword, line
 
 
-def _too_deep(lineno: int) -> ParseError:
-    """The reader takes no frame per nesting level, but a rule's sides are
-    compared by the recursive path ordering, so a rule nested past the
-    interpreter's recursion limit surfaces as a RecursionError."""
-    return ParseError("input nested too deeply", lineno, 1)
-
-
 class _Reader:
     """Parses declaration bodies into one signature, whose functions are
     kept in order of first occurrence, and records the order declaration."""
@@ -325,10 +318,10 @@ def parse_state(text: str) -> SaturationState:
     for lhs, rhs, lineno in rule_lines:
         try:
             rules |= RewriteSystem.of(ordering, [(lhs, rhs)]).rules
-        except RecursionError:
-            raise _too_deep(lineno) from None
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"invalid rule: {exc}", lineno, 1) from None
+        except ValueError:
+            # the sides are not echoed: either may be as long as the line
+            message = "invalid rule: the left side is not above the right side"
+            raise ParseError(message, lineno, 1) from None
     return SaturationState(ordering, clauses, RewriteSystem(frozenset(rules)), status=status)
 
 

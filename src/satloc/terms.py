@@ -307,24 +307,48 @@ def subterms(t: Term) -> set[Term]:
 
 def substitute(sigma: Subst, e):
     """Apply an idempotent substitution; one simultaneous pass, no chasing.
-    Ground terms and atoms are returned as they are.  The arguments are
-    collected in a plain loop, so each nesting level costs one frame."""
+    Ground terms and atoms are returned as they are.
+
+    One loop, with no frame per nesting level: `args` iterates over the
+    arguments of the innermost application still open (at first, over e's
+    arguments or the clause's atoms), `done` holds their images so far, and
+    `stack` holds the same of the applications around it, each with the
+    application.  Variables and ground arguments are replaced inline; only a
+    non-ground application is pushed.
+    """
     kind = type(e)
     if kind is Var:
         return sigma.get(e, e)
-    if kind is Fn or kind is Atom:
+    if kind is Clause:
+        args = iter(e.antecedent + e.succedent)
+    elif kind is Fn or kind is Atom:
         if e.ground:
             return e
-        args = []
-        for a in e.args:
-            args.append(substitute(sigma, a))
-        return kind(e.pred if kind is Atom else e.name, args)
+        args = iter(e.args)
+    else:
+        raise TypeError(f"cannot substitute into {e!r}")
+    stack = []
+    done = []
+    while True:
+        for a in args:
+            if type(a) is Var:
+                done.append(sigma.get(a, a))
+            elif a.ground:
+                done.append(a)
+            else:
+                stack.append((args, done, a))
+                args, done = iter(a.args), []
+                break
+        else:
+            if not stack:
+                break
+            image = done
+            args, done, a = stack.pop()
+            done.append(Atom(a.pred, image) if type(a) is Atom else Fn(a.name, image))
     if kind is Clause:
-        return Clause(
-            (substitute(sigma, a) for a in e.antecedent),
-            (substitute(sigma, a) for a in e.succedent),
-        )
-    raise TypeError(f"cannot substitute into {e!r}")
+        n = len(e.antecedent)
+        return Clause(done[:n], done[n:])
+    return kind(e.pred if kind is Atom else e.name, done)
 
 
 def _decompose(e1, e2) -> list[tuple[Term, Term]] | None:

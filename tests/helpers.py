@@ -385,6 +385,42 @@ def ref_lpo_greater(rank: dict[str, int], s: Term, t: Term) -> bool:
     return case_subterm or case_greater_head or case_lex
 
 
+def recursive_lpo_greater(ordering: Ordering, s: Term, t: Term) -> bool:
+    """The path ordering as satloc once computed it, with one frame per
+    nesting level and the subterm case tried before the precedence cases:
+    exponential on f^n(a) against f^n(b).  The reference for the iterative
+    `Ordering.lpo_greater`, including its answers on one symbol used with
+    two arities."""
+    if s is t or isinstance(s, Var):
+        return False
+    if isinstance(t, Var):
+        return t in vars_of(s)
+    for a in s.args:
+        if a is t or recursive_lpo_greater(ordering, a, t):
+            return True
+    ks = ordering.sym_key(s.name)
+    kt = ordering.sym_key(t.name)
+    if ks > kt:
+        rest = t.args
+    elif ks == kt:
+        # same symbol: lexicographic on arguments, remainder below s
+        for i, (a, b) in enumerate(zip(s.args, t.args)):
+            if a is b:
+                continue
+            if not recursive_lpo_greater(ordering, a, b):
+                return False
+            rest = t.args[i + 1:]
+            break
+        else:
+            return False
+    else:
+        return False
+    for b in rest:
+        if not recursive_lpo_greater(ordering, s, b):
+            return False
+    return True
+
+
 def _ref_occurs(v: Var, t: Term) -> bool:
     if isinstance(t, Var):
         return t == v

@@ -167,6 +167,42 @@ def test_src_definitions_are_read():
     assert not unread, unread
 
 
+def self_calls(tree: ast.Module) -> list[str]:
+    """The functions, nested ones and methods included, that call
+    themselves by their bare name or as self.<their name>."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            by_name = isinstance(f, ast.Name) and f.id == fn.name
+            by_self = (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "self"
+            )
+            if by_name or by_self:
+                out.append(fn.name)
+                break
+    return out
+
+
+def test_no_src_function_calls_itself():
+    # a recursive function takes a frame per level of its input, so a deep
+    # term or a wide clause would meet the interpreter's recursion limit;
+    # every walk in src/ is a loop
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "satloc").glob("*.py"))
+        for name in self_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, found
+
+
 def test_every_exported_name_resolves():
     assert len(set(satloc.__all__)) == len(satloc.__all__)
     for name in satloc.__all__:

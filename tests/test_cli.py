@@ -269,11 +269,12 @@ def test_negative_limits_are_usage_errors_and_zero_is_a_limit(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "unknown (budget)"
 
 
-def test_deep_term_exits_3(tmp_path, capsys):
-    # the reader takes any depth: a ground clause 5 000 deep saturates,
-    # verifies and answers, and the oracle's budget refuses a goal that deep;
-    # the recursive path ordering cannot orient a rule that deep, nor can
-    # substitution take a non-ground clause 3 000 deep
+def test_deep_and_wide_input_exits_0(tmp_path, capsys):
+    # nothing recurses on term depth or clause size: a ground clause 5 000
+    # deep saturates, verifies and answers, rules that deep orient and
+    # verify, p(X) -> r(f^3000(X)) saturates, verifies and answers, and a
+    # clause of 1 200 atoms answers; the oracle's budget refuses a goal
+    # 5 000 deep
     deep = "f(" * 5000 + "a" + ")" * 5000
     problem = write(tmp_path, "deep.p", f"clause: -> p({deep})\n")
     state = str(tmp_path / "deep.state")
@@ -286,20 +287,30 @@ def test_deep_term_exits_3(tmp_path, capsys):
     problem = write(tmp_path, "copy.p", "clause: p(X) -> q(X)\n")
     assert main(["oracle", problem, f"p({deep}) -> q({deep})", "--depth", "0"]) == 0
     assert capsys.readouterr().out == "unknown (budget)\n"
-    rule = write(tmp_path, "rule.state", f"saturated: true\norder: f > a\nrule: p({deep}) -> q(a)\n")
-    assert main(["verify", rule]) == 3
-    assert capsys.readouterr().err == f"error: {rule}: line 3, column 1: input nested too deeply\n"
+    deep_b = deep.replace("a", "b")
+    for rule in (f"p({deep}) -> q(a)", f"p({deep}) -> p({deep_b})"):
+        path = write(tmp_path, "rule.state", f"saturated: true\norder: f > a > b\nrule: {rule}\n")
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out == "ok\n"
     open_deep = "f(" * 3000 + "X" + ")" * 3000
     problem = write(tmp_path, "open.p", f"clause: -> p(a)\nclause: p(X) -> r({open_deep})\n")
-    assert main(["saturate", problem]) == 3
-    assert capsys.readouterr().err == "error: input nested too deeply\n"
+    assert main(["saturate", problem, "--out", state]) == 0
+    assert main(["verify", state]) == 0
+    capsys.readouterr()
+    assert main(["query", state, f"-> r({open_deep.replace('X', 'a')})"]) == 0
+    assert capsys.readouterr().out == "entailed\n"
+    # one clause of 1 200 atoms, no nesting: the matcher takes no frame per
+    # goal
+    atoms = ", ".join(f"p(X{i})" for i in range(1200))
+    wide = write(tmp_path, "wide.state", f"saturated: true\norder:\nclause: {atoms} -> q\n")
+    assert main(["query", wide, "p(a) -> q"]) == 0
+    assert capsys.readouterr().out == "entailed\n"
 
 
 def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
-    # 900 levels: within the limit of substitution and the path ordering
-    # (one frame per level); hashing, printing and the query path do not
-    # recurse at all
-    deep = "f(" * 900 + "a" + ")" * 900
+    # 5 000 levels: substitution, the path ordering, hashing, printing and
+    # the query path take no frame per level
+    deep = "f(" * 5000 + "a" + ")" * 5000
     problem = write(tmp_path, "deep.p", f"order: f > a\nclause: -> p({deep})\nclause: p(X) -> q(X)\n")
     state = tmp_path / "deep.state"
     assert main(["saturate", problem, "--out", str(state)]) == 0
@@ -311,7 +322,7 @@ def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("entailed\n")
     assert f"instance: -> q({deep})\n" in out
-    # non-ground: harvesting the rule p(X) -> r(f^900(X)) substitutes into
+    # non-ground: harvesting the rule p(X) -> r(f^5000(X)) substitutes into
     # the deep side, as do the inferences and the query's rewriting
     problem = write(tmp_path, "open.p", f"clause: -> p(a)\nclause: p(X) -> r({deep.replace('a', 'X')})\n")
     assert main(["saturate", problem, "--out", str(state)]) == 0
@@ -322,9 +333,9 @@ def test_deep_ground_term_saturates_prints_and_answers(tmp_path, capsys):
 
 
 def test_deep_clause_atoms_are_compared_within_the_reader_limit(tmp_path, capsys):
-    # the path ordering compares p(f^900(a)) with q(a), descending all 900
-    # levels; it takes one frame per level, as substitution does
-    deep = "f(" * 900 + "a" + ")" * 900
+    # the path ordering compares p(f^5000(a)) with q(a) from a stack of
+    # generators, with no frame per level
+    deep = "f(" * 5000 + "a" + ")" * 5000
     problem = write(tmp_path, "deep.p", f"order: f > a\nclause: p({deep}) -> q(a)\n")
     assert main(["saturate", problem]) == 0
     assert f"clause: p({deep}) -> q(a)\n" in capsys.readouterr().out

@@ -42,6 +42,8 @@ from satloc.terms import Atom, Fn, Var, atom_key, substitute, vars_of
 FG = Ordering(["f", "g", "a"])
 WORKED_S = [cl("-> p(g(W,W))"), cl("p(g(X,Y)), q(f(Y),X) ->")]
 WORKED_R = RewriteSystem.of(FG, [(at("q(f(W),W)"), at("p(g(W,W))"))])
+# one clause of 1 200 atoms, more than the default recursion limit
+WIDE = Clause([Atom("p", (Var(f"X{i}"),)) for i in range(1200)], [at("q")])
 
 
 def test_enumerate_local_instances_examples():
@@ -52,6 +54,8 @@ def test_enumerate_local_instances_examples():
         [cl("p(X) -> q(X,X)")], {at("p(a)"), at("q(a,a)"), at("p(b)")}
     )
     assert got == {cl("p(a) -> q(a,a)")}
+    # the search takes no frame per goal
+    assert enumerate_local_instances([WIDE], {at("p(a)"), at("q")}) == {cl("p(a) -> q")}
 
 
 def test_enumerate_includes_empty_clause():
@@ -298,6 +302,8 @@ def test_subsumes_examples():
     assert subsumes(cl("q(X,Y) ->"), cl("q(Y,X) ->"))
     assert subsumes(cl("q(X,Y) -> p(Y)"), cl("q(Y,X) -> p(X)"))
     assert not subsumes(cl("q(X,Y) -> p(X)"), cl("q(Y,X) -> p(X)"))
+    assert subsumes(WIDE, cl("p(a) -> q"))
+    assert not subsumes(WIDE, cl("p(a), p(b) ->"))
 
 
 def test_subsumes_never_binds_target_variables():

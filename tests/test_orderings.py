@@ -10,6 +10,7 @@ import threading
 from pathlib import Path
 
 from helpers import (
+    SIG_FUNCS,
     at,
     rand_atom,
     rand_ground_atom,
@@ -19,11 +20,12 @@ from helpers import (
     ref_atom_greater,
     ref_lpo_greater,
     rank_of,
+    recursive_lpo_greater,
     sig_ordering,
     tm,
 )
 from satloc import Ordering, parse_problem, parse_state, saturate, serialize_state, verify_saturated
-from satloc.terms import Var, vars_of
+from satloc.terms import Fn, Var, subterms, vars_of
 
 FGBA = Ordering(["f", "g", "b", "a"])
 
@@ -35,6 +37,60 @@ def test_lpo_examples():
     assert not FGBA.lpo_greater(tm("g(X,Y)"), tm("f(Y)"))
     assert ref_lpo_greater(rank_of(FGBA), tm("f(W)"), tm("g(W,W)"))
     assert not ref_lpo_greater(rank_of(FGBA), tm("f(Y)"), tm("g(X,Y)"))
+    # one symbol with two arities: when the common prefix of the argument
+    # lists is all equal, the longer list's later arguments must reach the
+    # other term, as in the recursive definition
+    fab, fa = Fn("f", (tm("a"), tm("b"))), Fn("f", (tm("a"),))
+    for o, above in ((FGBA, False), (Ordering(["b", "f", "a"]), True)):
+        assert o.lpo_greater(fab, fa) == recursive_lpo_greater(o, fab, fa) == above
+        assert not o.lpo_greater(fa, fab) and not recursive_lpo_greater(o, fa, fab)
+
+
+def test_lpo_agrees_with_the_recursive_definition():
+    # the cases tried in Löchner's order, one of them deciding, give the
+    # answers of the recursive definition that tries the subterm case
+    # first; t is often built from s's own subterms, so that the two share
+    # arguments and variables
+    rng = random.Random(67)
+    above = 0
+    for _ in range(10000):
+        ordering = sig_ordering(rng)
+        s = rand_term(rng, 4)
+        pool = list(subterms(s)) + [rand_term(rng, 2) for _ in range(2)]
+        name, arity = rng.choice(SIG_FUNCS)
+        t = rng.choice(
+            [rand_term(rng, 4), rng.choice(pool), Fn(name, [rng.choice(pool) for _ in range(arity)])]
+        )
+        got = ordering.lpo_greater(s, t)
+        assert got == recursive_lpo_greater(ordering, s, t), (ordering, s, t)
+        above += got
+    assert 2000 < above < 8000, above
+
+
+def test_lpo_comparisons_grow_linearly_with_depth(monkeypatch):
+    # f^n(a) against f^n(b): the first differing argument pair decides at
+    # each level, so each way round takes n + 1 comparisons, where trying
+    # the subterm case first took about 1.75^n; a count past n + 1 stops
+    # the run
+    steps = Ordering._lpo_steps
+    count = limit = 0
+
+    def counted(self, s, t):
+        nonlocal count
+        count += 1
+        assert count <= limit, "more comparisons than levels"
+        return steps(self, s, t)
+
+    monkeypatch.setattr(Ordering, "_lpo_steps", counted)
+    ordering = Ordering(["f", "a", "b"])
+    for n in (1, 22, 300, 5000):
+        fa, fb = tm("a"), tm("b")
+        for _ in range(n):
+            fa, fb = Fn("f", (fa,)), Fn("f", (fb,))
+        for s, t, above in ((fa, fb, True), (fb, fa, False)):
+            count, limit = 0, n + 1
+            assert ordering.lpo_greater(s, t) == above
+            assert count == n + 1
 
 
 def test_lpo_agrees_with_reference():

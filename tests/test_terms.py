@@ -1,6 +1,7 @@
 """Terms, clauses, substitutions: unit examples and randomized laws."""
 
 import random
+import re
 import sys
 import threading
 
@@ -22,6 +23,7 @@ from helpers import (
     rand_ground_atom,
     rand_ground_term,
     rand_grounding,
+    rand_term,
     ref_atom_key,
     ref_mgu,
     rename_apart,
@@ -70,12 +72,24 @@ def test_substitute_examples():
     assert substitute({}, at("p(X)")) == at("p(X)")
     # literal sets collapse under substitution
     assert substitute({x: y}, cl("-> p(X), p(Y)")) == cl("-> p(Y)")
-    # one frame per nesting level: 900 levels fit under the default
-    # recursion limit, as in the path ordering
+    # no frame per nesting level: 5 000 levels, in an atom and in a clause
     deep, ground = x, Fn("a")
-    for _ in range(900):
+    for _ in range(5000):
         deep, ground = Fn("f", (deep,)), Fn("f", (ground,))
     assert substitute({x: Fn("a")}, Atom("p", (deep, y))) is Atom("p", (ground, y))
+    c = Clause([Atom("p", (deep,)), Atom("p", (ground,))], [Atom("q", (y, deep))])
+    assert substitute({x: Fn("a")}, c) == Clause([Atom("p", (ground,))], [Atom("q", (y, ground))])
+    # against replacing the variables in the printed text, in one pass
+    def replaced(e) -> str:
+        return re.sub(r"[A-Z]\w*", lambda m: str(sigma.get(Var(m.group()), m.group())), str(e))
+
+    rng = random.Random(71)
+    for _ in range(500):
+        c = rand_clause(rng, max_side=3, depth=3)
+        sigma = {v: rand_term(rng, 2) for v in vars_of(c) if rng.random() < 0.7}
+        assert substitute(sigma, c) == cl(replaced(c))
+        for a in c.antecedent + c.succedent:
+            assert str(substitute(sigma, a)) == replaced(a)
 
 
 def test_compose_examples():
