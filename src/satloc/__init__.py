@@ -1,9 +1,9 @@
-"""satloc: saturation by a priori ordered resolution + local ground entailment.
+"""satloc: saturation by a priori ordered resolution + local entailment.
 
 Saturates a finite clause set while building an atom rewriting system whose
-reachability relation bounds every query to a finite atom universe; ground
+reachability relation bounds every query to a finite atom universe; clause
 entailment against the saturated set is then decided by a propositional
-check over that universe.
+check over that universe, a query's variables frozen to fresh constants.
 
 The package exports the library surface; the building blocks (terms,
 orderings, rewriting, resolution, local entailment) are in the submodules.

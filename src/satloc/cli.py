@@ -2,9 +2,10 @@
 
 Exit codes: 0 success / saturated / verified, 2 limit reached or refused
 unsaturated query, 3 input errors (usage, a negative limit included, parse,
-arity, non-ground query), 4 verification violations.  No part of satloc
-recurses on term depth or clause size, so deep or wide input needs no exit
-code of its own.
+arity), 4 verification violations.  A query clause may have variables: they
+are read universally and frozen to #1, #2, ... in order of first occurrence.
+No part of satloc recurses on term depth or clause size, so deep or wide
+input needs no exit code of its own.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _limit(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="satloc",
-        description="Saturate first-order clause sets and decide ground entailment locally.",
+        description="Saturate first-order clause sets and decide clause entailment locally.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -61,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sat.add_argument("--max-steps", type=_limit, default=None)
     p_sat.add_argument("--out", default=None, help="write the state here instead of stdout")
 
-    p_query = sub.add_parser("query", help="decide ground entailment against a state")
+    p_query = sub.add_parser("query", help="decide clause entailment against a state")
     p_query.add_argument("state", help="saturated-state file")
-    p_query.add_argument("clauses", nargs="*", help='ground clauses such as "q(f(a),a) ->"')
+    p_query.add_argument("clauses", nargs="*", help='clauses such as "q(f(a),a) ->" or "p(X) ->"')
     p_query.add_argument("--from", dest="from_file", default=None, help="read query: lines from a file")
     p_query.add_argument("--certificate", action="store_true", help="print the local certificate")
     p_query.add_argument(
@@ -77,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="bounded brute-force entailment check")
     p_oracle.add_argument("file", help="problem file")
-    p_oracle.add_argument("clause", help="ground clause to test")
+    p_oracle.add_argument("clause", help="clause to test")
     p_oracle.add_argument("--depth", type=_limit, required=True, help="max term height")
     p_oracle.add_argument("--budget", type=_limit, default=DEFAULT_BUDGET)
     return parser
@@ -122,10 +123,8 @@ def _cmd_query(args) -> int:
             except ArityError as exc:
                 raise ValueError(f"{args.from_file}: query {goal}: {exc}") from None
         goals.extend(problem.queries)
-    # decide every goal before printing the first verdict, so that a goal
-    # refused by entails leaves no partial output
-    results = [entails(state, goal, allow_unsaturated=args.unsound_ok) for goal in goals]
-    for result in results:
+    for goal in goals:
+        result = entails(state, goal, allow_unsaturated=args.unsound_ok)
         print(result.verdict)
         if args.certificate and result.certificate is not None:
             sys.stdout.write(serialize_certificate(result.certificate))

@@ -3,8 +3,8 @@
 A clause is provable from S inside a universe of ground atoms iff the
 ground instances of S whose atoms stay inside the universe, together with
 the negated goal units, are propositionally unsatisfiable.  Redundancy of a
-non-ground clause is decided on a single generic instance obtained by
-freezing its variables to fresh constants.
+non-ground clause, like a query with variables, is decided on a single
+generic instance obtained by freezing its variables to fresh constants.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 from .entailment import ground_sat, negated_units
-from .terms import Clause, Fn, Signature, Term, Var, fresh_names, sorted_vars, substitute, subterms
-from .terms import _preorder
+from .terms import Clause, Fn, Signature, Term, Var, _preorder, fresh_names, freeze
+from .terms import sorted_vars, substitute, subterms
 
 ENTAILED = "entailed"
 UNKNOWN = "unknown"
@@ -98,11 +98,12 @@ def oracle_entails(
     bound: HerbrandBound,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
-    """Semi-decide entailment of a ground clause by exhaustive instantiation,
+    """Semi-decide entailment of a clause by exhaustive instantiation,
     within `budget` symbols over all instances together (checked before each
-    term layer is built, and before the instances are)."""
-    if not goal.ground:
-        raise ValueError(f"oracle queries must be ground, got {goal}")
+    term layer is built, and before the instances are).  The goal's
+    variables are frozen to fresh constants first, which then seed the terms
+    like any other constant."""
+    goal, _ = freeze(goal)
     clauses = list(clauses)
     signature = Signature.scan(clauses + [goal])
     harvested: set[Term] = set()

@@ -63,8 +63,11 @@ RUNNING = "running"
 @dataclass
 class Limits:
     """Bounds on a saturation run.  A discovery made while max_clauses
-    clauses are live stops the loop once the conclusion is stored; so does
-    reaching max_steps inferences."""
+    clauses are live stops the loop once the conclusion is stored.
+    max_steps is checked before each queued clause pair: once that many
+    inferences have been considered, the loop stops.  A pair that passes
+    the check has all its inferences considered, so a run may consider more
+    than max_steps."""
 
     max_clauses: int | None = None
     max_steps: int | None = None

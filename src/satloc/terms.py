@@ -467,9 +467,10 @@ def freeze(c: Clause) -> tuple[Clause, FreezeMap]:
 
     The result is ground; the returned map inverts the replacement.  Frozen
     constants are numbered by first occurrence in the canonical clause form.
+    A ground clause is returned as it is, with an empty map.
     """
     mapping: FreezeMap = {v: frozen_constant(i) for i, v in enumerate(vars_in_order(c), 1)}
-    return substitute(mapping, c), mapping
+    return (substitute(mapping, c) if mapping else c), mapping
 
 
 class ArityError(ValueError):

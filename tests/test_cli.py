@@ -119,18 +119,29 @@ def test_query_options_and_clauses_interleave(tmp_path, capsys):
     assert captured.out == "" and "unrecognized arguments: --bogus" in captured.err
 
 
-def test_query_refuses_a_non_ground_goal_before_any_verdict(tmp_path, capsys):
-    problem = write(tmp_path, "demo.p", "clause: -> p(a)\n")
-    state = write(tmp_path, "demo.state", "")
-    assert main(["saturate", problem, "--out", state]) == 0
+def test_query_refuses_an_unsaturated_state_before_any_verdict(tmp_path, capsys):
+    # the refusal is per state, so it comes before the first verdict; a
+    # clause with variables is decided like any other, its variables frozen
+    # to #1, #2, ...
+    problem = write(tmp_path, "race.p", RACE)
+    state = write(tmp_path, "race.state", "")
+    assert main(["saturate", problem, "--max-steps", "0", "--out", state]) == 2
     capsys.readouterr()
-    assert main(["query", state, "-> p(a)", "p(X) ->"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "queries must be ground" in captured.err
-    queries = write(tmp_path, "queries.p", "query: -> p(a)\nquery: p(X) ->\n")
-    assert main(["query", state, "--from", queries]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "queries must be ground" in captured.err
+    queries = write(tmp_path, "queries.p", "query: p(X) ->\nquery: -> q(X)\n")
+    for command in (["query", state, "p(X) ->", "-> q(X)"], ["query", state, "--from", queries]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("refused: ")
+        assert main(command + ["--unsound-ok"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["entailed", "locally-not-provable"]
+    assert main(["query", state, "p(X) ->", "--unsound-ok", "--certificate"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "entailed",
+        "atom: p(#1)",
+        "instance: -> p(#1)",
+        "instance: p(#1) ->",
+        "goal-unit: -> p(#1)",
+    ]
 
 
 def test_query_refuses_limit_state(tmp_path, capsys):
@@ -170,6 +181,14 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", problem, "q(f(a),a) ->", "--depth", "2"]) == 0
     assert capsys.readouterr().out.strip() == "entailed"
     assert main(["oracle", problem, "-> p(a)", "--depth", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "unknown (depth)"
+    chain = write(tmp_path, "chain.p", "clause: p(X) -> r(X)\nclause: r(Y) -> q(Y)\n")
+    assert main(["oracle", chain, "p(X) -> q(X)", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "entailed"
+    # the frozen constant seeds the terms: depth 1 builds g(#1,#1)
+    assert main(["oracle", problem, "q(f(X),X) ->", "--depth", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "entailed"
+    assert main(["oracle", problem, "-> p(X)", "--depth", "1"]) == 0
     assert capsys.readouterr().out.strip() == "unknown (depth)"
 
 
@@ -226,8 +245,8 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     for command in (["query", broken, "-> p(a)"], ["verify", broken]):
         assert main(command) == 3
         assert capsys.readouterr().err == expected
-    assert main(["query", state, "-> p(Z)"]) == 3  # non-ground
-    capsys.readouterr()
+    assert main(["query", state, "-> p(Z)"]) == 0  # a variable is read universally
+    assert capsys.readouterr().out == "not-entailed\n"
     assert main(["query", state, "p(a"]) == 3
     capsys.readouterr()
     assert main(["saturate", str(tmp_path / "missing.p")]) == 3

@@ -1,7 +1,5 @@
 """Bounded-Herbrand brute-force oracle."""
 
-import pytest
-
 from helpers import cl, tm
 from satloc import HerbrandBound, Signature, oracle_entails, parse_problem
 from satloc import oracle
@@ -53,9 +51,13 @@ def test_oracle_budget():
     assert result.reason == "budget"
 
 
-def test_oracle_requires_ground_goal():
-    with pytest.raises(ValueError):
-        oracle_entails([], cl("-> p(X)"), HerbrandBound(1))
+def test_oracle_freezes_a_nonground_goal():
+    chain = [cl("p(X) -> r(X)"), cl("r(Y) -> q(Y)")]
+    assert oracle_entails(chain, cl("p(Z) -> q(Z)"), HerbrandBound(0)).verdict == "entailed"
+    assert oracle_entails([], cl("-> p(X)"), HerbrandBound(1)).verdict == "unknown"
+    # the frozen constant is none of the problem's: p(a) is not p of every term
+    assert oracle_entails([cl("-> p(a)")], cl("-> p(X)"), HerbrandBound(2)).verdict == "unknown"
+    assert oracle_entails([cl("-> p(Y)")], cl("-> p(X)"), HerbrandBound(0)).verdict == "entailed"
 
 
 def test_oracle_harvests_query_terms():

@@ -69,6 +69,13 @@ def test_limits_reached():
     assert state2.status == "limit_reached"
     state3 = saturate(problem.ordering, problem.clauses, Limits(max_clauses=50, max_steps=50))
     assert state3.status == "saturated"
+    # max_steps is checked before each queued pair, and each pair that
+    # passes the check is finished: after 1 inference, a pair with 2 more
+    text = (Path(__file__).parent / "corpus" / "g_mixed_01.p").read_text(encoding="utf-8")
+    mixed = parse_problem(text)
+    state4 = saturate(mixed.ordering, mixed.clauses, Limits(max_steps=2))
+    assert state4.status == "limit_reached"
+    assert state4.stats.inferences_considered == 3
 
 
 def test_monotone_growth_and_rule_containment():

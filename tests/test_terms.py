@@ -304,7 +304,7 @@ def test_freeze_examples():
 
     g = cl("p(a) -> q(b)")
     frozen_g, gmap = freeze(g)
-    assert frozen_g == g and gmap == {}
+    assert frozen_g is g and gmap == {}  # a ground clause comes back as it is
 
     c2 = cl("p(X), q(Y) ->")
     frozen2, fmap2 = freeze(c2)
