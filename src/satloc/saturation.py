@@ -20,17 +20,16 @@ a deleted premise are skipped.
 
 Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
-once made, all in one record per clause) and indexed by eligible
+once made, all in one record per clause) and posted under their eligible
 predicates, so only the clause pairs that can resolve are queued.
 Subsumption is pre-tested in both directions by the same features, each
-side's symbols (_features): forward subsumption scans the live clauses for
-those whose features are among the new clause's, and backward subsumption
-finds those holding the new clause's features in posting sets keyed by
-side and symbol.  Each a priori inference is
-classified by the first matching case: non-maximality (harvest rules from
-the unified premise instances), redundancy (under the live clauses and
-rules), discovery (store the conclusion, harvest its rules, queue new
-work).
+side's symbols (_features), and both directions scan the live clauses in
+number order: forward subsumption tries those whose features are among the
+new clause's, and backward subsumption those whose features hold the new
+clause's.  Each a priori inference is classified by the first matching
+case: non-maximality (harvest rules from the unified premise instances),
+redundancy (under the live clauses and rules), discovery (store the
+conclusion, harvest its rules, queue new work).
 """
 
 from __future__ import annotations
@@ -108,9 +107,9 @@ class _Record:
     """What the index keeps for one live clause: the clause and what is
     worked out from it alone when it is added (its variables, its eligible
     atoms and eligible predicates per side (antecedent, succedent), its
-    _features and its posting keys), and its renamed-apart copies as a
-    second premise, with their eligible antecedent atoms, keyed by the first
-    premise's variable set."""
+    posting keys (side, predicate), one per eligible predicate, and its
+    _features), and its renamed-apart copies as a second premise, with their
+    eligible antecedent atoms, keyed by the first premise's variable set."""
 
     __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed")
 
@@ -119,13 +118,8 @@ class _Record:
         self.vars = frozenset(vars_in_order(c))
         self.atoms = eligible_atoms(ordering, c)
         self.eligible = tuple(frozenset([a.pred for a in side]) for side in self.atoms)
+        self.keys = [(side, p) for side, preds in enumerate(self.eligible) for p in preds]
         self.features = _features(c)
-        self.keys = [
-            (kind, side, name)
-            for kind, sides in (("eligible", self.eligible), ("symbol", self.features))
-            for side, names in enumerate(sides)
-            for name in names
-        ]
         self.renamed: dict[frozenset[Var], tuple[Clause, tuple[Atom, ...]]] = {}
 
 
@@ -146,16 +140,17 @@ class ClauseIndex:
     first-premise variable set; maximality is invariant under renaming.  Its
     _features are worked out once too, for subsumption.
 
-    The posting map takes a key to the numbers of the live clauses that have
-    it: ("eligible", side, predicate) for each eligible predicate of a side,
-    ("symbol", side, symbol) for each of its _features.  The filters are
-    necessary conditions, so they change no verdict: clause i resolves into
-    clause j (i's succedent atom against j's antecedent atom) only if an
-    eligible succedent predicate of i is an eligible antecedent predicate of
-    j; d subsumes c only if each side's symbols (_features) of d are among
-    those of c's side, which both subsumption directions test.  Atom counts
-    are no such condition: clauses are atom sets, and a substitution can
-    merge two atoms of d into one of c.
+    The posting map takes each key (side, predicate) to the numbers of the
+    live clauses with that eligible predicate on that side, so the
+    resolution partners of a clause are read off it.  Subsumption uses no
+    postings: both directions scan `live` in number order with the same
+    per-side symbol test (_features).  The filters are necessary conditions,
+    so they change no verdict: clause i resolves into clause j (i's
+    succedent atom against j's antecedent atom) only if an eligible
+    succedent predicate of i is an eligible antecedent predicate of j; d
+    subsumes c only if each side's symbols of d are among those of c's side.
+    Atom counts are no such condition: clauses are atom sets, and a
+    substitution can merge two atoms of d into one of c.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
@@ -202,7 +197,7 @@ class ClauseIndex:
         found: set[int] = set()
         for side, preds in enumerate(self.live[k].eligible):
             for p in preds:
-                found.update(self._postings.get(("eligible", 1 - side, p), ()))
+                found.update(self._postings.get((1 - side, p), ()))
         return sorted(found)
 
     def subsumed(self, c: Clause) -> bool:
@@ -216,24 +211,16 @@ class ClauseIndex:
         return False
 
     def subsumed_by(self, k: int) -> list[int]:
-        """The other live clauses that clause k subsumes, in number order.
-
-        The candidates hold each side's symbols of clause k on the same
-        side, so they are the clauses in the posting set of each of those
-        ("symbol", side, symbol) keys (every live clause is a candidate of
-        the empty clause).
-        """
-        record = self.live[k]
-        found = None
-        for side, symbols in enumerate(record.features):
-            for symbol in symbols:
-                postings = self._postings[("symbol", side, symbol)]
-                found = postings if found is None else found & postings
-                if len(found) == 1:  # clause k alone
-                    return []
-        if found is None:
-            found = self.live
-        return [m for m in sorted(found) if m != k and subsumes(record.clause, self.live[m].clause)]
+        """The other live clauses that clause k subsumes, in number order:
+        tried on the clauses whose features on each side hold clause k's."""
+        d = self.live[k]
+        ant, suc = d.features
+        return [
+            m
+            for m, c in self.live.items()
+            if m != k and ant <= c.features[0] and suc <= c.features[1]
+            and subsumes(d.clause, c.clause)
+        ]
 
     def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
         """How c is redundant with respect to the live clauses and `rules`:

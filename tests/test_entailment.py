@@ -332,20 +332,21 @@ BIG_C = cl(
 )
 
 
-def count_matches(monkeypatch, limit: int | None = None) -> list[int]:
-    """Count match_onto calls in satloc.entailment; past the limit, fail."""
+def count_calls(monkeypatch, name: str, limit: int | None = None) -> list[int]:
+    """Count the calls satloc.entailment makes to `name`; past the limit,
+    fail."""
     import satloc.entailment
 
     calls = [0]
-    match_onto = satloc.entailment.match_onto
+    original = getattr(satloc.entailment, name)
 
-    def counted(pattern, target):
+    def counted(*args):
         calls[0] += 1
         if limit is not None and calls[0] > limit:
-            raise AssertionError(f"more than {limit} match_onto calls")
-        return match_onto(pattern, target)
+            raise AssertionError(f"more than {limit} {name} calls")
+        return original(*args)
 
-    monkeypatch.setattr(satloc.entailment, "match_onto", counted)
+    monkeypatch.setattr(satloc.entailment, name, counted)
     return calls
 
 
@@ -356,7 +357,7 @@ def size(c: Clause) -> int:
 def test_clause_matching_matches_each_atom_pair_at_most_once(monkeypatch):
     # a count, not a timing: each pattern atom is matched against each
     # target atom of its side once, however much the search backtracks
-    calls = count_matches(monkeypatch)
+    calls = count_calls(monkeypatch, "match_onto")
     assert (size(BIG_D), size(BIG_C)) == (16, 18)
     assert not subsumes(BIG_D, BIG_C)
     assert calls[0] <= size(BIG_D) * size(BIG_C), calls[0]
@@ -372,7 +373,7 @@ def test_enumeration_matches_each_atom_against_its_bucket_once(monkeypatch):
     # each member of its predicate's bucket once, not once per partial instance
     universe = {at(f"p(a{i})") for i in range(4)} | {at(f"q(b{i})") for i in range(5)}
     universe |= {at(f"r(a{i})") for i in range(4)} | {at("r(c0)"), at("r(c1)")}
-    calls = count_matches(monkeypatch)
+    calls = count_calls(monkeypatch, "match_onto")
     # the second clause has p(X) on both sides, and it is matched once
     for d in (cl("p(X), q(Y) -> r(X)"), cl("p(X), q(Y) -> r(X), p(X)")):
         buckets = sum(len([u for u in universe if u.pred == a.pred]) for a in d.atom_set())
@@ -389,8 +390,14 @@ def test_mixed_1072_saturation_stops_at_its_limit(monkeypatch):
     # re-matched clause atoms at every node made over 10^6 without finishing,
     # stuck in one local instance enumeration (20 clauses, 8 variables,
     # 16 atoms, |U| = 18)
+    # The search is bounded too, not only the matches: substitute serves the
+    # lookups of fully bound goals and builds the instances, about 10^4
+    # calls here.  A matcher that ordered the goals once, fewest matches
+    # first, instead of choosing the goal with the fewest left at each
+    # level, made 10^6 of them within 35 000 matches.
     problem = parse_problem(make_corpus.gen_mixed(random.Random(1072)))
-    count_matches(monkeypatch, limit=200_000)
+    count_calls(monkeypatch, "match_onto", limit=200_000)
+    count_calls(monkeypatch, "substitute", limit=100_000)
     state = saturate(problem.ordering, problem.clauses, make_corpus.CURATION_LIMITS)
     assert state.status == LIMIT_REACHED
 
