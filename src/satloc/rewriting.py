@@ -15,10 +15,8 @@ from .orderings import Ordering
 from .terms import (
     Atom,
     Clause,
-    Subst,
-    Var,
     atom_key,
-    fresh_names,
+    canonical_renaming,
     match_onto,
     substitute,
     vars_in_order,
@@ -47,9 +45,7 @@ def rule_key(r: RewriteRule):
 
 def canonical_rule(lhs: Atom, rhs: Atom) -> RewriteRule:
     """Rule with variables renamed V0, V1, ... in first occurrence order."""
-    seen = vars_in_order(lhs) | vars_in_order(rhs)
-    names = fresh_names(set(), len(seen))
-    rho: Subst = {v: Var(n) for v, n in zip(seen, names)}
+    rho = canonical_renaming(vars_in_order(lhs) | vars_in_order(rhs))
     return RewriteRule(substitute(rho, lhs), substitute(rho, rhs))
 
 

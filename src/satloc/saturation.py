@@ -10,9 +10,16 @@ Input clauses and discovered conclusions are stored by one rule: a clause
 that a live clause subsumes is not stored, a variant included, and a
 stored clause deletes every live clause that it subsumes (backward
 subsumption).  The callers of SaturationState.add_clause apply the first
-half, each clause once: saturate checks an input clause, and the
-redundancy test, whose first step is the same forward scan, checks a
-conclusion; add_clause applies the second.  The subsumer gives a local proof
+half, each clause once: saturate checks an input clause with the forward
+scan, and the redundancy test checks a conclusion; add_clause applies the
+second.  The redundancy test first looks the conclusion up by its variant
+key (_variant_key: its atoms in clause order, variables renamed V0, V1, ...
+by first occurrence, and its antecedent's length).  Equal keys make two
+clauses variants, so a hit means a live clause subsumes the conclusion.  A
+variant can still miss, since a clause's atom order depends on its
+variable names; a miss goes on to the same forward scan.  The keys are
+worked out at an index's first redundancy question, so an index that is
+never asked one works out none.  The subsumer gives a local proof
 wherever the deleted clause did, so the live clauses prove what all the
 stored ones did, and rules, once harvested, stay.  The index holds the
 live clauses only: a deleted clause leaves it whole, and queued pairs with
@@ -52,14 +59,14 @@ from .resolution import (
 # name here; nothing in satloc factors.
 from .resolution import a_priori_factors  # noqa: F401
 from .rewriting import RewriteSystem, rules_of
-from .terms import Atom, Clause, Var, atom_symbols, vars_in_order
+from .terms import Atom, Clause, Var, atom_symbols, canonical_renaming, substitute, vars_in_order
 
 SATURATED = "saturated"
 LIMIT_REACHED = "limit_reached"
 RUNNING = "running"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Limits:
     """Bounds on a saturation run.  A discovery made while max_clauses
     clauses are live stops the loop once the conclusion is stored.
@@ -103,15 +110,31 @@ def _features(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
     )
 
 
+def _variant_key(c: Clause) -> tuple:
+    """c's antecedent length, then c's atoms, antecedent first, with its
+    variables renamed V0, V1, ... in order of first occurrence.  Equal keys
+    make two clauses variants: both rename to the same atoms on the same
+    sides.  The converse fails, because a clause's atoms are sorted by
+    their variable names: p(X,a), p(Y,b) and its variant p(Y,a), p(X,b)
+    rename to p(V0,a), p(V1,b) and p(V0,b), p(V1,a)."""
+    atoms = c.antecedent + c.succedent
+    if not c.ground:  # a ground clause has nothing to rename
+        rho = canonical_renaming(vars_in_order(c))
+        atoms = [substitute(rho, a) for a in atoms]
+    return (len(c.antecedent), *atoms)
+
+
 class _Record:
     """What the index keeps for one live clause: the clause and what is
     worked out from it alone when it is added (its variables, its eligible
     atoms and eligible predicates per side (antecedent, succedent), its
     posting keys (side, predicate), one per eligible predicate, and its
-    _features), and its renamed-apart copies as a second premise, with their
-    eligible antecedent atoms, keyed by the first premise's variable set."""
+    _features), its renamed-apart copies as a second premise, with their
+    eligible antecedent atoms, keyed by the first premise's variable set,
+    and its _variant_key, None until the index first answers a redundancy
+    question."""
 
-    __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed")
+    __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed", "variant")
 
     def __init__(self, ordering: Ordering, c: Clause):
         self.clause = c
@@ -121,6 +144,7 @@ class _Record:
         self.keys = [(side, p) for side, preds in enumerate(self.eligible) for p in preds]
         self.features = _features(c)
         self.renamed: dict[frozenset[Var], tuple[Clause, tuple[Atom, ...]]] = {}
+        self.variant: tuple | None = None
 
 
 class ClauseIndex:
@@ -151,12 +175,22 @@ class ClauseIndex:
     subsumes c only if each side's symbols of d are among those of c's side.
     Atom counts are no such condition: clauses are atom sets, and a
     substitution can merge two atoms of d into one of c.
+
+    Redundancy questions look a clause up by its _variant_key before they
+    scan: `_variants` maps the key of each live clause to the least number
+    of a live clause with that key.  A hit is exact, since equal keys make
+    the two clauses variants, and a variant subsumes its variants; a
+    variant whose atoms sort in another order misses and is found by the
+    scan.  `_variants` is None until the first redundancy question, which
+    works out every live clause's key; from then on add and delete keep it.
+    So an index that is never asked one works out no key.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
         self.live: dict[int, _Record] = {}
         self._postings: dict[tuple, set[int]] = {}
+        self._variants: dict[tuple, int] | None = None
         self._numbers = count()
         for c in clauses:
             self.add(c)
@@ -168,15 +202,28 @@ class ClauseIndex:
         record = self.live[k] = _Record(self.ordering, c)
         for key in record.keys:
             self._postings.setdefault(key, set()).add(k)
+        if self._variants is not None:
+            record.variant = _variant_key(c)
+            self._variants.setdefault(record.variant, k)
         return k
 
     def delete(self, k: int) -> None:
-        """Drop clause k and its posting keys."""
-        for key in self.live.pop(k).keys:
+        """Drop clause k, its posting keys and its variant key.  A live
+        variant with the same key, which only a caller that stores variants
+        can leave, takes the key over."""
+        record = self.live.pop(k)
+        for key in record.keys:
             postings = self._postings[key]
             postings.remove(k)
             if not postings:
                 del self._postings[key]
+        variants = self._variants
+        if variants is not None and variants[record.variant] == k:
+            del variants[record.variant]
+            for m, d in self.live.items():
+                if d.variant == record.variant:
+                    variants[d.variant] = m
+                    break
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
         """The a priori resolution inferences of clause i into clause j, from
@@ -224,11 +271,18 @@ class ClauseIndex:
 
     def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
         """How c is redundant with respect to the live clauses and `rules`:
-        "subsumption" if a live clause subsumes it, else "local proof" if
+        "subsumption" if a live clause subsumes it (a live variant found by
+        its key, else one found by the forward scan), else "local proof" if
         its frozen instance is locally provable, else None.  Subsumption
         implies a local proof, so it only saves time.
         """
-        if self.subsumed(c):
+        variants = self._variants
+        if variants is None:
+            variants = self._variants = {}
+            for k, d in self.live.items():
+                d.variant = _variant_key(d.clause)
+                variants.setdefault(d.variant, k)
+        if _variant_key(c) in variants or self.subsumed(c):
             return "subsumption"
         clauses = (d.clause for d in self.live.values())
         return "local proof" if clause_redundant(clauses, rules, c) else None

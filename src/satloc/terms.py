@@ -442,6 +442,12 @@ def fresh_names(used: set[str], count: int, prefix: str = "V") -> list[str]:
     return out
 
 
+def canonical_renaming(variables: Iterable[Var]) -> Subst:
+    """The variables, in the given order, to V0, V1, ...: the names of rule
+    variables and of variant keys."""
+    return {v: Var(f"V{i}") for i, v in enumerate(variables)}
+
+
 def renaming(c: Clause, forbidden: Iterable[Var]) -> Subst:
     """The substitution that renames c apart from the forbidden variables:
     c's variables, by name, to the first fresh names that avoid the

@@ -67,7 +67,10 @@ def test_tracer_records_every_layer():
     # a traced function reached by another route (say entailment.subsumes
     # called directly from the saturation loop) would make its layer read
     # zero in bench/run.py --trace 1; run every phase as bench/run.py does,
-    # through the module objects
+    # through the module objects.  WORKED and CHAIN settle every subsumption
+    # by a variant-key hit, which calls no subsumes; g_horn_07's verify calls
+    # it (test_saturate_and_verify_call_the_traced_names).
+    horn = (ROOT / "tests" / "corpus" / "g_horn_07.p").read_text(encoding="utf-8")
     tracing = bench_tracing()
     m = satloc_modules()
     par, sat = m["parsing"], m["saturation"]
@@ -76,7 +79,7 @@ def test_tracer_records_every_layer():
     installation.install()
     tracer.phase = "run"
     try:
-        for text, query in ((WORKED, "q(f(a),a) ->"), (CHAIN, "-> p3(a)")):
+        for text, query in ((WORKED, "q(f(a),a) ->"), (CHAIN, "-> p3(a)"), (horn, "-> p(f(b))")):
             problem = par.parse_problem(text)
             state = sat.saturate(problem.ordering, problem.clauses)
             state = par.parse_state(par.serialize_state(state))

@@ -1,7 +1,10 @@
 """Saturation loop behaviour, limits, and the saturatedness verifier."""
 
+import dataclasses
 import random
 from pathlib import Path
+
+import pytest
 
 import make_corpus
 from helpers import at, bench_workloads, cl, sig_ordering, variant_equal
@@ -76,6 +79,12 @@ def test_limits_reached():
     state4 = saturate(mixed.ordering, mixed.clauses, Limits(max_steps=2))
     assert state4.status == "limit_reached"
     assert state4.stats.inferences_considered == 3
+
+
+def test_limits_are_frozen():
+    # saturate's default Limits() is one instance that every call shares
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Limits().max_steps = 1
 
 
 def test_monotone_growth_and_rule_containment():

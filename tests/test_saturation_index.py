@@ -31,10 +31,10 @@ from satloc import (
 )
 from satloc import resolution as resolution_module
 from satloc import saturation as saturation_module
-from satloc.entailment import subsumes
-from satloc.saturation import ClauseIndex, _features
+from satloc.entailment import clause_redundant, subsumes
+from satloc.saturation import ClauseIndex, _features, _variant_key
 from satloc import terms as terms_module
-from satloc.terms import Atom, Fn, substitute, vars_of
+from satloc.terms import Atom, Fn, Var, substitute, vars_in_order, vars_of
 from satloc.orderings import Ordering
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
@@ -146,13 +146,13 @@ def test_index_follows_a_clause_list_built_elsewhere():
 
 
 class CallCounter:
-    """Counts the calls to a name the saturation module looks up, and keeps
-    their results."""
+    """Counts the calls to a name the saturation module looks up (or to a
+    method of `owner`), and keeps their results."""
 
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch, name, owner=saturation_module):
         self.calls = 0
         self.results = []
-        original = getattr(saturation_module, name)
+        original = getattr(owner, name)
 
         def counted(*args):
             self.calls += 1
@@ -160,7 +160,7 @@ class CallCounter:
             self.results.append(result)
             return result
 
-        monkeypatch.setattr(saturation_module, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
 
 def test_chain_attempts_are_counted_not_timed(monkeypatch):
@@ -190,28 +190,97 @@ def test_ground_mix_subsumption_attempts_are_pre_tested_by_features(monkeypatch)
 
 
 def test_each_clause_meets_forward_subsumption_once(monkeypatch):
-    # saturate checks each input clause, and the redundancy test each
-    # conclusion, before add_clause stores it
-    calls = 0
-    subsumed = ClauseIndex.subsumed
+    # saturate scans for each input clause, and the redundancy test looks
+    # each conclusion up by its variant key and scans only on a miss,
+    # before add_clause stores it
+    scans = CallCounter(monkeypatch, "subsumed", ClauseIndex)
+    hits = 0
+    redundancy = ClauseIndex.redundancy
 
-    def counted(index, c):
-        nonlocal calls
-        calls += 1
-        return subsumed(index, c)
+    def counted(index, rules, c):
+        nonlocal hits
+        before = scans.calls
+        how = redundancy(index, rules, c)
+        hits += scans.calls == before
+        return how
 
-    monkeypatch.setattr(ClauseIndex, "subsumed", counted)
+    monkeypatch.setattr(ClauseIndex, "redundancy", counted)
     problem = parse_problem(CHAIN)
     state = saturate(problem.ordering, problem.clauses)
     conclusions = state.stats.inferences_considered - state.stats.non_maximality
-    assert calls == len(problem.clauses) + conclusions == 14 + 442
-    calls = 0
+    assert scans.calls + hits == len(problem.clauses) + conclusions == 14 + 442
+    # every conclusion that subsumption settles is a live clause's variant
+    assert hits == state.stats.redundant_by_subsumption == 352
+    assert scans.calls == 14 + state.stats.discovered == 14 + 90
+    scans.calls = hits = 0
     for bench_problem in bench_workloads().ground_mix(1).problems:
         problem = parse_problem(bench_problem.text)
         saturate(problem.ordering, problem.clauses)
-    assert calls == 597
+    assert (scans.calls, hits) == (576, 21)
     # the index keeps nothing between calls beyond the live clauses
-    assert set(vars(ClauseIndex(problem.ordering))) == {"ordering", "live", "_postings", "_numbers"}
+    assert set(vars(ClauseIndex(problem.ordering))) == {
+        "ordering", "live", "_postings", "_variants", "_numbers"
+    }
+
+
+def test_chain_settles_subsumed_conclusions_by_their_variant_keys(monkeypatch):
+    # at the parent, saturate made 352 subsumes calls and verify 442 scans
+    problem = parse_problem(CHAIN)
+    subsumes_calls = CallCounter(monkeypatch, "subsumes")
+    scans = CallCounter(monkeypatch, "subsumed", ClauseIndex)
+    answers = CallCounter(monkeypatch, "redundancy", ClauseIndex)
+    state = saturate(problem.ordering, problem.clauses)
+    assert state.stats.redundant_by_subsumption == 352
+    assert subsumes_calls.calls == 0
+    subsumes_calls.calls = scans.calls = 0
+    answers.results.clear()
+    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    assert answers.results == ["subsumption"] * 442
+    assert (subsumes_calls.calls, scans.calls) == (0, 0)
+
+
+def test_growth_works_out_no_variant_key(monkeypatch):
+    # its saturate and verify ask no redundancy question, so building the
+    # variant keys at each add would be pure cost
+    keys = CallCounter(monkeypatch, "_variant_key")
+    (bench_problem,) = bench_workloads().growth(1).problems
+    problem = parse_problem(bench_problem.text)
+    state = saturate(problem.ordering, problem.clauses)
+    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    assert keys.calls == 0
+
+
+def test_equal_variant_keys_make_variants():
+    # a key hit answers "subsumption" with no subsumes call, so equal keys
+    # must make each clause subsume the other; renamings onto V0 and V1,
+    # the names the keys use, included.  A renaming that reorders the atoms
+    # changes the key, and the forward scan finds that variant instead.
+    c, d = cl("q(X,a), q(Y,b) ->"), cl("q(Y,a), q(X,b) ->")
+    assert _variant_key(c) != _variant_key(d) and subsumes(c, d) and subsumes(d, c)
+    rng = random.Random(31)
+    names = ["V0", "V1", "V2", "X", "Y", "Z", "W"]
+    by_key: dict[tuple, list[Clause]] = {}
+    same = moved = 0
+    for _ in range(800):
+        # wide, shallow clauses: more atoms whose order a renaming can change
+        c = rand_clause(rng, max_side=4, depth=1)
+        by_key.setdefault(_variant_key(c), []).append(c)
+        own = list(vars_in_order(c))
+        for _ in range(3):
+            d = substitute(dict(zip(own, map(Var, rng.sample(names, len(own))))), c)
+            by_key.setdefault(_variant_key(d), []).append(d)
+            if _variant_key(d) == _variant_key(c):
+                same += 1
+            else:
+                moved += 1
+                assert subsumes(c, d) and subsumes(d, c), (str(c), str(d))
+    pairs = 0
+    for clauses in by_key.values():
+        for c in clauses:
+            for d in clauses:
+                assert subsumes(c, d), (str(c), str(d))
+                pairs += c != d
+    assert same > 2000 and moved > 10 and pairs > 2000, (same, moved, pairs)
 
 
 def _instance_of(rng, d: Clause) -> Clause:
@@ -290,20 +359,42 @@ def test_the_index_holds_live_clauses_only(monkeypatch):
     assert total == 87
 
 
+def scan_redundancy(index: ClauseIndex, rules: RewriteSystem, c: Clause) -> str | None:
+    """ClauseIndex.redundancy without the variant-key lookup."""
+    if index.subsumed(c):
+        return "subsumption"
+    live = [d.clause for d in index.live.values()]
+    return "local proof" if clause_redundant(live, rules, c) else None
+
+
 def test_an_index_with_deletions_answers_as_a_fresh_one():
     # numbers differ once clauses are deleted, so answers are compared as
     # clauses; backward subsumption is also compared with trying every
-    # other live clause, in number order
+    # other live clause, in number order.  In odd rounds each added clause
+    # is asked about at once, so the variant keys are kept up through the
+    # adds and deletes that follow; in even rounds they are worked out at
+    # the first question after them.  The index stores variants, which the
+    # saturation loop never does, so a deleted clause's key can pass to a
+    # live variant.
     def clauses(ix, ks):
         return [ix.live[k].clause for k in ks]
 
-    rng = random.Random(29)
     ordering = sig_ordering()
-    compared = 0
-    for _ in range(60):
+    no_rules = RewriteSystem()
+    index = ClauseIndex(ordering, [cl("-> p(X)"), cl("-> p(Y)")])
+    assert index.redundancy(no_rules, cl("-> p(Z)")) == "subsumption"
+    index.delete(0)
+    assert index._variants == {_variant_key(cl("-> p(X)")): 1}
+    rng = random.Random(29)
+    renamer = random.Random(30)
+    compared = hits = 0
+    for round_ in range(60):
         index = ClauseIndex(ordering)
         for _ in range(rng.randint(2, 12)):
-            index.add(rand_clause(rng))
+            c = rand_clause(rng)
+            index.add(c)
+            if round_ % 2:
+                assert index.redundancy(no_rules, c) == "subsumption"
             if rng.random() < 0.4:
                 index.delete(rng.choice(list(index.live)))
         fresh = ClauseIndex(ordering, [d.clause for d in index.live.values()])
@@ -318,10 +409,27 @@ def test_an_index_with_deletions_answers_as_a_fresh_one():
             for k2, m2 in numbers.items():
                 assert fields(index.resolvents(k, k2)) == fields(fresh.resolvents(m, m2))
                 compared += 1
+        questions = []
         for _ in range(5):
             c = rand_clause(rng)
             assert index.subsumed(c) == fresh.subsumed(c)
+            questions.append(c)
+        for d in live.values():
+            own = list(vars_in_order(d.clause))
+            names = renamer.sample(["V0", "V1", "X", "Y", "Z"], len(own))
+            questions.append(substitute(dict(zip(own, map(Var, names))), d.clause))
+        for c in questions:
+            how = index.redundancy(no_rules, c)
+            assert how == fresh.redundancy(no_rules, c) == scan_redundancy(index, no_rules, c)
+            hits += _variant_key(c) in index._variants
+        # the keys of the live clauses, each to the least number that has it
+        variants = {}
+        for k, d in live.items():
+            assert d.variant == _variant_key(d.clause)
+            variants.setdefault(d.variant, k)
+        assert index._variants == variants
     assert compared > 500, compared
+    assert hits > 100, hits
 
 
 def test_verify_settles_subsumed_conclusions_without_local_proofs(monkeypatch):
