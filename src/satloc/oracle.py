@@ -44,7 +44,9 @@ def herbrand_terms(
 
     A default constant is injected when the signature has none and no seeds
     are given.  None as soon as too_many holds for a lower bound on the next
-    layer's size (each function on each argument tuple, all distinct).
+    layer's size (each function on each argument tuple, all distinct).  With
+    no function of arity >= 1 the seeds are closed, so no layer is built,
+    whatever the depth.
     """
     seeds = {Fn(name) for name in signature.constants()} | set(seeds)
     if not seeds:
@@ -54,7 +56,7 @@ def herbrand_terms(
         (name, k) for name, k in signature.functions.items() if k > 0
     )
     terms = set(seeds)
-    for _ in range(bound.depth):
+    for _ in range(bound.depth if functions else 0):
         if too_many is not None and too_many(sum(len(terms) ** k for _, k in functions)):
             return None
         layer = set(terms)

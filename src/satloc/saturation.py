@@ -17,9 +17,11 @@ key (_variant_key: its atoms in clause order, variables renamed V0, V1, ...
 by first occurrence, and its antecedent's length).  Equal keys make two
 clauses variants, so a hit means a live clause subsumes the conclusion.  A
 variant can still miss, since a clause's atom order depends on its
-variable names; a miss goes on to the same forward scan.  The keys are
-worked out at an index's first redundancy question, so an index that is
-never asked one works out none.  The subsumer gives a local proof
+variable names; a miss goes on to the same forward scan.  The index keeps
+the set of its live clauses' keys, worked out at its first redundancy
+question, so an index that is never asked one works out none; a key that
+leaves the set with a deleted clause while a live variant holds it costs
+only that scan.  The subsumer gives a local proof
 wherever the deleted clause did, so the live clauses prove what all the
 stored ones did, and rules, once harvested, stay.  The index holds the
 live clauses only: a deleted clause leaves it whole, and queued pairs with
@@ -130,11 +132,9 @@ class _Record:
     atoms and eligible predicates per side (antecedent, succedent), its
     posting keys (side, predicate), one per eligible predicate, and its
     _features), its renamed-apart copies as a second premise, with their
-    eligible antecedent atoms, keyed by the first premise's variable set,
-    and its _variant_key, None until the index first answers a redundancy
-    question."""
+    eligible antecedent atoms, keyed by the first premise's variable set."""
 
-    __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed", "variant")
+    __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed")
 
     def __init__(self, ordering: Ordering, c: Clause):
         self.clause = c
@@ -144,7 +144,6 @@ class _Record:
         self.keys = [(side, p) for side, preds in enumerate(self.eligible) for p in preds]
         self.features = _features(c)
         self.renamed: dict[frozenset[Var], tuple[Clause, tuple[Atom, ...]]] = {}
-        self.variant: tuple | None = None
 
 
 class ClauseIndex:
@@ -177,20 +176,23 @@ class ClauseIndex:
     substitution can merge two atoms of d into one of c.
 
     Redundancy questions look a clause up by its _variant_key before they
-    scan: `_variants` maps the key of each live clause to the least number
-    of a live clause with that key.  A hit is exact, since equal keys make
-    the two clauses variants, and a variant subsumes its variants; a
-    variant whose atoms sort in another order misses and is found by the
-    scan.  `_variants` is None until the first redundancy question, which
-    works out every live clause's key; from then on add and delete keep it.
-    So an index that is never asked one works out no key.
+    scan: `_variants` is the set of the live clauses' keys.  A hit is
+    exact, since equal keys make the two clauses variants, and a variant
+    subsumes its variants; a variant whose atoms sort in another order
+    misses and is found by the scan.  `_variants` is None until the first
+    redundancy question, which works out every live clause's key; from then
+    on add and delete keep it.  So an index that is never asked one works
+    out no key.  Deleting a clause removes its key even when a live variant
+    holds the same key; that variant is then found by the scan.  The
+    saturation loop never leaves such a pair, as it stores no clause that a
+    live clause subsumes.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
         self.live: dict[int, _Record] = {}
         self._postings: dict[tuple, set[int]] = {}
-        self._variants: dict[tuple, int] | None = None
+        self._variants: set[tuple] | None = None
         self._numbers = count()
         for c in clauses:
             self.add(c)
@@ -203,27 +205,19 @@ class ClauseIndex:
         for key in record.keys:
             self._postings.setdefault(key, set()).add(k)
         if self._variants is not None:
-            record.variant = _variant_key(c)
-            self._variants.setdefault(record.variant, k)
+            self._variants.add(_variant_key(c))
         return k
 
     def delete(self, k: int) -> None:
-        """Drop clause k, its posting keys and its variant key.  A live
-        variant with the same key, which only a caller that stores variants
-        can leave, takes the key over."""
+        """Drop clause k, its posting keys and its variant key."""
         record = self.live.pop(k)
         for key in record.keys:
             postings = self._postings[key]
             postings.remove(k)
             if not postings:
                 del self._postings[key]
-        variants = self._variants
-        if variants is not None and variants[record.variant] == k:
-            del variants[record.variant]
-            for m, d in self.live.items():
-                if d.variant == record.variant:
-                    variants[d.variant] = m
-                    break
+        if self._variants is not None:
+            self._variants.discard(_variant_key(record.clause))
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
         """The a priori resolution inferences of clause i into clause j, from
@@ -276,13 +270,9 @@ class ClauseIndex:
         its frozen instance is locally provable, else None.  Subsumption
         implies a local proof, so it only saves time.
         """
-        variants = self._variants
-        if variants is None:
-            variants = self._variants = {}
-            for k, d in self.live.items():
-                d.variant = _variant_key(d.clause)
-                variants.setdefault(d.variant, k)
-        if _variant_key(c) in variants or self.subsumed(c):
+        if self._variants is None:
+            self._variants = {_variant_key(d.clause) for d in self.live.values()}
+        if _variant_key(c) in self._variants or self.subsumed(c):
             return "subsumption"
         clauses = (d.clause for d in self.live.values())
         return "local proof" if clause_redundant(clauses, rules, c) else None

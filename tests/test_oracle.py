@@ -5,6 +5,7 @@ from satloc import HerbrandBound, Signature, oracle_entails, parse_problem
 from satloc import oracle
 from satloc.oracle import herbrand_terms
 from satloc import terms as terms_module
+from satloc.cli import main
 from satloc.terms import Fn, substitute
 
 
@@ -23,6 +24,27 @@ def test_herbrand_terms_examples():
     sig3.note_function("f", 1)
     got = herbrand_terms(sig3, HerbrandBound(1))
     assert got == {tm("c0"), tm("f(c0)")}  # injected default constant
+
+
+def test_herbrand_terms_builds_no_layer_without_functions(tmp_path, capsys):
+    # the constants are closed under no function, so no depth adds a term;
+    # each layer asks too_many first, and 10**9 layers took about 20 minutes
+    problem = parse_problem("clause: -> p(a)\nclause: p(X) -> q(X)")
+    layers = 0
+
+    def too_many(n: int) -> bool:
+        nonlocal layers
+        layers += 1
+        assert layers <= 100, "a layer was built past the closed term set"
+        return False
+
+    signature = Signature.scan(problem.clauses)
+    assert herbrand_terms(signature, HerbrandBound(10**9), (), too_many) == {tm("a")}
+    assert layers == 0
+    path = tmp_path / "constants.p"
+    path.write_text("clause: -> p(a)\nclause: p(X) -> q(X)\n", encoding="utf-8")
+    assert main(["oracle", str(path), "q(a) ->", "--depth", str(10**9)]) == 0
+    assert capsys.readouterr().out == "unknown (depth)\n"
 
 
 def test_oracle_examples():
