@@ -16,6 +16,7 @@ from .terms import (
     Atom,
     Clause,
     atom_key,
+    atom_symbols,
     canonical_renaming,
     match_onto,
     substitute,
@@ -87,6 +88,19 @@ class RewriteSystem:
         for rule in self.rules:
             index.setdefault(rule.lhs.pred, []).append(rule)
         return {pred: tuple(rules) for pred, rules in index.items()}
+
+    @cached_property
+    def right_symbols(self) -> frozenset[str]:
+        """The predicate and function symbols of every rule's right side,
+        worked out on first use.
+
+        A step rewrites a ground atom A by a rule l -> r to rσ, where σ maps
+        r's variables (all of them l's) to subterms of A.  So every atom
+        reachable from a ground clause has only the clause's symbols and
+        these: a clause with a symbol outside both has no instance in the
+        reach set, and a local proof need not try it.
+        """
+        return frozenset().union(*(atom_symbols(rule.rhs) for rule in self.rules))
 
 
 def rules_of(ordering: Ordering, clauses: Iterable[Clause]) -> RewriteSystem:

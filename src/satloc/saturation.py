@@ -35,8 +35,25 @@ Subsumption is pre-tested in both directions by the same features, each
 side's symbols (_features), and both directions scan the live clauses in
 number order: forward subsumption tries those whose features are among the
 new clause's, and backward subsumption those whose features hold the new
-clause's.  Each a priori inference is classified by the first matching
-case: non-maximality (harvest rules from the unified premise instances),
+clause's.
+
+A local proof is handed only the live clauses whose symbols, both sides'
+_features, lie within the conclusion's own symbols and the symbols of the
+rules' right sides (RewriteSystem.right_symbols).  A rewrite step takes an
+atom A by a rule l -> r to rσ, and σ maps r's variables to subterms of A,
+so every atom that the frozen conclusion reaches has only those symbols
+and frozen constants.  No live clause holds a frozen constant (the reader
+rejects '#'), and an instance keeps every symbol of its clause, so a
+clause left out has no instance in the reach set: the filter changes no
+verdict.  On the 12-step chain, which has no rules, it leaves no clause at
+all.  Queries (query.entails) still hand every clause of the state to
+decide_local, whose enumeration skips those with a predicate outside the
+universe.  The same filter speeds queries up, but the benchmark keeps
+every query latency, so more queries read there as more memory; queries
+wait for a bounded latency sample.
+
+Each a priori inference is classified by the first matching case:
+non-maximality (harvest rules from the unified premise instances),
 redundancy (under the live clauses and rules), discovery (store the
 conclusion, harvest its rules, queue new work).
 """
@@ -241,10 +258,11 @@ class ClauseIndex:
                 found.update(self._postings.get((1 - side, p), ()))
         return sorted(found)
 
-    def subsumed(self, c: Clause) -> bool:
+    def subsumed(self, c: Clause, features=None) -> bool:
         """Does a live clause subsume c?  Tried in number order, on the
-        clauses whose features on each side are among c's."""
-        ant, suc = _features(c)
+        clauses whose features on each side are among c's (`features`, if
+        the caller has worked them out)."""
+        ant, suc = features or _features(c)
         for d in self.live.values():
             d_ant, d_suc = d.features
             if d_ant <= ant and d_suc <= suc and subsumes(d.clause, c):
@@ -269,12 +287,29 @@ class ClauseIndex:
         its key, else one found by the forward scan), else "local proof" if
         its frozen instance is locally provable, else None.  Subsumption
         implies a local proof, so it only saves time.
+
+        The local proof is handed only the live clauses, in number order,
+        whose symbols on both sides (_features) lie within c's own symbols
+        and the right sides' (rules.right_symbols).  Every atom of the
+        frozen c's reach set has only those symbols and frozen constants
+        (RewriteSystem.right_symbols), no live clause holds a frozen
+        constant (the reader rejects them), and an instance keeps every
+        symbol of its clause: so a clause left out has no instance in the
+        reach set, and the verdict is the same.
         """
         if self._variants is None:
             self._variants = {_variant_key(d.clause) for d in self.live.values()}
-        if _variant_key(c) in self._variants or self.subsumed(c):
+        if _variant_key(c) in self._variants:
             return "subsumption"
-        clauses = (d.clause for d in self.live.values())
+        features = _features(c)
+        if self.subsumed(c, features):
+            return "subsumption"
+        allowed = rules.right_symbols.union(*features)
+        clauses = (
+            d.clause
+            for d in self.live.values()
+            if d.features[0] <= allowed and d.features[1] <= allowed
+        )
         return "local proof" if clause_redundant(clauses, rules, c) else None
 
 

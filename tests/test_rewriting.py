@@ -63,6 +63,15 @@ def test_rewrite_one_examples():
     assert rewrite_one(WORKED_RULES, at("p(a)")) == set()
 
 
+def test_right_symbols_examples():
+    assert RewriteSystem().right_symbols == frozenset()
+    # the right side's variables stand for subterms of the rewritten atom,
+    # so they add no symbol
+    assert WORKED_RULES.right_symbols == {"p", "g"}
+    both = WORKED_RULES | RewriteSystem.of(FG, [(at("q(f(a),a)"), at("r(a)"))])
+    assert both.right_symbols == {"p", "g", "r", "a"}
+
+
 def test_reach_examples():
     assert reach(RewriteSystem(), at("p(a)")) == {at("p(a)")}
     k1 = Fn("#1")
