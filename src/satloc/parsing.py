@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .orderings import Ordering
-from .rewriting import RewriteRule, RewriteSystem
+from .rewriting import RewriteRule, RewriteSystem, rule_key, rules_of
 from .saturation import LIMIT_REACHED, SATURATED, SaturationState
 from .terms import ArityError, Atom, Clause, Fn, Signature, Term, Var, atom_key, clause_key
 
@@ -270,14 +270,17 @@ def parse_clause_text(text: str, sig: Signature | None = None) -> Clause:
 
 
 def serialize_state(state: SaturationState) -> str:
-    """Canonical text form: header, full precedence, sorted clauses and rules."""
+    """Canonical text form: header, full precedence, sorted clauses, then the
+    sorted rules that the clauses do not give (rules_of); parse_state adds
+    those back."""
     lines = ["saturated: true" if state.status == SATURATED else "saturated: limit"]
     lines.append(
         "order: " + " > ".join(state.ordering.symbols()) if state.ordering.symbols() else "order:"
     )
     for c in sorted(state.clauses, key=clause_key):
         lines.append(f"clause: {c}")
-    for r in state.rules.sorted_rules():
+    given = rules_of(state.ordering, state.clauses).rules
+    for r in sorted(state.rules.rules - given, key=rule_key):
         lines.append(f"rule: {r}")
     return "\n".join(lines) + "\n"
 
@@ -286,6 +289,9 @@ _STATUS = {"true": SATURATED, "limit": LIMIT_REACHED}
 
 
 def parse_state(text: str) -> SaturationState:
+    """The state a file describes.  Its rules are the rule lines and the
+    rules its clauses give (rules_of), so a file that lists those too reads
+    the same."""
     reader = _Reader()
     status: str | None = None
     clauses: list[Clause] = []
@@ -314,7 +320,7 @@ def parse_state(text: str) -> SaturationState:
     if reader.declared is None:
         raise ParseError("state file missing its 'order:' line", 1, 1)
     ordering = reader.ordering()
-    rules: set[RewriteRule] = set()
+    rules: set[RewriteRule] = set(rules_of(ordering, clauses).rules)
     for lhs, rhs, lineno in rule_lines:
         try:
             rules |= RewriteSystem.of(ordering, [(lhs, rhs)]).rules

@@ -11,6 +11,7 @@ import re
 import sys
 from pathlib import Path
 
+import make_corpus
 import satloc.entailment as entailment
 import satloc.parsing as parsing
 from satloc.entailment import clause_redundant, subsumes
@@ -45,6 +46,14 @@ def bench_workloads():
     sys.modules[spec.name] = workloads  # its dataclasses look the module up
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def generated_problems(count: int, seed: int) -> list[Problem]:
+    """`count` problems from the corpus families (tests/make_corpus.py) in
+    turn, drawn from one generator seeded with `seed`."""
+    rng = random.Random(seed)
+    families = [gen for _, gen, _ in make_corpus.FAMILIES]
+    return [parsing.parse_problem(families[k % len(families)](rng)) for k in range(count)]
 
 
 def cl(text: str) -> Clause:
@@ -580,10 +589,8 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
 
 def ref_verify_saturated(ordering: Ordering, clauses, rules) -> VerifyReport:
     clauses = list(clauses)
+    rules = rules | rules_of(ordering, clauses)
     report = VerifyReport()
-    missing = rules_of(ordering, clauses).rules - rules.rules
-    for rule in sorted(missing, key=str):
-        report.violations.append(f"condition 2: missing rule {rule}")
     for c1 in clauses:
         for c2 in clauses:
             for inf in ref_a_priori_resolvents(ordering, c1, c2):

@@ -166,14 +166,22 @@ def test_verify_exits(tmp_path, capsys):
     assert main(["verify", state]) == 0
     assert capsys.readouterr().out.strip() == "ok"
 
-    bad = write(
+    # the rule that the clause gives is read back from it
+    unlisted = write(
         tmp_path,
-        "bad.state",
+        "unlisted.state",
         "saturated: true\norder: f > g\nclause: p(g(W,W)), q(f(W),W) ->\n",
+    )
+    assert main(["verify", unlisted]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+    # the empty clause is missing
+    bad = write(
+        tmp_path, "bad.state", "saturated: true\norder:\nclause: -> p(X)\nclause: p(X) ->\n"
     )
     assert main(["verify", bad]) == 4
     out = capsys.readouterr().out
-    assert "condition 2" in out
+    assert "condition 1: not redundant" in out
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -28,26 +28,26 @@ STATE_SHA256 = {
     "g_disj_03.p": "78289a147a59e1af",
     "g_disj_04.p": "48d97e2f6e274827",
     "g_disj_05.p": "c9bafcf2734195c4",
-    "g_ground_00.p": "62617d103dd4c4dc",
-    "g_ground_01.p": "4b9b72897ae8f8e7",
-    "g_ground_02.p": "dbd70be9356627b7",
-    "g_ground_03.p": "a7f9d41b1a91c859",
-    "g_ground_04.p": "43ebd651b6540468",
-    "g_ground_05.p": "ce3646ffff6bf208",
-    "g_ground_06.p": "9df5059f9fdbe85e",
-    "g_ground_07.p": "eb6a28a0a15380f4",
+    "g_ground_00.p": "b24894a8d5eb4b19",
+    "g_ground_01.p": "71b64902d0194945",
+    "g_ground_02.p": "e2d4e0b2a0d0d02a",
+    "g_ground_03.p": "3ff218dd87421237",
+    "g_ground_04.p": "f118de1325170e03",
+    "g_ground_05.p": "0b280e143bbe972b",
+    "g_ground_06.p": "e1e65d935f587a74",
+    "g_ground_07.p": "9c911f9ad289657e",
     "g_ground_08.p": "b3daff1fa6be87ef",
-    "g_ground_09.p": "cd2033aefbc10e34",
-    "g_ground_10.p": "15e0850344b57c2d",
-    "g_ground_11.p": "43fd08c5a35cdc78",
-    "g_growth_00.p": "76cd706597ffc4b2",
-    "g_growth_01.p": "472149d29fe002b3",
-    "g_growth_02.p": "d089bd499860877a",
-    "g_growth_03.p": "c99899acf38a4de0",
-    "g_growth_04.p": "a6ecf6ef44492746",
-    "g_growth_05.p": "5d8dae000b79d638",
-    "g_growth_06.p": "e7c81411dd152faf",
-    "g_growth_07.p": "18fbaf26eeb4ca74",
+    "g_ground_09.p": "71213c9d16ee3cf8",
+    "g_ground_10.p": "fe5af31257e53686",
+    "g_ground_11.p": "00fa8ebb2ef54900",
+    "g_growth_00.p": "ef90f362f1d22c57",
+    "g_growth_01.p": "863fb23261897068",
+    "g_growth_02.p": "ccc57628ae34fb1d",
+    "g_growth_03.p": "8eea27a4b854368c",
+    "g_growth_04.p": "83b966fd76515bbf",
+    "g_growth_05.p": "0d23fbdf5848d82f",
+    "g_growth_06.p": "e1aac41ae7b7675c",
+    "g_growth_07.p": "bd5c9dacb3ee7433",
     "g_horn_00.p": "ec1fd0108d198ea7",
     "g_horn_01.p": "4aa68418a8c7b61e",
     "g_horn_02.p": "ff561707aadc8996",
@@ -60,25 +60,25 @@ STATE_SHA256 = {
     "g_horn_09.p": "783aee9fac17beac",
     "g_horn_10.p": "9c20ac87e4766761",
     "g_horn_11.p": "d1b266be7e2051e0",
-    "g_mixed_00.p": "c0f547e9213bcbb0",
-    "g_mixed_01.p": "f27dca4b54c6b487",
+    "g_mixed_00.p": "66a47cab86cdacdf",
+    "g_mixed_01.p": "6bea26df0f0bd60a",
     "g_mixed_02.p": "994c2d6560aef210",
-    "g_mixed_03.p": "a248a6db082d23c6",
-    "g_mixed_04.p": "076b936f8443f986",
+    "g_mixed_03.p": "d8de8ceacd220c71",
+    "g_mixed_04.p": "e420b7ac3757ad20",
     "g_mixed_05.p": "edd892a3ba7b9815",
     "g_mixed_06.p": "f264997ece1613b7",
     "g_mixed_07.p": "259717fca4421c88",
-    "g_mixed_08.p": "561dc3a18cf1ce71",
+    "g_mixed_08.p": "4b7605e10003ea9f",
     "h00_worked.p": "55ca201547195446",
     "h01_refutation.p": "07b70d6e424cc7d4",
     "h02_propositional.p": "2ae406e3fba3d5b9",
-    "h03_guarded_growth.p": "67f290a1a502150e",
+    "h03_guarded_growth.p": "f0d3ea769b289ebb",
     "h04_disjunctive.p": "c82bef470071121f",
-    "h05_tautology.p": "2415b93f8ef28815",
+    "h05_tautology.p": "a4bc9104007cc4a3",
     "h06_dup_variants.p": "a0a63837f4787d64",
     "h07_chain.p": "93b80e6a31e6ef35",
     "h08_symmetric.p": "04ae04fa8923420d",
-    "h09_deepening.p": "bc158326aa737fde",
+    "h09_deepening.p": "78bdfb7b1dd3b1f0",
 }
 
 

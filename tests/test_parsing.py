@@ -1,6 +1,7 @@
 """Problem/state grammar, error positions, and round-trips."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from helpers import (
     SIG_CONSTS,
     SIG_FUNCS,
+    bench_workloads,
     cl,
+    generated_problems,
     rand_atom,
     rand_clause,
     reference_reader,
@@ -18,6 +21,7 @@ from helpers import (
 )
 from satloc import (
     Clause,
+    Limits,
     Ordering,
     ParseError,
     SaturationState,
@@ -28,6 +32,7 @@ from satloc import (
     saturate,
     serialize_state,
 )
+from satloc.rewriting import rules_of
 from satloc.terms import Atom, Fn
 
 
@@ -141,6 +146,33 @@ def test_state_roundtrip():
     assert set(back.clauses) == set(state.clauses)
     assert back.rules.rules == state.rules.rules
     assert serialize_state(back) == text
+
+
+def test_state_files_list_only_the_rules_their_clauses_do_not_give():
+    # over the corpus, generated problems and each workload at seed 1: the
+    # reader adds the clauses' rules back, so the state round-trips, and a
+    # file that lists them too reads the same
+    corpus = sorted((Path(__file__).parent / "corpus").glob("*.p"))
+    problems = [parse_problem(path.read_text(encoding="utf-8")) for path in corpus]
+    problems += generated_problems(60, seed=5)
+    for generate in bench_workloads().GENERATORS.values():
+        problems += [parse_problem(p.text) for p in generate(1).problems]
+    omitted = 0
+    for problem in problems:
+        state = saturate(problem.ordering, problem.clauses, Limits(400, 40000))
+        text = serialize_state(state)
+        back = parse_state(text)
+        assert back.rules == state.rules
+        assert serialize_state(back) == text
+        given = {f"rule: {r}" for r in rules_of(state.ordering, state.clauses).rules}
+        lines = text.splitlines()
+        assert given.isdisjoint(lines)
+        # the format that listed every rule
+        every_rule = [line for line in lines if not line.startswith("rule: ")]
+        every_rule += [f"rule: {r}" for r in state.rules.sorted_rules()]
+        assert parse_state("\n".join(every_rule) + "\n") == back
+        omitted += len(given)
+    assert len(problems) == 169 and omitted > 800, (len(problems), omitted)
 
 
 def test_state_header_and_rule_validation():

@@ -11,6 +11,7 @@ from helpers import (
     at,
     bench_workloads,
     cl,
+    generated_problems,
     rand_clause,
     rand_term,
     ref_a_priori_resolvents,
@@ -32,7 +33,7 @@ from satloc import (
 from satloc import resolution as resolution_module
 from satloc import saturation as saturation_module
 from satloc.entailment import clause_redundant, subsumes
-from satloc.rewriting import reach_clause
+from satloc.rewriting import reach_clause, rule_key, rules_of
 from satloc.saturation import ClauseIndex, _features, _variant_key
 from satloc import terms as terms_module
 from satloc.terms import (
@@ -66,12 +67,6 @@ CHAIN = (
 )
 
 
-def generated_problems(count: int, seed: int):
-    rng = random.Random(seed)
-    families = [gen for _, gen, _ in make_corpus.FAMILIES]
-    return [parse_problem(families[k % len(families)](rng)) for k in range(count)]
-
-
 def assert_same_run(problem, limits=Limits()):
     ref = ref_saturate(problem.ordering, problem.clauses, limits)
     new = saturate(problem.ordering, problem.clauses, limits)
@@ -94,27 +89,43 @@ def test_saturate_matches_all_pairs_on_generated_problems():
         assert state.status == "saturated"
 
 
+def without_one(state: SaturationState, rules, rng: random.Random) -> RewriteSystem:
+    """The state's rules less one of `rules`, sorted, picked by `rng`."""
+    rules = sorted(rules, key=rule_key)
+    return RewriteSystem(state.rules.rules - {rules[rng.randrange(len(rules))]})
+
+
 def tampered(state: SaturationState, rng: random.Random):
-    """The state with one clause removed, and with one rule removed."""
+    """The state with one clause removed, and with one rule removed that
+    its clauses do not give (verify, like parse_state, adds those back)."""
     out = []
     if state.clauses:
         clauses = list(state.clauses)
         del clauses[rng.randrange(len(clauses))]
         out.append((clauses, state.rules))
-    rules = state.rules.sorted_rules()
-    if rules:
-        del rules[rng.randrange(len(rules))]
-        out.append((state.clauses, RewriteSystem(frozenset(rules))))
+    harvested = state.rules.rules - rules_of(state.ordering, state.clauses).rules
+    if harvested:
+        out.append((state.clauses, without_one(state, harvested, rng)))
     return out
+
+
+def tampering_states():
+    """The saturated states of the corpus, of generated problems, and of the
+    ground_mix and guarded_mix problems at seed 1, whose states hold more
+    rules that the clauses do not give."""
+    problems = [parse_problem(Path(p).read_text(encoding="utf-8")) for p in CORPUS]
+    problems += generated_problems(60, seed=5)
+    workloads = bench_workloads()
+    for workload in (workloads.ground_mix(1), workloads.guarded_mix(1)):
+        problems += [parse_problem(p.text) for p in workload.problems]
+    states = [saturate(p.ordering, p.clauses, Limits(400, 40000)) for p in problems]
+    return [state for state in states if state.status == "saturated"]
 
 
 def test_verify_matches_all_pairs_on_tampered_states():
     rng = random.Random(11)
-    problems = [parse_problem(Path(p).read_text(encoding="utf-8")) for p in CORPUS]
-    problems += generated_problems(60, seed=5)
     checked = failing = 0
-    for problem in problems:
-        state = saturate(problem.ordering, problem.clauses)
+    for state in tampering_states():
         for clauses, rules in tampered(state, rng):
             new = verify_saturated(state.ordering, clauses, rules)
             assert new.violations == ref_verify_saturated(state.ordering, clauses, rules).violations
@@ -122,6 +133,24 @@ def test_verify_matches_all_pairs_on_tampered_states():
             failing += not new.ok
     print(f"tampered states: {checked} checked, {failing} with violations")
     assert checked > 150 and failing > 30, (checked, failing)
+
+
+def test_verify_reads_back_a_removed_clause_rule():
+    # a rule that the clauses give is added back, so a state without it
+    # gets the report of the whole state
+    rng = random.Random(17)
+    checked = 0
+    for state in tampering_states():
+        given = rules_of(state.ordering, state.clauses).rules
+        if given:
+            rules = without_one(state, given, rng)
+            assert len(rules) == len(state.rules) - 1
+            report = verify_saturated(state.ordering, state.clauses, rules)
+            whole = verify_saturated(state.ordering, state.clauses, state.rules)
+            assert report.violations == whole.violations
+            assert report.violations == ref_verify_saturated(state.ordering, state.clauses, rules).violations
+            checked += 1
+    assert checked > 100, checked
 
 
 def test_step_limit_at_the_last_inference_reports_saturated():
@@ -512,20 +541,16 @@ def test_local_proofs_under_rules_answer_as_the_unfiltered_scan(monkeypatch):
     # every live clause.  Every resolvent conclusion, in verify's order, of
     # each saturated state and of its tampered copies, where some
     # conclusions are not redundant.
-    states = []
-    for path in CORPUS:
-        problem = parse_problem(Path(path).read_text(encoding="utf-8"))
-        states.append(saturate(problem.ordering, problem.clauses))
-    workloads = bench_workloads()
-    for workload in (workloads.ground_mix(1), workloads.guarded_mix(1)):
-        for bench_problem in workload.problems:
-            problem = parse_problem(bench_problem.text)
-            states.append(saturate(problem.ordering, problem.clauses, Limits(400, 40000)))
     rng = random.Random(13)
     runs = []
-    for state in states:
+    for state in tampering_states():
         runs.append((state.ordering, state.clauses, state.rules))
         runs += [(state.ordering, *tampering) for tampering in tampered(state, rng)]
+        # redundancy takes any system: one without a rule the clauses give
+        # holds fewer rule right sides for the filter
+        given = rules_of(state.ordering, state.clauses).rules
+        if given:
+            runs.append((state.ordering, state.clauses, without_one(state, given, rng)))
     proofs = ProofCandidates(monkeypatch)
     answers = {"subsumption": 0, "local proof": 0, None: 0}
     live = 0
