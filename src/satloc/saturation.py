@@ -12,20 +12,15 @@ stored clause deletes every live clause that it subsumes (backward
 subsumption).  The callers of SaturationState.add_clause apply the first
 half, each clause once: saturate checks an input clause with the forward
 scan, and the redundancy test checks a conclusion; add_clause applies the
-second.  The redundancy test first looks the conclusion up by its variant
-key (_variant_key: its atoms in clause order, variables renamed V0, V1, ...
-by first occurrence, and its antecedent's length).  Equal keys make two
-clauses variants, so a hit means a live clause subsumes the conclusion.  A
-variant can still miss, since a clause's atom order depends on its
-variable names; a miss goes on to the same forward scan.  The index keeps
-the set of its live clauses' keys, worked out at its first redundancy
-question, so an index that is never asked one works out none; a key that
-leaves the set with a deleted clause while a live variant holds it costs
-only that scan.  The subsumer gives a local proof
-wherever the deleted clause did, so the live clauses prove what all the
-stored ones did, and rules, once harvested, stay.  The index holds the
-live clauses only: a deleted clause leaves it whole, and queued pairs with
-a deleted premise are skipped.
+second.  The redundancy test first looks the conclusion up in the set of
+live clauses: an equal clause subsumes it.  A variant under other variable
+names misses the set and goes on to the same forward scan.  A deleted
+clause leaves the set even while an equal live clause stays; that clause
+then costs only the scan.  The subsumer gives a local proof wherever the
+deleted clause did, so the live clauses prove what all the stored ones
+did, and rules, once harvested, stay.  The index holds the live clauses
+only: a deleted clause leaves it whole, and queued pairs with a deleted
+premise are skipped.
 
 Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
@@ -46,11 +41,14 @@ and frozen constants.  No live clause holds a frozen constant (the reader
 rejects '#'), and an instance keeps every symbol of its clause, so a
 clause left out has no instance in the reach set: the filter changes no
 verdict.  On the 12-step chain, which has no rules, it leaves no clause at
-all.  Queries (query.entails) still hand every clause of the state to
-decide_local, whose enumeration skips those with a predicate outside the
-universe.  The same filter speeds queries up, but the benchmark keeps
-every query latency, so more queries read there as more memory; queries
-wait for a bounded latency sample.
+all.  Handed no clause, a local proof has no instance to use, so the
+frozen conclusion is provable exactly when it is a tautology (an atom on
+both sides), and the test answers that without the proof.  Queries
+(query.entails) still hand every clause of the state to decide_local,
+whose enumeration skips those with a predicate outside the universe.  The
+same filter speeds queries up, but the benchmark keeps every query
+latency, so more queries read there as more memory; queries wait for a
+bounded latency sample.
 
 Each a priori inference is classified by the first matching case:
 non-maximality (harvest rules from the unified premise instances),
@@ -78,7 +76,7 @@ from .resolution import (
 # name here; nothing in satloc factors.
 from .resolution import a_priori_factors  # noqa: F401
 from .rewriting import RewriteSystem, rules_of
-from .terms import Atom, Clause, Var, atom_symbols, canonical_renaming, substitute, vars_in_order
+from .terms import Atom, Clause, Var, atom_symbols, vars_in_order
 
 SATURATED = "saturated"
 LIMIT_REACHED = "limit_reached"
@@ -127,20 +125,6 @@ def _features(c: Clause) -> tuple[frozenset[str], frozenset[str]]:
         frozenset().union(*map(atom_symbols, c.antecedent)),
         frozenset().union(*map(atom_symbols, c.succedent)),
     )
-
-
-def _variant_key(c: Clause) -> tuple:
-    """c's antecedent length, then c's atoms, antecedent first, with its
-    variables renamed V0, V1, ... in order of first occurrence.  Equal keys
-    make two clauses variants: both rename to the same atoms on the same
-    sides.  The converse fails, because a clause's atoms are sorted by
-    their variable names: p(X,a), p(Y,b) and its variant p(Y,a), p(X,b)
-    rename to p(V0,a), p(V1,b) and p(V0,b), p(V1,a)."""
-    atoms = c.antecedent + c.succedent
-    if not c.ground:  # a ground clause has nothing to rename
-        rho = canonical_renaming(vars_in_order(c))
-        atoms = [substitute(rho, a) for a in atoms]
-    return (len(c.antecedent), *atoms)
 
 
 class _Record:
@@ -192,24 +176,19 @@ class ClauseIndex:
     Atom counts are no such condition: clauses are atom sets, and a
     substitution can merge two atoms of d into one of c.
 
-    Redundancy questions look a clause up by its _variant_key before they
-    scan: `_variants` is the set of the live clauses' keys.  A hit is
-    exact, since equal keys make the two clauses variants, and a variant
-    subsumes its variants; a variant whose atoms sort in another order
-    misses and is found by the scan.  `_variants` is None until the first
-    redundancy question, which works out every live clause's key; from then
-    on add and delete keep it.  So an index that is never asked one works
-    out no key.  Deleting a clause removes its key even when a live variant
-    holds the same key; that variant is then found by the scan.  The
-    saturation loop never leaves such a pair, as it stores no clause that a
-    live clause subsumes.
+    Redundancy questions look a clause up in `_clauses`, the set of the
+    live clauses, before they scan: an equal clause subsumes it.  A variant
+    under other variable names misses and is found by the scan.  Deleting a
+    clause takes it from the set even when an equal live clause stays; the
+    scan then finds that one.  The saturation loop never leaves such a
+    pair, as it stores no clause that a live clause subsumes.
     """
 
     def __init__(self, ordering: Ordering, clauses=()):
         self.ordering = ordering
         self.live: dict[int, _Record] = {}
         self._postings: dict[tuple, set[int]] = {}
-        self._variants: set[tuple] | None = None
+        self._clauses: set[Clause] = set()
         self._numbers = count()
         for c in clauses:
             self.add(c)
@@ -221,20 +200,18 @@ class ClauseIndex:
         record = self.live[k] = _Record(self.ordering, c)
         for key in record.keys:
             self._postings.setdefault(key, set()).add(k)
-        if self._variants is not None:
-            self._variants.add(_variant_key(c))
+        self._clauses.add(c)
         return k
 
     def delete(self, k: int) -> None:
-        """Drop clause k, its posting keys and its variant key."""
+        """Drop clause k and its posting keys, and take it from the set."""
         record = self.live.pop(k)
         for key in record.keys:
             postings = self._postings[key]
             postings.remove(k)
             if not postings:
                 del self._postings[key]
-        if self._variants is not None:
-            self._variants.discard(_variant_key(record.clause))
+        self._clauses.discard(record.clause)
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
         """The a priori resolution inferences of clause i into clause j, from
@@ -283,10 +260,10 @@ class ClauseIndex:
 
     def redundancy(self, rules: RewriteSystem, c: Clause) -> str | None:
         """How c is redundant with respect to the live clauses and `rules`:
-        "subsumption" if a live clause subsumes it (a live variant found by
-        its key, else one found by the forward scan), else "local proof" if
-        its frozen instance is locally provable, else None.  Subsumption
-        implies a local proof, so it only saves time.
+        "subsumption" if a live clause subsumes it (an equal one found in the
+        set, else one found by the forward scan), else "local proof" if its
+        frozen instance is locally provable, else None.  Subsumption implies
+        a local proof, so it only saves time.
 
         The local proof is handed only the live clauses, in number order,
         whose symbols on both sides (_features) lie within c's own symbols
@@ -295,21 +272,24 @@ class ClauseIndex:
         (RewriteSystem.right_symbols), no live clause holds a frozen
         constant (the reader rejects them), and an instance keeps every
         symbol of its clause: so a clause left out has no instance in the
-        reach set, and the verdict is the same.
+        reach set, and the verdict is the same.  With no clause left, the
+        frozen c's negated units are unsatisfiable exactly when an atom lies
+        on both sides, so a tautology is the one local proof, and none is
+        searched.
         """
-        if self._variants is None:
-            self._variants = {_variant_key(d.clause) for d in self.live.values()}
-        if _variant_key(c) in self._variants:
+        if c in self._clauses:
             return "subsumption"
         features = _features(c)
         if self.subsumed(c, features):
             return "subsumption"
         allowed = rules.right_symbols.union(*features)
-        clauses = (
+        clauses = [
             d.clause
             for d in self.live.values()
             if d.features[0] <= allowed and d.features[1] <= allowed
-        )
+        ]
+        if not clauses:
+            return None if set(c.antecedent).isdisjoint(c.succedent) else "local proof"
         return "local proof" if clause_redundant(clauses, rules, c) else None
 
 

@@ -444,7 +444,7 @@ def fresh_names(used: set[str], count: int, prefix: str = "V") -> list[str]:
 
 def canonical_renaming(variables: Iterable[Var]) -> Subst:
     """The variables, in the given order, to V0, V1, ...: the names of rule
-    variables and of variant keys."""
+    variables."""
     return {v: Var(f"V{i}") for i, v in enumerate(variables)}
 
 

@@ -34,7 +34,7 @@ from satloc import resolution as resolution_module
 from satloc import saturation as saturation_module
 from satloc.entailment import clause_redundant, subsumes
 from satloc.rewriting import reach_clause, rule_key, rules_of
-from satloc.saturation import ClauseIndex, _features, _variant_key
+from satloc.saturation import ClauseIndex, _features
 from satloc import terms as terms_module
 from satloc.terms import (
     Atom,
@@ -230,8 +230,8 @@ def test_ground_mix_subsumption_attempts_are_pre_tested_by_features(monkeypatch)
 
 def test_each_clause_meets_forward_subsumption_once(monkeypatch):
     # saturate scans for each input clause, and the redundancy test looks
-    # each conclusion up by its variant key and scans only on a miss,
-    # before add_clause stores it
+    # each conclusion up in the set of live clauses and scans only on a
+    # miss, before add_clause stores it
     scans = CallCounter(monkeypatch, "subsumed", ClauseIndex)
     hits = 0
     redundancy = ClauseIndex.redundancy
@@ -248,9 +248,10 @@ def test_each_clause_meets_forward_subsumption_once(monkeypatch):
     state = saturate(problem.ordering, problem.clauses)
     conclusions = state.stats.inferences_considered - state.stats.non_maximality
     assert scans.calls + hits == len(problem.clauses) + conclusions == 14 + 442
-    # every conclusion that subsumption settles is a live clause's variant
-    assert hits == state.stats.redundant_by_subsumption == 352
-    assert scans.calls == 14 + state.stats.discovered == 14 + 90
+    # 314 of the 352 conclusions that subsumption settles equal a live
+    # clause; the other 38 are variants under other names, found by the scan
+    assert hits == 314 and state.stats.redundant_by_subsumption == 352
+    assert scans.calls == 14 + state.stats.discovered + 38 == 14 + 90 + 38
     scans.calls = hits = 0
     for bench_problem in bench_workloads().ground_mix(1).problems:
         problem = parse_problem(bench_problem.text)
@@ -258,68 +259,26 @@ def test_each_clause_meets_forward_subsumption_once(monkeypatch):
     assert (scans.calls, hits) == (576, 21)
     # the index keeps nothing between calls beyond the live clauses
     assert set(vars(ClauseIndex(problem.ordering))) == {
-        "ordering", "live", "_postings", "_variants", "_numbers"
+        "ordering", "live", "_postings", "_clauses", "_numbers"
     }
 
 
-def test_chain_settles_subsumed_conclusions_by_their_variant_keys(monkeypatch):
-    # at the parent, saturate made 352 subsumes calls and verify 442 scans
+def test_chain_settles_most_subsumed_conclusions_by_clause_equality(monkeypatch):
+    # an equal live clause is found in the set with no subsumes call; a
+    # variant under other names is found by the scan.  Before the set,
+    # saturate made 352 subsumes calls and verify 442 scans.
     problem = parse_problem(CHAIN)
     subsumes_calls = CallCounter(monkeypatch, "subsumes")
     scans = CallCounter(monkeypatch, "subsumed", ClauseIndex)
     answers = CallCounter(monkeypatch, "redundancy", ClauseIndex)
     state = saturate(problem.ordering, problem.clauses)
     assert state.stats.redundant_by_subsumption == 352
-    assert subsumes_calls.calls == 0
+    assert subsumes_calls.calls == 38
     subsumes_calls.calls = scans.calls = 0
     answers.results.clear()
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok
     assert answers.results == ["subsumption"] * 442
-    assert (subsumes_calls.calls, scans.calls) == (0, 0)
-
-
-def test_growth_works_out_no_variant_key(monkeypatch):
-    # its saturate and verify ask no redundancy question, so building the
-    # variant keys at each add would be pure cost
-    keys = CallCounter(monkeypatch, "_variant_key")
-    (bench_problem,) = bench_workloads().growth(1).problems
-    problem = parse_problem(bench_problem.text)
-    state = saturate(problem.ordering, problem.clauses)
-    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
-    assert keys.calls == 0
-
-
-def test_equal_variant_keys_make_variants():
-    # a key hit answers "subsumption" with no subsumes call, so equal keys
-    # must make each clause subsume the other; renamings onto V0 and V1,
-    # the names the keys use, included.  A renaming that reorders the atoms
-    # changes the key, and the forward scan finds that variant instead.
-    c, d = cl("q(X,a), q(Y,b) ->"), cl("q(Y,a), q(X,b) ->")
-    assert _variant_key(c) != _variant_key(d) and subsumes(c, d) and subsumes(d, c)
-    rng = random.Random(31)
-    names = ["V0", "V1", "V2", "X", "Y", "Z", "W"]
-    by_key: dict[tuple, list[Clause]] = {}
-    same = moved = 0
-    for _ in range(800):
-        # wide, shallow clauses: more atoms whose order a renaming can change
-        c = rand_clause(rng, max_side=4, depth=1)
-        by_key.setdefault(_variant_key(c), []).append(c)
-        own = list(vars_in_order(c))
-        for _ in range(3):
-            d = substitute(dict(zip(own, map(Var, rng.sample(names, len(own))))), c)
-            by_key.setdefault(_variant_key(d), []).append(d)
-            if _variant_key(d) == _variant_key(c):
-                same += 1
-            else:
-                moved += 1
-                assert subsumes(c, d) and subsumes(d, c), (str(c), str(d))
-    pairs = 0
-    for clauses in by_key.values():
-        for c in clauses:
-            for d in clauses:
-                assert subsumes(c, d), (str(c), str(d))
-                pairs += c != d
-    assert same > 2000 and moved > 10 and pairs > 2000, (same, moved, pairs)
+    assert (subsumes_calls.calls, scans.calls) == (38, 38)
 
 
 def _instance_of(rng, d: Clause) -> Clause:
@@ -399,28 +358,32 @@ def test_the_index_holds_live_clauses_only(monkeypatch):
 
 
 def test_saturate_never_meets_a_live_variant_key(monkeypatch):
-    # so deleting a clause's variant key never takes it from a live clause:
-    # saturate stores no clause that a live clause subsumes, so no add meets
-    # a live key, and its live clauses subsume no other, so no delete
-    # leaves a live variant with the same key
+    # so deleting a clause never takes it from the set of live clauses
+    # while an equal clause stays live: saturate stores no clause that a
+    # live clause subsumes, so no add meets an equal live clause, and its
+    # live clauses subsume no other, so no delete leaves one.  After each
+    # add and delete, the set holds the live clauses.
     add, delete = ClauseIndex.add, ClauseIndex.delete
     adds = deletes = 0
 
-    def live_keys(index, but=None):
-        return [_variant_key(d.clause) for m, d in index.live.items() if m != but]
+    def live_clauses(index, but=None):
+        return [d.clause for m, d in index.live.items() if m != but]
 
     def checked_add(index, c):
         nonlocal adds
         adds += 1
-        assert _variant_key(c) not in live_keys(index), str(c)
-        return add(index, c)
+        assert c not in live_clauses(index), str(c)
+        k = add(index, c)
+        assert index._clauses == set(live_clauses(index))
+        return k
 
     def checked_delete(index, k):
         nonlocal deletes
         deletes += 1
         c = index.live[k].clause
-        assert _variant_key(c) not in live_keys(index, but=k), str(c)
+        assert c not in live_clauses(index, but=k), str(c)
         delete(index, k)
+        assert index._clauses == set(live_clauses(index))
 
     monkeypatch.setattr(ClauseIndex, "add", checked_add)
     monkeypatch.setattr(ClauseIndex, "delete", checked_delete)
@@ -435,7 +398,9 @@ def test_saturate_never_meets_a_live_variant_key(monkeypatch):
 
 
 def scan_redundancy(index: ClauseIndex, rules: RewriteSystem, c: Clause) -> str | None:
-    """ClauseIndex.redundancy without the variant-key lookup."""
+    """ClauseIndex.redundancy without the set lookup, the symbol filter and
+    the rule for no candidate clause: every live clause goes to the scan
+    and to the local proof."""
     if index.subsumed(c):
         return "subsumption"
     live = [d.clause for d in index.live.values()]
@@ -446,33 +411,33 @@ def test_an_index_with_deletions_answers_as_a_fresh_one():
     # numbers differ once clauses are deleted, so answers are compared as
     # clauses; backward subsumption is also compared with trying every
     # other live clause, in number order.  In odd rounds each added clause
-    # is asked about at once, so the variant keys are kept up through the
-    # adds and deletes that follow; in even rounds they are worked out at
-    # the first question after them.  The index stores variants, which the
-    # saturation loop never does, so deleting a clause can take away a key
-    # that a live variant holds; the scan then finds that variant.
+    # is asked about at once.  The index stores equal clauses, which the
+    # saturation loop never does, so deleting a clause can take it from the
+    # set while an equal one stays live; the scan then finds that one.
     def clauses(ix, ks):
         return [ix.live[k].clause for k in ks]
 
-    def keys(ix):
-        return {_variant_key(d.clause) for d in ix.live.values()}
+    def live_set(ix):
+        return {d.clause for d in ix.live.values()}
 
     ordering = sig_ordering()
     no_rules = RewriteSystem()
-    index = ClauseIndex(ordering, [cl("-> p(X)"), cl("-> p(Y)")])
+    index = ClauseIndex(ordering, [cl("-> p(X)"), cl("-> p(X)")])
+    assert index.redundancy(no_rules, cl("-> p(X)")) == "subsumption"
+    assert cl("-> p(Z)") not in index._clauses
     assert index.redundancy(no_rules, cl("-> p(Z)")) == "subsumption"
     index.delete(0)
-    assert _variant_key(cl("-> p(Z)")) not in index._variants
-    assert index.redundancy(no_rules, cl("-> p(Z)")) == "subsumption"
+    assert cl("-> p(X)") not in index._clauses
+    assert index.redundancy(no_rules, cl("-> p(X)")) == "subsumption"
     rng = random.Random(29)
     renamer = random.Random(30)
     compared = hits = whole = 0
     for round_ in range(60):
         index = ClauseIndex(ordering)
-        twinned = False  # was a clause added while a live clause held its key?
+        twinned = False  # was a clause added while an equal one was live?
         for _ in range(rng.randint(2, 12)):
             c = rand_clause(rng)
-            twinned |= _variant_key(c) in keys(index)
+            twinned |= c in live_set(index)
             index.add(c)
             if round_ % 2:
                 assert index.redundancy(no_rules, c) == "subsumption"
@@ -496,21 +461,22 @@ def test_an_index_with_deletions_answers_as_a_fresh_one():
             assert index.subsumed(c) == fresh.subsumed(c)
             questions.append(c)
         for d in live.values():
+            questions.append(d.clause)
             own = list(vars_in_order(d.clause))
             names = renamer.sample(["V0", "V1", "X", "Y", "Z"], len(own))
             questions.append(substitute(dict(zip(own, map(Var, names))), d.clause))
         for c in questions:
             how = index.redundancy(no_rules, c)
             assert how == fresh.redundancy(no_rules, c) == scan_redundancy(index, no_rules, c)
-            hits += _variant_key(c) in index._variants
-        # keys of live clauses only, and all of them unless a delete may
-        # have taken a key that a live variant holds
-        assert index._variants <= keys(index)
+            hits += c in index._clauses
+        # live clauses only, and all of them unless a delete may have taken
+        # one that an equal live clause stands for
+        assert index._clauses <= live_set(index)
         if not twinned:
-            assert index._variants == keys(index)
+            assert index._clauses == live_set(index)
             whole += 1
     assert compared > 500, compared
-    assert hits > 100, hits
+    assert hits > 300, hits
     assert whole > 50, whole
 
 
@@ -590,13 +556,15 @@ def test_reach_sets_hold_only_the_clause_and_right_side_symbols():
 
 
 def test_local_proof_candidates_are_counted_not_timed(monkeypatch):
-    # counted, not timed; at the parent every live clause was handed over:
-    # chain 5 265 clauses in its 90 proofs, ground_mix 3 062 in 190
+    # counted, not timed; before the symbol filter every live clause was
+    # handed over: chain 5 265 clauses in its 90 proofs, ground_mix 3 062
+    # in 190.  The filter leaves chain's 90 discoveries no clause, so none
+    # of them runs a local proof.
     proofs = ProofCandidates(monkeypatch)
     problem = parse_problem(CHAIN)
     state = saturate(problem.ordering, problem.clauses)
-    assert state.stats.discovered == proofs.calls == 90
-    assert proofs.clauses == 0
+    assert state.stats.discovered == 90
+    assert proofs.calls == proofs.clauses == 0
     proofs.calls = proofs.clauses = 0
     for bench_problem in bench_workloads().ground_mix(1).problems:
         problem = parse_problem(bench_problem.text)
@@ -604,6 +572,43 @@ def test_local_proof_candidates_are_counted_not_timed(monkeypatch):
         assert verify_saturated(state.ordering, state.clauses, state.rules).ok
     assert proofs.calls == 190
     assert proofs.clauses <= 2144, proofs.clauses
+
+
+def test_a_conclusion_with_no_candidate_clause_is_a_local_proof_iff_a_tautology(monkeypatch):
+    # with no live clause left by the symbol filter, redundancy runs no
+    # local proof: it answers "local proof" for a tautology and None for
+    # any other clause.  Each such answer is checked against a local proof
+    # over every live clause, on hand-made questions and on every conclusion
+    # of guarded_mix at seed 1, saturate and verify, which meets four
+    # tautologies.
+    proofs = ProofCandidates(monkeypatch)
+    redundancy = ClauseIndex.redundancy
+    answers = {"local proof": 0, None: 0}
+
+    def checked(index, rules, c):
+        calls = proofs.calls
+        how = redundancy(index, rules, c)
+        if how != "subsumption" and proofs.calls == calls:
+            tautology = not set(c.antecedent).isdisjoint(c.succedent)
+            assert how == ("local proof" if tautology else None), str(c)
+            live = [d.clause for d in index.live.values()]
+            assert (how == "local proof") == clause_redundant(live, rules, c), str(c)
+            answers[how] += 1
+        return how
+
+    monkeypatch.setattr(ClauseIndex, "redundancy", checked)
+    index = ClauseIndex(sig_ordering(), [cl("q(X) -> p(f(X))"), cl("-> q(a)")])
+    no_rules = RewriteSystem()
+    assert index.redundancy(no_rules, cl("r(X), s(Y) -> r(X)")) == "local proof"
+    assert index.redundancy(no_rules, cl("->")) is None
+    assert index.redundancy(no_rules, cl("r(X) -> r(f(X))")) is None
+    assert answers == {"local proof": 1, None: 2} and proofs.calls == 0
+    answers.update({"local proof": 0, None: 0})
+    for bench_problem in bench_workloads().guarded_mix(1).problems:
+        problem = parse_problem(bench_problem.text)
+        state = saturate(problem.ordering, problem.clauses)
+        assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    assert answers == {"local proof": 4, None: 2}, answers
 
 
 def test_verify_settles_subsumed_conclusions_without_local_proofs(monkeypatch):
@@ -755,8 +760,11 @@ TRACED = ("a_priori_resolvents", "is_a_posteriori", "subsumes", "clause_redundan
 def test_saturate_and_verify_call_the_traced_names(monkeypatch):
     # The benchmark's per-layer trace (bench/tracing.py) rebinds these names
     # in the saturation module; a path that went round one would read 0 in
-    # its layer.  g_horn_07 reaches every case: non-maximality, subsumption,
-    # local proofs and discovery.
+    # its layer.  g_horn_07's saturate reaches every case: non-maximality,
+    # subsumption, local proofs and discovery.  Its verify settles each
+    # conclusion by subsumption or by a tautology with no candidate clause,
+    # so it runs no local proof; the verify of ground_mix's problem 4 at
+    # seed 1 hands clauses to one.
     path = Path(__file__).parent / "corpus" / "g_horn_07.p"
     problem = parse_problem(path.read_text(encoding="utf-8"))
     counters = {name: CallCounter(monkeypatch, name) for name in TRACED}
@@ -768,11 +776,13 @@ def test_saturate_and_verify_call_the_traced_names(monkeypatch):
         assert counter.calls > 0
     inferences = sum(len(out) for out in counters["a_priori_resolvents"].results)
     assert inferences == stats.inferences_considered == counters["is_a_posteriori"].calls
-    for counter in counters.values():
-        counter.calls = 0
-        counter.results.clear()
-    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
-    for counter in counters.values():
-        assert counter.calls > 0
-    inferences = sum(len(out) for out in counters["a_priori_resolvents"].results)
-    assert inferences == counters["is_a_posteriori"].calls
+    mixed = parse_problem(bench_workloads().ground_mix(1).problems[4].text)
+    for state, proves in ((state, False), (saturate(mixed.ordering, mixed.clauses), True)):
+        for counter in counters.values():
+            counter.calls = 0
+            counter.results.clear()
+        assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+        for name, counter in counters.items():
+            assert (counter.calls > 0) == (proves or name != "clause_redundant"), name
+        inferences = sum(len(out) for out in counters["a_priori_resolvents"].results)
+        assert inferences == counters["is_a_posteriori"].calls
