@@ -13,6 +13,16 @@ copy of the second with the images of its eligible antecedent atoms
 (renamed_apart).  The saturation index keeps both in each live clause's
 record, so nothing is worked out again for every pair.
 
+Atoms are interned, so a pair of them is an exact and cheap key.  The
+unifier of a resolved pair depends on the two atoms alone, and so does the
+image of any atom under it.  a_priori_resolvents therefore takes a table
+from (A, A') to the pair's mgu (None included) and a dict of atom images
+under it, both filled on first use, and unifies each pair and substitutes
+into each atom once per table.  The saturation index keeps one table for
+its lifetime; a table is never module state, so nothing outlives its
+owner.  The inferences on a pair share its unifier, and later calls share
+its images, so neither may be mutated.
+
 Saturation uses resolution alone.  Clauses are atom sets, so a factor's
 frozen conclusion is a ground instance of its own premise inside its own
 reach set: every factoring inference is redundant.  a_priori_factors is
@@ -30,7 +40,7 @@ RESOLUTION = "resolution"
 FACTORING = "factoring"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Inference:
     """One resolution or factoring step with everything redundancy checks need.
 
@@ -41,6 +51,11 @@ class Inference:
     the other atom occurrences of each premise under the unifier, one list
     per premise, antecedent first: the conclusion's atoms before
     deduplication, and what is_a_posteriori compares the resolved atom with.
+
+    The fields are read-only by contract, not frozen (a frozen dataclass
+    costs twice as much to build): a resolution's unifier is the one that
+    a_priori_resolvents' table holds for its resolved pair, shared by every
+    inference on that pair.
     """
 
     kind: str
@@ -88,36 +103,64 @@ def renamed_apart(
 
 
 def a_priori_resolvents(
-    c1: Clause, eligible1: tuple[Atom, ...], c2r: Clause, eligible2: tuple[Atom, ...]
+    c1: Clause,
+    eligible1: tuple[Atom, ...],
+    c2r: Clause,
+    eligible2: tuple[Atom, ...],
+    unifiers: dict[tuple[Atom, Atom], tuple[Subst | None, dict[Atom, Atom]]],
 ) -> list[Inference]:
     """Resolution inferences whose premise-side maximality conditions hold:
     c1's eligible succedent atoms eligible1 against eligible2, the eligible
     antecedent atoms of c2r, a second premise already renamed apart from c1.
     Enumeration follows the canonical atom order, so the output is
     deterministic.
+
+    unifiers is the table of resolved pairs (A, A'), each with its mgu and
+    the images of atoms under it, read and filled here: an entry is worked
+    out on the pair's first use and reused by every later pair of premises
+    that resolves on the same two atoms.  Its entries must not be mutated;
+    a fresh {} works everything out for this one call.
     """
     out: list[Inference] = []
     for a in eligible1:
         for ap in eligible2:
-            alpha = mgu(a, ap)
+            entry = unifiers.get((a, ap))
+            if entry is None:
+                alpha = mgu(a, ap)
+                entry = unifiers[a, ap] = (alpha, _Images(alpha))
+            alpha, images = entry
             if alpha is None:
                 continue
-            ant1 = [substitute(alpha, x) for x in c1.antecedent]
-            ant2 = [substitute(alpha, x) for x in c2r.antecedent if x != ap]
-            suc1 = [substitute(alpha, x) for x in c1.succedent if x != a]
-            suc2 = [substitute(alpha, x) for x in c2r.succedent]
+            ant1 = [images[x] for x in c1.antecedent]
+            ant2 = [images[x] for x in c2r.antecedent if x != ap]
+            suc1 = [images[x] for x in c1.succedent if x != a]
+            suc2 = [images[x] for x in c2r.succedent]
             out.append(
                 Inference(
                     kind=RESOLUTION,
                     premises=(c1, c2r),
                     unifier=alpha,
                     resolved=(a, ap),
-                    resolved_atom=substitute(alpha, a),
+                    resolved_atom=images[a],
                     conclusion=Clause(ant1 + ant2, suc1 + suc2),
                     siblings=(ant1 + suc1, ant2 + suc2),
                 )
             )
     return out
+
+
+class _Images(dict):
+    """The images of atoms under one unifier, each worked out on its first
+    lookup."""
+
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: Subst | None):
+        self.alpha = alpha
+
+    def __missing__(self, x: Atom) -> Atom:
+        y = self[x] = substitute(self.alpha, x)
+        return y
 
 
 def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:

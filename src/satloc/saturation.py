@@ -25,7 +25,9 @@ premise are skipped.
 Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
 once made, all in one record per clause) and posted under their eligible
-predicates, so only the clause pairs that can resolve are queued.
+predicates, so only the clause pairs that can resolve are queued.  Each
+pair of resolved atoms is unified once per index, and each atom's image
+under that unifier is substituted once (ClauseIndex._unifiers).
 Subsumption is pre-tested in both directions by the same features, each
 side's symbols (_features), and both directions scan the live clauses in
 number order: forward subsumption tries those whose features are among the
@@ -154,7 +156,8 @@ class ClauseIndex:
     A clause is numbered when it is added, and numbers are never reused, so
     they keep the order of adding.  `live` maps the number of each live
     clause to its record (_Record); deleting a clause drops its record and
-    its number from every posting set, so nothing of it remains.
+    its number from every posting set, so nothing of it remains but the
+    `_unifiers` entries of its atoms (below).
 
     What a clause needs as a premise is worked out once, when it is added:
     its variables, the eligible (maximal) atoms of each side, and their
@@ -163,6 +166,15 @@ class ClauseIndex:
     keeps each renamed copy and the copy's eligible antecedent atoms per
     first-premise variable set; maximality is invariant under renaming.  Its
     _features are worked out once too, for subsumption.
+
+    What a pair of resolved atoms needs is worked out once for the index's
+    lifetime: `_unifiers` maps each (first-premise succedent atom, renamed
+    second-premise antecedent atom) pair to its mgu, None included, and to
+    the images of atoms under it, each filled on first use
+    (a_priori_resolvents).  Atoms are interned, so the pair is an exact
+    key, and it stays valid when either clause is deleted: the unifier and
+    the images depend on the atoms alone.  On the 12-step chain the 442
+    inferences of a pass resolve on 48 pairs.
 
     The posting map takes each key (side, predicate) to the numbers of the
     live clauses with that eligible predicate on that side, so the
@@ -189,6 +201,7 @@ class ClauseIndex:
         self.live: dict[int, _Record] = {}
         self._postings: dict[tuple, set[int]] = {}
         self._clauses: set[Clause] = set()
+        self._unifiers: dict = {}  # a_priori_resolvents' table
         self._numbers = count()
         for c in clauses:
             self.add(c)
@@ -215,8 +228,9 @@ class ClauseIndex:
 
     def resolvents(self, i: int, j: int) -> list[Inference]:
         """The a priori resolution inferences of clause i into clause j, from
-        the kept eligible atoms and renamed copies; none unless an eligible
-        succedent predicate of i is an eligible antecedent predicate of j."""
+        the kept eligible atoms, renamed copies and table of unifiers; none
+        unless an eligible succedent predicate of i is an eligible
+        antecedent predicate of j."""
         first, second = self.live[i], self.live[j]
         if first.eligible[1].isdisjoint(second.eligible[0]):
             return []
@@ -224,7 +238,7 @@ class ClauseIndex:
         if renamed is None:
             renamed = renamed_apart(second.clause, second.atoms[0], first.vars)
             second.renamed[first.vars] = renamed
-        return a_priori_resolvents(first.clause, first.atoms[1], *renamed)
+        return a_priori_resolvents(first.clause, first.atoms[1], *renamed, self._unifiers)
 
     def partners(self, k: int) -> list[int]:
         """Every live i such that clauses i and k resolve in some

@@ -246,11 +246,11 @@ def rename_apart(c: Clause, forbidden) -> Clause:
 
 def ref_a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[Inference]:
     """a_priori_resolvents with its premises prepared from scratch for this
-    one pair: c2 renamed apart from c1, and the eligible atoms of c1 and of
-    the renamed copy tested here."""
+    one pair: c2 renamed apart from c1, the eligible atoms of c1 and of the
+    renamed copy tested here, and a fresh table of unifiers."""
     c2r = rename_apart(c2, vars_of(c1))
     return a_priori_resolvents(
-        c1, eligible_atoms(ordering, c1)[1], c2r, eligible_atoms(ordering, c2r)[0]
+        c1, eligible_atoms(ordering, c1)[1], c2r, eligible_atoms(ordering, c2r)[0], {}
     )
 
 

@@ -3,6 +3,7 @@ reference loop (tests/helpers.py): same states, counters and violations,
 with far fewer inference and subsumption attempts."""
 
 import glob
+import inspect
 import random
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from satloc.terms import (
     Var,
     atom_symbols,
     freeze,
+    mgu,
     substitute,
     vars_in_order,
     vars_of,
@@ -257,9 +259,10 @@ def test_each_clause_meets_forward_subsumption_once(monkeypatch):
         problem = parse_problem(bench_problem.text)
         saturate(problem.ordering, problem.clauses)
     assert (scans.calls, hits) == (576, 21)
-    # the index keeps nothing between calls beyond the live clauses
+    # the index keeps nothing between calls beyond the live clauses and the
+    # table of unifiers and atom images of the atom pairs they resolved on
     assert set(vars(ClauseIndex(problem.ordering))) == {
-        "ordering", "live", "_postings", "_clauses", "_numbers"
+        "ordering", "live", "_postings", "_clauses", "_unifiers", "_numbers"
     }
 
 
@@ -662,6 +665,36 @@ def test_a_posteriori_check_reuses_the_substituted_siblings(monkeypatch):
     assert calls <= 2236 - 700, calls
 
 
+def test_chain_unifies_each_atom_pair_once_per_index(monkeypatch):
+    # Each pass (saturate or verify) resolves 442 inferences on 48 atom
+    # pairs.  Unifying per inference, each pass made 455 mgu and 1 508
+    # substitute calls; the index's table unifies each pair and substitutes
+    # into each atom once.
+    counters = {
+        name: CallCounter(monkeypatch, name, resolution_module) for name in ("mgu", "substitute")
+    }
+    problem = parse_problem(CHAIN)
+    state = saturate(problem.ordering, problem.clauses)
+    assert state.stats.inferences_considered == 442
+    assert (counters["mgu"].calls, counters["substitute"].calls) == (48, 661)
+    assert len(state.index._unifiers) == 48
+    for counter in counters.values():
+        counter.calls = 0
+    assert verify_saturated(state.ordering, state.clauses, state.rules).ok
+    assert (counters["mgu"].calls, counters["substitute"].calls) == (48, 661)
+    # the table lives and dies with its index: a new index starts empty, and
+    # resolution keeps no cache of its own that would outlive a run
+    assert ClauseIndex(problem.ordering)._unifiers == {}
+    unifiers = inspect.signature(resolution_module.a_priori_resolvents).parameters["unifiers"]
+    assert unifiers.default is inspect.Parameter.empty
+    assert not [
+        name
+        for name, value in vars(resolution_module).items()
+        if not name.startswith("__")
+        and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+    ]
+
+
 INFERENCE_FIELDS = ("kind", "premises", "unifier", "resolved", "resolved_atom", "conclusion")
 
 
@@ -676,23 +709,35 @@ def test_prepared_resolvents_equal_those_worked_out_from_scratch(monkeypatch):
     problems = [(parse_problem(Path(p).read_text(encoding="utf-8")), Limits()) for p in CORPUS]
     problems += [(p, make_corpus.CURATION_LIMITS) for p in generated_problems(340, seed=17)]
     calls = []
+    indexes = set()
     resolvents = ClauseIndex.resolvents
 
     def recorded(index, i, j):
         out = resolvents(index, i, j)
         calls.append((index.ordering, index.live[i].clause, index.live[j].clause, out))
+        indexes.add(index)
         return out
 
     monkeypatch.setattr(ClauseIndex, "resolvents", recorded)
-    compared = 0
+    compared = images = 0
     for problem, limits in problems:
         state = saturate(problem.ordering, problem.clauses, limits)
         verify_saturated(state.ordering, state.clauses, state.rules)
         for ordering, c1, c2, out in calls:
             assert fields(out) == fields(ref_a_priori_resolvents(ordering, c1, c2))
             compared += len(out)
+        # the inferences share each table's unifiers and images: no reader
+        # has changed one
+        for index in indexes:
+            for (a, ap), (alpha, cached) in index._unifiers.items():
+                assert alpha == mgu(a, ap)
+                for x, image in cached.items():
+                    assert image == substitute(alpha, x)
+                    images += 1
         calls.clear()
+        indexes.clear()
     assert compared > 2000, compared
+    assert images > 4000, images
 
 
 def test_kept_eligible_atoms_follow_a_reordering_rename():
