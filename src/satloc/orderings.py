@@ -141,17 +141,20 @@ class Ordering:
         of b is strictly below some argument of a.  Distinct 0-ary atoms
         are incomparable.  The answer is remembered; an unranked symbol
         raises KeyError and leaves nothing behind.
+
+        An atom is not above itself, and if b has a variable that a lacks,
+        a is not above b either: s > t in the LPO implies Var(t) <= Var(s),
+        the atom ordering's standing hypothesis.  Both answers are False at
+        once, with no LPO step and nothing remembered, so the n atoms of a
+        clause on pairwise distinct variables leave no n^2 memo entries.
         """
         key = (a, b)
         result = self._atom_memo.get(key)
         if result is not None:
             return result
-        if a is b or not a.args:
-            result = False
-        else:
-            result = all(any(self.lpo_greater(t, s) for t in a.args) for s in b.args)
-            # standing hypothesis: greater atoms carry at least the variables
-            assert not result or vars_of(b) <= vars_of(a)
+        if a is b or not b.ground and not vars_of(b) <= vars_of(a):
+            return False
+        result = bool(a.args) and all(any(self.lpo_greater(t, s) for t in a.args) for s in b.args)
         self._atom_memo[key] = result
         return result
 

@@ -19,13 +19,24 @@ clause leaves the set even while an equal live clause stays; that clause
 then costs only the scan.  The subsumer gives a local proof wherever the
 deleted clause did, so the live clauses prove what all the stored ones
 did, and rules, once harvested, stay.  The index holds the live clauses
-only: a deleted clause leaves it whole, and queued pairs with a deleted
-premise are skipped.
+only: a deleted clause leaves it whole, and a pair with a deleted clause
+is skipped.
+
+The loop is a given-clause loop (Otter's, McCune and Wos 1997) over
+clause numbers, which keep the storing order (ClauseIndex.pairs).  Clause
+k becomes the given clause after every clause stored before it, and is
+resolved, in both directions, against each live partner i <= k in
+increasing order; a pair is skipped if a discovery has deleted either of
+its clauses meanwhile.  A clause numbered below k that is live when k is
+given was live when k was stored, so these are the pairs of the all-pairs
+FIFO loop, in its order, minus those with a dead clause.  When no live
+pair is left, every inference among the live clauses has been considered:
+the state is saturated.
 
 Clauses are prepared for resolution as they enter the index (their
 variables and eligible atoms are kept, and renamed-apart copies are kept
 once made, all in one record per clause) and posted under their eligible
-predicates, so only the clause pairs that can resolve are queued.  Each
+predicates, so only the clause pairs that can resolve are tried.  Each
 pair of resolved atoms is unified once per index, and each atom's image
 under that unifier is substituted once (ClauseIndex._unifiers).
 Subsumption is pre-tested in both directions by the same features, each
@@ -55,25 +66,18 @@ bounded latency sample.
 Each a priori inference is classified by the first matching case:
 non-maximality (harvest rules from the unified premise instances),
 redundancy (under the live clauses and rules), discovery (store the
-conclusion, harvest its rules, queue new work).
+conclusion and harvest its rules; it is given in its turn).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
 
 from .entailment import clause_redundant, subsumes
 from .orderings import Ordering
-from .resolution import (
-    Inference,
-    a_priori_resolvents,
-    eligible_atoms,
-    is_a_posteriori,
-    renamed_apart,
-)
+from .resolution import Inference, a_priori_resolvents, eligible_atoms
+from .resolution import is_a_posteriori, renamed_apart
 # The benchmark's layer tracer (bench/tracing.py) is the only reader of this
 # name here; nothing in satloc factors.
 from .resolution import a_priori_factors  # noqa: F401
@@ -89,10 +93,11 @@ RUNNING = "running"
 class Limits:
     """Bounds on a saturation run.  A discovery made while max_clauses
     clauses are live stops the loop once the conclusion is stored.
-    max_steps is checked before each queued clause pair: once that many
-    inferences have been considered, the loop stops.  A pair that passes
-    the check has all its inferences considered, so a run may consider more
-    than max_steps."""
+    max_steps is checked before each pair of live clauses: once that many
+    inferences have been considered, the loop stops there.  A pair that
+    passes the check has all its inferences considered, so a run may
+    consider more than max_steps; a run with no live pair left is saturated
+    whatever the limits."""
 
     max_clauses: int | None = None
     max_steps: int | None = None
@@ -135,7 +140,8 @@ class _Record:
     atoms and eligible predicates per side (antecedent, succedent), its
     posting keys (side, predicate), one per eligible predicate, and its
     _features), its renamed-apart copies as a second premise, with their
-    eligible antecedent atoms, keyed by the first premise's variable set."""
+    eligible antecedent atoms, keyed by the first premise's variables that
+    it lacks."""
 
     __slots__ = ("clause", "vars", "atoms", "eligible", "features", "keys", "renamed")
 
@@ -153,8 +159,9 @@ class ClauseIndex:
     """The live clauses, each prepared for resolution and subsumption, and
     one posting map over them.
 
-    A clause is numbered when it is added, and numbers are never reused, so
-    they keep the order of adding.  `live` maps the number of each live
+    A clause is numbered when it is added (`added` counts the numbers handed
+    out), and numbers are never reused, so they keep the order of adding;
+    pairs() walks the live pairs by them.  `live` maps the number of each live
     clause to its record (_Record); deleting a clause drops its record and
     its number from every posting set, so nothing of it remains but the
     `_unifiers` entries of its atoms (below).
@@ -162,9 +169,11 @@ class ClauseIndex:
     What a clause needs as a premise is worked out once, when it is added:
     its variables, the eligible (maximal) atoms of each side, and their
     predicates.  As a second premise it is renamed apart from the first
-    premise's variables, which is all the renaming depends on, so its record
-    keeps each renamed copy and the copy's eligible antecedent atoms per
-    first-premise variable set; maximality is invariant under renaming.  Its
+    premise's variables.  The renaming reads them only by the names that
+    the clause does not have itself (terms.renaming), and variables are
+    interned by name, so its record keeps each renamed copy and the copy's
+    eligible antecedent atoms per set of first-premise variables that the
+    clause lacks; maximality is invariant under renaming.  Its
     _features are worked out once too, for subsumption.
 
     What a pair of resolved atoms needs is worked out once for the index's
@@ -202,14 +211,15 @@ class ClauseIndex:
         self._postings: dict[tuple, set[int]] = {}
         self._clauses: set[Clause] = set()
         self._unifiers: dict = {}  # a_priori_resolvents' table
-        self._numbers = count()
+        self.added = 0
         for c in clauses:
             self.add(c)
 
     def add(self, c: Clause) -> int:
         """Index c as a live clause and return its number.  Whether c should
         be stored (no live clause subsumes it) is the caller's question."""
-        k = next(self._numbers)
+        k = self.added
+        self.added += 1
         record = self.live[k] = _Record(self.ordering, c)
         for key in record.keys:
             self._postings.setdefault(key, set()).add(k)
@@ -234,10 +244,11 @@ class ClauseIndex:
         first, second = self.live[i], self.live[j]
         if first.eligible[1].isdisjoint(second.eligible[0]):
             return []
-        renamed = second.renamed.get(first.vars)
+        forbidden = first.vars - second.vars
+        renamed = second.renamed.get(forbidden)
         if renamed is None:
-            renamed = renamed_apart(second.clause, second.atoms[0], first.vars)
-            second.renamed[first.vars] = renamed
+            renamed = renamed_apart(second.clause, second.atoms[0], forbidden)
+            second.renamed[forbidden] = renamed
         return a_priori_resolvents(first.clause, first.atoms[1], *renamed, self._unifiers)
 
     def partners(self, k: int) -> list[int]:
@@ -248,6 +259,21 @@ class ClauseIndex:
             for p in preds:
                 found.update(self._postings.get((1 - side, p), ()))
         return sorted(found)
+
+    def pairs(self):
+        """The given-clause walk: for each clause number k in turn, those
+        added during the walk included, the pairs (i, k) of live partners
+        i <= k in increasing order.  A pair is yielded only if both of its
+        clauses are live when it is reached."""
+        k = 0
+        while k < self.added:
+            if k in self.live:
+                for i in self.partners(k):
+                    if i > k or k not in self.live:
+                        break
+                    if i in self.live:
+                        yield i, k
+            k += 1
 
     def subsumed(self, c: Clause, features=None) -> bool:
         """Does a live clause subsume c?  Tried in number order, on the
@@ -317,7 +343,6 @@ class SaturationState:
     ordering: Ordering
     clauses: list[Clause] = field(default_factory=list)
     rules: RewriteSystem = field(default_factory=RewriteSystem)
-    queue: deque = field(default_factory=deque)  # clause numbers (i, j), i <= j
     stats: SaturationStats = field(default_factory=SaturationStats)
     status: str = RUNNING
 
@@ -329,12 +354,9 @@ class SaturationState:
         return ClauseIndex(self.ordering, self.clauses)
 
     def add_clause(self, c: Clause) -> None:
-        """Store c, which the caller has found no live clause to subsume;
-        delete every live clause that c subsumes; queue c's work.
-
-        A pair (i, k) is queued only for each live partner i, in increasing
-        order, so the inferences keep the all-pairs FIFO order.
-        """
+        """Store c, which the caller has found no live clause to subsume,
+        and delete every live clause that c subsumes.  c's pairs are tried
+        when it becomes the given clause (ClauseIndex.pairs)."""
         index = self.index
         k = index.add(c)
         self.clauses.append(c)
@@ -344,22 +366,17 @@ class SaturationState:
                 index.delete(m)
             self.clauses[:] = [d.clause for d in index.live.values()]
             self.stats.deleted += len(deleted)
-        self.queue.extend((i, k) for i in index.partners(k))
-
-
-def _inferences_for(state: SaturationState, i: int, j: int) -> list[Inference]:
-    """The resolution inferences between clauses i <= j, in both directions."""
-    index = state.index
-    out = index.resolvents(i, j)
-    return out + index.resolvents(j, i) if i != j else out
 
 
 def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> SaturationState:
     """Run the saturation loop to a fixed point or a limit.
 
-    Returns the final state; status is "saturated" iff the work queue
-    emptied, else "limit_reached" (the state is still usable but carries no
-    completeness guarantee).  Either way its clauses are the live ones, in
+    Each pair of live clauses (i, k) of the given-clause walk
+    (ClauseIndex.pairs) is resolved in both directions, i into k first.
+    Returns the final state; status is "saturated" iff the walk ran out of
+    live pairs, else "limit_reached": the run stopped at a given clause and
+    its next partner, and the state is still usable but carries no
+    completeness guarantee.  Either way its clauses are the live ones, in
     the order they were stored, and its rules start from those of every
     input clause.
     """
@@ -369,21 +386,21 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
         if not state.index.subsumed(c):
             state.add_clause(c)
     state.rules = rules_of(ordering, clauses)
-    live = state.index.live
-    while state.queue:
+    index = state.index
+    for i, k in index.pairs():
         if limits.max_steps is not None and state.stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
-        i, j = state.queue.popleft()
-        if i not in live or j not in live:
-            continue
         state.stats.items_processed += 1
-        for inf in _inferences_for(state, i, j):
+        inferences = index.resolvents(i, k)
+        if i != k:
+            inferences = inferences + index.resolvents(k, i)
+        for inf in inferences:
             state.stats.inferences_considered += 1
             if not is_a_posteriori(ordering, inf):
                 state.rules = state.rules | rules_of(ordering, inf.premise_instances)
                 state.stats.non_maximality += 1
-            elif how := state.index.redundancy(state.rules, inf.conclusion):
+            elif how := index.redundancy(state.rules, inf.conclusion):
                 state.stats.redundant += 1
                 if how == "subsumption":
                     state.stats.redundant_by_subsumption += 1

@@ -9,6 +9,7 @@ import itertools
 import random
 import re
 import sys
+from collections import deque
 from pathlib import Path
 
 import make_corpus
@@ -534,6 +535,7 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
     state = SaturationState(ordering)
     stored: list[Clause] = []  # every clause stored, by position
     live: list[int] = []  # positions of the clauses not deleted, in order
+    queue: deque[tuple[int, int]] = deque()  # positions (i, j), i <= j
 
     def add(c: Clause) -> None:
         if any(subsumes(stored[m], c) for m in live):
@@ -544,7 +546,7 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
         k = len(stored)
         stored.append(c)
         live.append(k)
-        state.queue.extend((i, k) for i in live)
+        queue.extend((i, k) for i in live)
         state.clauses = [stored[m] for m in live]
 
     def inferences(i, j):
@@ -557,11 +559,11 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
         add(c)
     state.rules = rules_of(ordering, clauses)
     stats = state.stats
-    while state.queue:
+    while queue:
         if limits.max_steps is not None and stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
-        i, j = state.queue.popleft()
+        i, j = queue.popleft()
         if i not in live or j not in live:
             continue
         stats.items_processed += 1

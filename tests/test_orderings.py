@@ -105,6 +105,7 @@ def test_lpo_agrees_with_reference():
 def test_lpo_laws_sampled():
     rng = random.Random(31)
     ordering = sig_ordering()
+    greater_with_vars = 0
     for _ in range(2000):
         s, t, u = rand_term(rng, 3), rand_term(rng, 3), rand_term(rng, 2)
         assert not ordering.lpo_greater(s, s)
@@ -117,6 +118,12 @@ def test_lpo_laws_sampled():
             from satloc.terms import substitute
 
             assert ordering.lpo_greater(substitute(sigma, s), substitute(sigma, t))
+        # a greater term has every variable of a smaller one: the standing
+        # hypothesis on which atom_greater answers False unasked
+        if ordering.lpo_greater(s, t):
+            assert vars_of(t) <= vars_of(s)
+            greater_with_vars += bool(vars_of(t))
+    assert greater_with_vars > 100, greater_with_vars
 
 
 def test_lpo_subterm_property():
@@ -288,6 +295,15 @@ def test_saturate_and_verify_reuse_comparisons(monkeypatch):
     state = parse_state(serialize_state(saturate(problem.ordering, problem.clauses)))
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok
     assert calls <= 400
+
+
+def test_a_wide_clause_leaves_at_most_one_memo_entry_per_atom():
+    # no two of the atoms p(Xi) share their variable, so none is above
+    # another, and that answer is not remembered: remembering it left
+    # 1 441 200 entries (205 MB) after this one-clause state was read
+    atoms = ", ".join(f"p(X{i})" for i in range(1200))
+    state = parse_state(f"saturated: true\norder:\nclause: {atoms} -> q\n")
+    assert 0 < len(state.ordering._atom_memo) <= 1201
 
 
 def test_threads_sharing_an_ordering_get_the_reference_answers():

@@ -72,13 +72,32 @@ def test_limits_reached():
     assert state2.status == "limit_reached"
     state3 = saturate(problem.ordering, problem.clauses, Limits(max_clauses=50, max_steps=50))
     assert state3.status == "saturated"
-    # max_steps is checked before each queued pair, and each pair that
-    # passes the check is finished: after 1 inference, a pair with 2 more
+    # max_steps is checked before each pair of live clauses, and each pair
+    # that passes the check is finished: after 1 inference, a pair with 2 more
     text = (Path(__file__).parent / "corpus" / "g_mixed_01.p").read_text(encoding="utf-8")
     mixed = parse_problem(text)
     state4 = saturate(mixed.ordering, mixed.clauses, Limits(max_steps=2))
     assert state4.status == "limit_reached"
     assert state4.stats.inferences_considered == 3
+
+
+def test_step_limits_report_saturated_exactly_when_the_run_is_complete():
+    # For every limit up to one past the total, a run is "saturated" exactly
+    # when its state (header aside) and its counters are the unlimited
+    # run's.  A loop that checked the limit before pairs with a deleted
+    # clause reported a complete run as a limit in 6 of these 300 runs, as
+    # g_ground_03 at 0 steps, g_ground_08 at 1 and g_disj_02 at 10.
+    runs = 0
+    for path in sorted(make_corpus.CORPUS.glob("*.p")):
+        problem = parse_problem(path.read_text(encoding="utf-8"))
+        full = saturate(problem.ordering, problem.clauses)
+        body = serialize_state(full).split("\n", 1)[1]
+        for m in range(full.stats.inferences_considered + 2):
+            state = saturate(problem.ordering, problem.clauses, Limits(max_steps=m))
+            complete = serialize_state(state).split("\n", 1)[1] == body and state.stats == full.stats
+            assert (state.status == "saturated") == complete, (path.name, m)
+            runs += 1
+    assert runs == 300
 
 
 def test_limits_are_frozen():

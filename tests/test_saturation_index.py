@@ -156,8 +156,8 @@ def test_verify_reads_back_a_removed_clause_rule():
 
 
 def test_step_limit_at_the_last_inference_reports_saturated():
-    # Pairs that cannot resolve are no longer queued, so a step limit equal
-    # to the total inference count leaves an empty queue: the state is
+    # Pairs that cannot resolve are never tried, so a step limit equal to
+    # the total inference count leaves no pair to try: the state is
     # saturated, which the all-pairs loop reported as a limit.
     problem = parse_problem(WORKED)
     full = saturate(problem.ordering, problem.clauses)
@@ -175,14 +175,15 @@ def test_index_follows_a_clause_list_built_elsewhere():
     parsed = parse_state(text)
     state = SaturationState(ordering=parsed.ordering, clauses=parsed.clauses, rules=parsed.rules)
     assert [d.clause for d in state.index.live.values()] == state.clauses
-    # variants of parsed clauses are found, new clauses queue their partners
+    # variants of parsed clauses are found, and a new clause is posted, so
+    # the given-clause walk pairs it with its partners
     assert state.index.subsumed(cl("p3(Y) -> p4(Y)"))
     new = cl("p5(X) -> q(X)")
     assert not state.index.subsumed(new)
     state.add_clause(new)
     k = len(state.clauses) - 1
     partner = state.clauses.index(cl("p4(X) -> p5(X)"))
-    assert (partner, k) in state.queue
+    assert partner in state.index.partners(k)
     assert [d.clause for d in state.index.live.values()] == state.clauses
 
 
@@ -262,7 +263,7 @@ def test_each_clause_meets_forward_subsumption_once(monkeypatch):
     # the index keeps nothing between calls beyond the live clauses and the
     # table of unifiers and atom images of the atom pairs they resolved on
     assert set(vars(ClauseIndex(problem.ordering))) == {
-        "ordering", "live", "_postings", "_clauses", "_unifiers", "_numbers"
+        "ordering", "live", "_postings", "_clauses", "_unifiers", "added"
     }
 
 
@@ -669,19 +670,24 @@ def test_chain_unifies_each_atom_pair_once_per_index(monkeypatch):
     # Each pass (saturate or verify) resolves 442 inferences on 48 atom
     # pairs.  Unifying per inference, each pass made 455 mgu and 1 508
     # substitute calls; the index's table unifies each pair and substitutes
-    # into each atom once.
+    # into each atom once.  A second premise's renamed copies are keyed by
+    # the first premise's variables that it lacks: keyed by all of them, a
+    # pass made 169 copies and 661 substitute calls for the same 91 copies.
     counters = {
         name: CallCounter(monkeypatch, name, resolution_module) for name in ("mgu", "substitute")
     }
+    counters["renamed_apart"] = CallCounter(monkeypatch, "renamed_apart")
     problem = parse_problem(CHAIN)
     state = saturate(problem.ordering, problem.clauses)
+    calls = {name: counter.calls for name, counter in counters.items()}
     assert state.stats.inferences_considered == 442
-    assert (counters["mgu"].calls, counters["substitute"].calls) == (48, 661)
+    assert calls == {"mgu": 48, "substitute": 527, "renamed_apart": 102}
+    assert len({copy for copy, _ in counters["renamed_apart"].results}) == 91
     assert len(state.index._unifiers) == 48
     for counter in counters.values():
         counter.calls = 0
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok
-    assert (counters["mgu"].calls, counters["substitute"].calls) == (48, 661)
+    assert {name: counter.calls for name, counter in counters.items()} == calls
     # the table lives and dies with its index: a new index starts empty, and
     # resolution keeps no cache of its own that would outlive a run
     assert ClauseIndex(problem.ordering)._unifiers == {}

@@ -1,5 +1,7 @@
 """Terms, clauses, substitutions: unit examples and randomized laws."""
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -351,6 +353,24 @@ def test_terms_are_immutable():
             t.args = ()
         with pytest.raises(AttributeError):
             del t.ground
+
+
+def test_copies_pickles_and_reprs_of_terms_are_the_interned_objects():
+    # __reduce__ rebuilds a term through its constructor, so a copy is the
+    # one interned object.  copy and pickle recurse once per level, so the
+    # term is 50 deep, not thousands.
+    deep = x
+    for i in range(50):
+        deep = Fn("g", (deep, Var(f"Y{i}"))) if i % 2 else Fn("f", (deep, Fn("a")))
+    atom = Atom("p", (deep, y))
+    clause = Clause([atom, at("r(X)")], [at("q(X,a)")])
+    for copied in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
+        assert copied is atom
+    for copied in (copy.deepcopy(clause), pickle.loads(pickle.dumps(clause))):
+        assert copied == clause
+        atoms = zip(copied.antecedent + copied.succedent, clause.antecedent + clause.succedent)
+        assert all(a is b for a, b in atoms)
+    assert eval(repr(atom), {"Atom": Atom, "Fn": Fn, "Var": Var}) is atom
 
 
 def _ref_vars(t, out):
