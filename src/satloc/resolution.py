@@ -16,12 +16,13 @@ record, so nothing is worked out again for every pair.
 Atoms are interned, so a pair of them is an exact and cheap key.  The
 unifier of a resolved pair depends on the two atoms alone, and so does the
 image of any atom under it.  a_priori_resolvents therefore takes a table
-from (A, A') to the pair's mgu (None included) and a dict of atom images
-under it, both filled on first use, and unifies each pair and substitutes
-into each atom once per table.  The saturation index keeps one table for
-its lifetime; a table is never module state, so nothing outlives its
-owner.  The inferences on a pair share its unifier, and later calls share
-its images, so neither may be mutated.
+from (A, A') to a dict of atom images under the pair's mgu (_Images, whose
+alpha is None when the pair does not unify), filled on first use, and
+unifies each pair and substitutes into each atom once per table.  The
+saturation index keeps one table for its lifetime; a table is never module
+state, so nothing outlives its owner.  An inference keeps the images of its
+premises' atoms in lists of its own (Inference.sides), and no field of it
+is an object that the table holds.
 
 Saturation uses resolution alone.  Clauses are atom sets, so a factor's
 frozen conclusion is a ground instance of its own premise inside its own
@@ -44,33 +45,34 @@ FACTORING = "factoring"
 class Inference:
     """One resolution or factoring step with everything redundancy checks need.
 
-    premises are the renamed-apart clauses actually used; resolved holds the
-    pre-unification atom occurrences (A in the first premise's succedent and
-    A' in the second premise's antecedent for resolution; the kept and the
-    dropped succedent atom for factoring).  For resolution, siblings holds
-    the other atom occurrences of each premise under the unifier, one list
-    per premise, antecedent first: the conclusion's atoms before
-    deduplication, and what is_a_posteriori compares the resolved atom with.
+    premises are the renamed-apart clauses actually used, the first
+    premise's succedent atom A resolved against the second premise's
+    antecedent atom A'; a factor has its one premise.  resolved_atom is the
+    image of A (and of A', or of the dropped factored atom) under the
+    unifier.  sides holds, for each premise, the images of its antecedent
+    atoms and of its succedent atoms, each in clause order and leaving out
+    the resolved occurrence (A in the first premise, A' in the second, the
+    dropped atom in a factor): the conclusion's atoms before deduplication,
+    and what is_a_posteriori compares the resolved atom with.
 
-    The fields are read-only by contract, not frozen (a frozen dataclass
-    costs twice as much to build): a resolution's unifier is the one that
-    a_priori_resolvents' table holds for its resolved pair, shared by every
-    inference on that pair.
+    Not frozen: a frozen dataclass costs twice as much to build.
     """
 
     kind: str
     premises: tuple[Clause, ...]
-    unifier: Subst
-    resolved: tuple[Atom, ...]
     resolved_atom: Atom
     conclusion: Clause
-    siblings: tuple[list[Atom], list[Atom]] | None
+    sides: tuple[tuple[list[Atom], list[Atom]], ...]
 
     @property
     def premise_instances(self) -> tuple[Clause, ...]:
-        """The premises under the unifier.  Built on each read: only the
-        non-maximality case and the verifier's condition 3 read them."""
-        return tuple(substitute(self.unifier, p) for p in self.premises)
+        """The premises under the unifier, put back together from sides:
+        clauses are atom sets, so an atom that collapses onto the resolved
+        atom is the same one.  Built on each read: only the non-maximality
+        case and the verifier's condition 3 read them."""
+        a = self.resolved_atom
+        (ant1, suc1), *rest = self.sides
+        return (Clause(ant1, suc1 + [a]), *(Clause(ant2 + [a], suc2) for ant2, suc2 in rest))
 
     def __str__(self) -> str:
         prem = " ; ".join(str(p) for p in self.premises)
@@ -107,7 +109,7 @@ def a_priori_resolvents(
     eligible1: tuple[Atom, ...],
     c2r: Clause,
     eligible2: tuple[Atom, ...],
-    unifiers: dict[tuple[Atom, Atom], tuple[Subst | None, dict[Atom, Atom]]],
+    unifiers: dict[tuple[Atom, Atom], _Images],
 ) -> list[Inference]:
     """Resolution inferences whose premise-side maximality conditions hold:
     c1's eligible succedent atoms eligible1 against eligible2, the eligible
@@ -115,21 +117,19 @@ def a_priori_resolvents(
     Enumeration follows the canonical atom order, so the output is
     deterministic.
 
-    unifiers is the table of resolved pairs (A, A'), each with its mgu and
-    the images of atoms under it, read and filled here: an entry is worked
-    out on the pair's first use and reused by every later pair of premises
-    that resolves on the same two atoms.  Its entries must not be mutated;
-    a fresh {} works everything out for this one call.
+    unifiers is the table of resolved pairs (A, A'), each with the images
+    of atoms under its mgu, read and filled here: an entry is worked out on
+    the pair's first use and reused by every later pair of premises that
+    resolves on the same two atoms.  A fresh {} works everything out for
+    this one call.
     """
     out: list[Inference] = []
     for a in eligible1:
         for ap in eligible2:
-            entry = unifiers.get((a, ap))
-            if entry is None:
-                alpha = mgu(a, ap)
-                entry = unifiers[a, ap] = (alpha, _Images(alpha))
-            alpha, images = entry
-            if alpha is None:
+            images = unifiers.get((a, ap))
+            if images is None:
+                images = unifiers[a, ap] = _Images(mgu(a, ap))
+            if images.alpha is None:
                 continue
             ant1 = [images[x] for x in c1.antecedent]
             ant2 = [images[x] for x in c2r.antecedent if x != ap]
@@ -139,19 +139,17 @@ def a_priori_resolvents(
                 Inference(
                     kind=RESOLUTION,
                     premises=(c1, c2r),
-                    unifier=alpha,
-                    resolved=(a, ap),
                     resolved_atom=images[a],
                     conclusion=Clause(ant1 + ant2, suc1 + suc2),
-                    siblings=(ant1 + suc1, ant2 + suc2),
+                    sides=((ant1, suc1), (ant2, suc2)),
                 )
             )
     return out
 
 
 class _Images(dict):
-    """The images of atoms under one unifier, each worked out on its first
-    lookup."""
+    """The images of atoms under one unifier, alpha, each worked out on its
+    first lookup; alpha is None for a pair that does not unify."""
 
     __slots__ = ("alpha",)
 
@@ -180,19 +178,15 @@ def a_priori_factors(ordering: Ordering, c: Clause) -> list[Inference]:
                 kept, dropped = ap, a
             else:
                 continue
-            conclusion = substitute(
-                alpha,
-                Clause(c.antecedent, tuple(x for x in succ if x != dropped)),
-            )
+            ant = [substitute(alpha, x) for x in c.antecedent]
+            suc = [substitute(alpha, x) for x in succ if x != dropped]
             out.append(
                 Inference(
                     kind=FACTORING,
                     premises=(c,),
-                    unifier=alpha,
-                    resolved=(kept, dropped),
                     resolved_atom=substitute(alpha, kept),
-                    conclusion=conclusion,
-                    siblings=None,
+                    conclusion=Clause(ant, suc),
+                    sides=((ant, suc),),
                 )
             )
     return out
@@ -202,11 +196,11 @@ def is_a_posteriori(ordering: Ordering, inf: Inference) -> bool:
     """Re-test maximality on the unified premise instances of a resolution.
 
     Occurrence-level: each premise atom other than the resolved occurrence is
-    instantiated separately (inf.siblings), so a sibling collapsing onto the
+    instantiated separately (inf.sides), so an atom collapsing onto the
     resolved atom blocks strict maximality.
     """
-    others1, others2 = inf.siblings
+    (ant1, suc1), (ant2, suc2) = inf.sides
     a_inst = inf.resolved_atom
-    return ordering.is_strictly_maximal(a_inst, others1) and ordering.is_maximal(
-        a_inst, others2
+    return ordering.is_strictly_maximal(a_inst, ant1 + suc1) and ordering.is_maximal(
+        a_inst, ant2 + suc2
     )

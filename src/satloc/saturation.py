@@ -178,11 +178,11 @@ class ClauseIndex:
 
     What a pair of resolved atoms needs is worked out once for the index's
     lifetime: `_unifiers` maps each (first-premise succedent atom, renamed
-    second-premise antecedent atom) pair to its mgu, None included, and to
-    the images of atoms under it, each filled on first use
-    (a_priori_resolvents).  Atoms are interned, so the pair is an exact
-    key, and it stays valid when either clause is deleted: the unifier and
-    the images depend on the atoms alone.  On the 12-step chain the 442
+    second-premise antecedent atom) pair to the images of atoms under its
+    mgu (resolution._Images, whose alpha is the mgu, None included), filled
+    on first use (a_priori_resolvents).  Atoms are interned, so the pair is
+    an exact key, and it stays valid when either clause is deleted: the
+    images depend on the atoms alone.  On the 12-step chain the 442
     inferences of a pass resolve on 48 pairs.
 
     The posting map takes each key (side, predicate) to the numbers of the

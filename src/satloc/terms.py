@@ -368,30 +368,40 @@ def mgu(e1, e2) -> Subst | None:
     Deterministic: pairs are processed left to right, and a variable-variable
     pair binds the variable with the syntactically smaller name.  Two ground
     terms, or two ground atoms, unify iff they are the same interned object.
+
+    A popped pair is not substituted: a variable in it is looked up in
+    sigma, and the two sides are compared by identity, so two applications
+    are taken apart as written and unifying two n-deep terms builds no
+    term.  sigma is idempotent, so a looked-up variable is either unbound
+    or replaced by a term with no bound variable; only the term a variable
+    gets bound to is substituted, before the occurs check.  The bindings,
+    and their order, are those that substituting both sides of each pair
+    would give.
     """
     if e1.ground and e2.ground and type(e1) is type(e2):
         return {} if e1 is e2 else None
     pairs = _decompose(e1, e2)
     if pairs is None:
         return None
+    pairs.reverse()
     sigma: Subst = {}
     while pairs:
-        s, t = pairs.pop(0)
-        s = substitute(sigma, s)
-        t = substitute(sigma, t)
-        if s == t:
+        s, t = pairs.pop()
+        s, t = sigma.get(s, s), sigma.get(t, t)  # only a variable is a key
+        if s is t:
             continue
         # the variable to bind first: of two variables, the smaller name
-        if isinstance(t, Var) and (not isinstance(s, Var) or t.name < s.name):
+        if type(t) is Var and (type(s) is not Var or t.name < s.name):
             s, t = t, s
-        if isinstance(s, Var):
+        if type(s) is Var:
+            t = substitute(sigma, t)
             if s in vars_of(t):
                 return None
             sigma = _bind(sigma, s, t)
+        elif s.name != t.name or len(s.args) != len(t.args):
+            return None
         else:
-            if s.name != t.name or len(s.args) != len(t.args):
-                return None
-            pairs[0:0] = list(zip(s.args, t.args))
+            pairs += zip(s.args[::-1], t.args[::-1])
     return sigma
 
 

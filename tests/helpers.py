@@ -18,7 +18,8 @@ import satloc.parsing as parsing
 from satloc.entailment import clause_redundant, subsumes
 from satloc.orderings import Ordering
 from satloc.parsing import ParseError, Problem, parse_clause_text
-from satloc.resolution import Inference, a_priori_resolvents, eligible_atoms, is_a_posteriori
+from satloc.resolution import RESOLUTION, Inference, a_priori_resolvents, eligible_atoms
+from satloc.resolution import is_a_posteriori
 from satloc.rewriting import RewriteSystem, reach, rules_of
 from satloc.saturation import LIMIT_REACHED, SATURATED, Limits, SaturationState, VerifyReport
 from satloc.terms import (
@@ -32,6 +33,7 @@ from satloc.terms import (
     Var,
     atom_key,
     match_onto,
+    mgu,
     renaming,
     substitute,
     vars_of,
@@ -253,6 +255,30 @@ def ref_a_priori_resolvents(ordering: Ordering, c1: Clause, c2: Clause) -> list[
     return a_priori_resolvents(
         c1, eligible_atoms(ordering, c1)[1], c2r, eligible_atoms(ordering, c2r)[0], {}
     )
+
+
+def unifying_pair(ordering: Ordering, inf: Inference) -> tuple[Atom, Atom] | None:
+    """A pair (a, a') of inf's premise atoms that the a priori rule may act
+    on, whose mgu α takes each premise p to its premise instance,
+    substitute(α, p), and a to the resolved atom; None if there is none.
+    For a resolution a is an eligible succedent atom of the first premise
+    and a' an eligible antecedent atom of the second; for a factor a is an
+    eligible succedent atom and a' another succedent atom."""
+    if inf.kind == RESOLUTION:
+        c1, c2 = inf.premises
+        pairs = itertools.product(eligible_atoms(ordering, c1)[1], eligible_atoms(ordering, c2)[0])
+    else:
+        (c,) = inf.premises
+        pairs = [(a, b) for a in eligible_atoms(ordering, c)[1] for b in c.succedent if b is not a]
+    for a, ap in pairs:
+        alpha = mgu(a, ap)
+        if (
+            alpha is not None
+            and substitute(alpha, a) is inf.resolved_atom
+            and inf.premise_instances == tuple(substitute(alpha, p) for p in inf.premises)
+        ):
+            return a, ap
+    return None
 
 
 class _NoOrdering(Ordering):

@@ -14,12 +14,13 @@ from helpers import (
     ref_a_priori_resolvents,
     rename_apart,
     sig_ordering,
+    unifying_pair,
     variant_equal,
 )
 from satloc import Clause, Ordering, RewriteSystem, parse_problem
 from satloc.entailment import clause_redundant
 from satloc.resolution import a_priori_factors, is_a_posteriori
-from satloc.terms import Var, substitute, vars_of
+from satloc.terms import substitute, vars_of
 
 CORPUS = sorted(glob.glob(str(Path(__file__).parent / "corpus" / "*.p")))
 
@@ -32,7 +33,7 @@ def test_paper_remark_example():
     assert len(infs) == 1
     inf = infs[0]
     assert inf.conclusion == cl("i(b,b) ->")
-    assert inf.unifier == {Var("X"): at("i(a,a)").args[0], Var("Y"): at("i(b,b)").args[0]}
+    assert inf.premise_instances == (cl("i(b,b) -> i(a,b)"), c2)
     assert inf.resolved_atom == at("i(a,b)")
 
 
@@ -65,11 +66,8 @@ def test_factor_example():
     assert a_priori_factors(o, cl("p(X), p(Y) ->")) == []  # succedent only
 
 
-def test_every_factor_is_redundant():
-    # Clauses are atom sets, so a factor's frozen conclusion is a ground
-    # instance of its own premise inside its own atoms: the premise alone
-    # proves it locally, without any rule.  This is why saturate and verify
-    # use resolution only.
+def _factor_cases():
+    """(ordering, clause) for the corpus clauses and 2 000 random ones."""
     cases = []
     for path in CORPUS:
         problem = parse_problem(Path(path).read_text(encoding="utf-8"))
@@ -77,10 +75,33 @@ def test_every_factor_is_redundant():
     rng = random.Random(131)
     ordering = sig_ordering()
     cases += [(ordering, rand_clause(rng, max_side=4)) for _ in range(2000)]
+    return cases
+
+
+def test_every_factor_is_redundant():
+    # Clauses are atom sets, so a factor's frozen conclusion is a ground
+    # instance of its own premise inside its own atoms: the premise alone
+    # proves it locally, without any rule.  This is why saturate and verify
+    # use resolution only.
     factors = 0
-    for o, c in cases:
+    for o, c in _factor_cases():
         for inf in a_priori_factors(o, c):
             assert clause_redundant([c], RewriteSystem(), inf.conclusion), str(inf)
+            factors += 1
+    assert factors > 100, factors
+
+
+def test_a_factor_is_a_value_of_its_unified_pair():
+    # a factor keeps the images of its premise's atoms, not a unifier: its
+    # premise instance is put back together from them, and equals the
+    # premise under the mgu of the two atoms it factors (the corpus has one
+    # factor, the random clauses the rest)
+    factors = 0
+    for o, c in _factor_cases():
+        for inf in a_priori_factors(o, c):
+            assert unifying_pair(o, inf) is not None, str(inf)
+            ((ant, suc),) = inf.sides
+            assert inf.conclusion == Clause(ant, suc)
             factors += 1
     assert factors > 100, factors
 

@@ -19,6 +19,7 @@ from helpers import (
     ref_saturate,
     ref_verify_saturated,
     sig_ordering,
+    unifying_pair,
 )
 from satloc import (
     Clause,
@@ -648,9 +649,9 @@ def test_chain_builds_premise_instances_only_when_read(monkeypatch):
 
 def test_a_posteriori_check_reuses_the_substituted_siblings(monkeypatch):
     # a_priori_resolvents substitutes every premise atom but the resolved
-    # ones to build the conclusion; is_a_posteriori reads those siblings
-    # instead of substituting them again.  The parent made 2 236 calls on
-    # chain, 728 of them in the a posteriori check.
+    # ones to build the conclusion; is_a_posteriori reads those images
+    # (Inference.sides) instead of substituting them again.  The parent
+    # made 2 236 calls on chain, 728 of them in the a posteriori check.
     calls = 0
     substitute = resolution_module.substitute
 
@@ -701,7 +702,7 @@ def test_chain_unifies_each_atom_pair_once_per_index(monkeypatch):
     ]
 
 
-INFERENCE_FIELDS = ("kind", "premises", "unifier", "resolved", "resolved_atom", "conclusion")
+INFERENCE_FIELDS = ("kind", "premises", "sides", "resolved_atom", "premise_instances", "conclusion")
 
 
 def fields(inferences):
@@ -732,18 +733,49 @@ def test_prepared_resolvents_equal_those_worked_out_from_scratch(monkeypatch):
         for ordering, c1, c2, out in calls:
             assert fields(out) == fields(ref_a_priori_resolvents(ordering, c1, c2))
             compared += len(out)
-        # the inferences share each table's unifiers and images: no reader
-        # has changed one
+        # each table entry holds the images under its pair's unifier
         for index in indexes:
-            for (a, ap), (alpha, cached) in index._unifiers.items():
-                assert alpha == mgu(a, ap)
+            for (a, ap), cached in index._unifiers.items():
+                assert cached.alpha == mgu(a, ap)
                 for x, image in cached.items():
-                    assert image == substitute(alpha, x)
+                    assert image == substitute(cached.alpha, x)
                     images += 1
         calls.clear()
         indexes.clear()
     assert compared > 2000, compared
     assert images > 4000, images
+
+
+def test_an_inference_is_a_value_of_its_unified_pair(monkeypatch):
+    # an inference holds its premises' unified atoms (sides), from which
+    # premise_instances is put back together without substituting; no
+    # field of it is an entry of the index's table or the entry's unifier,
+    # so nothing that it holds changes the images of a later inference
+    problems = [(parse_problem(Path(p).read_text(encoding="utf-8")), Limits()) for p in CORPUS]
+    problems += [(p, make_corpus.CURATION_LIMITS) for p in generated_problems(340, seed=17)]
+    made = []
+    resolvents = ClauseIndex.resolvents
+
+    def recorded(index, i, j):
+        out = resolvents(index, i, j)
+        made.append((index, out))
+        return out
+
+    monkeypatch.setattr(ClauseIndex, "resolvents", recorded)
+    checked = 0
+    for problem, limits in problems:
+        state = saturate(problem.ordering, problem.clauses, limits)
+        verify_saturated(state.ordering, state.clauses, state.rules)
+        for index, out in made:
+            held = {id(x) for images in index._unifiers.values() for x in (images, images.alpha)}
+            for inf in out:
+                assert unifying_pair(index.ordering, inf) is not None, str(inf)
+                values = [getattr(inf, name) for name in INFERENCE_FIELDS]
+                values += [side for premise in inf.sides for side in premise]
+                assert not held & {id(v) for v in values}, str(inf)
+                checked += 1
+        made.clear()
+    assert checked > 2000, checked
 
 
 def test_kept_eligible_atoms_follow_a_reordering_rename():
@@ -758,7 +790,7 @@ def test_kept_eligible_atoms_follow_a_reordering_rename():
     assert index.live[1].atoms[0] == (at("p(B)"), at("s(f(A))"))
     (inf,) = index.resolvents(0, 1)
     assert inf.premises[1].antecedent == (at("p(V10)"), at("p(V2)"), at("s(f(V2))"))
-    assert inf.resolved == (at("p(V0)"), at("p(V10)"))
+    assert inf.resolved_atom == at("p(V10)")
     assert fields([inf]) == fields(ref_a_priori_resolvents(ordering, c1, c2))
 
 

@@ -272,6 +272,61 @@ def test_mgu_agrees_with_the_general_algorithm_on_seeded_pairs():
     assert var_var > 5 and var_term > 100, (var_var, var_term)
 
 
+def test_mgu_builds_no_term_walking_two_deep_terms(monkeypatch):
+    # a popped pair is taken apart as written, not substituted first:
+    # substituting both sides of every pair rebuilt n(n+1)/2 terms here
+    # (2 001 000 at n = 2000)
+    n = 2000
+    open_, ground = x, Fn("a")
+    for _ in range(n):
+        open_, ground = Fn("f", (open_,)), Fn("f", (ground,))
+    built = 0
+    new = Fn.__new__
+
+    def counted(cls, name, args=()):
+        nonlocal built
+        built += 1
+        return new(cls, name, args)
+
+    monkeypatch.setattr(Fn, "__new__", counted)
+    assert mgu(Atom("p", (open_,)), Atom("p", (ground,))) == {x: Fn("a")}
+    assert built <= n, built
+
+
+def _vary(rng, t, names):
+    """t with some subterms, at any depth, replaced by variables of names."""
+    if rng.random() < 0.03:
+        return Var(rng.choice(names))
+    if type(t) is Var or not t.args:
+        return t
+    return Fn(t.name, [_vary(rng, a, names) for a in t.args])
+
+
+def test_mgu_agrees_with_the_general_algorithm_on_deep_pairs():
+    # two copies of one term up to 200 deep, each with variables in place
+    # of some subterms, mostly far below the top; a variable name shared by
+    # both copies brings occurs checks and clashes
+    rng = random.Random(37)
+    unified = failed = deep = 0
+    for _ in range(150):
+        t = rand_ground_term(rng, 1)
+        for _ in range(rng.randint(1, 200)):
+            name, arity = rng.choice(SIG_FUNCS)
+            args = [t] + [rand_ground_term(rng, 1) for _ in range(arity - 1)]
+            rng.shuffle(args)
+            t = Fn(name, args)
+        e1 = Atom("p", (_vary(rng, t, ["X", "Y", "Z"]),))
+        e2 = Atom("p", (_vary(rng, t, ["U", "W", "Z"]),))
+        expected = ref_mgu(e1, e2)
+        assert mgu(e1, e2) == expected
+        if expected is None:
+            failed += 1
+        else:
+            unified += 1
+            deep += any(type(u) is Fn for u in expected.values())
+    assert unified > 100 and failed > 20 and deep > 100, (unified, failed, deep)
+
+
 def test_rename_apart():
     c = cl("p(X) -> q(X)")
     r = rename_apart(c, {x})
