@@ -1,10 +1,21 @@
 """Fair saturation loop and the post-hoc saturatedness verifier.
 
 Saturation is by a priori ordered resolution alone (every factoring
-inference is redundant, see resolution.py), so the loop and the verifier
-check the same inferences, and both settle redundancy with one test
+inference is redundant, see resolution.py).  The loop and the verifier
+walk the same inferences (ClauseIndex.pairs), split them by the same
+cases in the same order, and settle redundancy with one test
 (ClauseIndex.redundancy): a live clause subsumes the conclusion, or the
 conclusion is locally provable within its frozen reach set.
+
+The split rests on the paper's lemma: during saturation, a non-redundant
+a priori inference is also an a posteriori one.  An inference that fails
+the a posteriori conditions has an atom in its conclusion that equals or
+beats the resolved instance Aσ; once the rules harvested from its premise
+instances are in the system, that atom rewrites to Aσ, so both premise
+instances, frozen with the conclusion, are instances of live clauses
+inside the conclusion's reach set and refute its negation.  So such an
+inference only harvests its rules, and is never tested for redundancy:
+the loop stores those rules, and the verifier checks that they are there.
 
 Input clauses and discovered conclusions are stored by one rule: a clause
 that a live clause subsumes is not stored, a variant included, and a
@@ -93,11 +104,13 @@ RUNNING = "running"
 class Limits:
     """Bounds on a saturation run.  A discovery made while max_clauses
     clauses are live stops the loop once the conclusion is stored.
-    max_steps is checked before each pair of live clauses: once that many
-    inferences have been considered, the loop stops there.  A pair that
-    passes the check has all its inferences considered, so a run may
-    consider more than max_steps; a run with no live pair left is saturated
-    whatever the limits."""
+    max_steps is checked at each pair of live clauses that the walk
+    reaches (ClauseIndex.pairs): once that many inferences have been
+    considered, the loop stops there.  That pair's inferences have been
+    built, but none of them is considered: the stats and the state are
+    those before the pair.  A pair that passes the check has all
+    its inferences considered, so a run may consider more than max_steps; a
+    run with no live pair left is saturated whatever the limits."""
 
     max_clauses: int | None = None
     max_steps: int | None = None
@@ -263,8 +276,12 @@ class ClauseIndex:
     def pairs(self):
         """The given-clause walk: for each clause number k in turn, those
         added during the walk included, the pairs (i, k) of live partners
-        i <= k in increasing order.  A pair is yielded only if both of its
-        clauses are live when it is reached."""
+        i <= k in increasing order, each yielded as the list of its
+        inferences: i into k, then k into i when i != k.  A pair is reached
+        only if both of its clauses are live then, and its inferences are
+        built when it is reached, before the caller looks at them; a caller
+        that stops at a pair (saturate's max_steps) has built them and
+        considered none."""
         k = 0
         while k < self.added:
             if k in self.live:
@@ -272,7 +289,7 @@ class ClauseIndex:
                     if i > k or k not in self.live:
                         break
                     if i in self.live:
-                        yield i, k
+                        yield self.resolvents(i, k) + (self.resolvents(k, i) if i != k else [])
             k += 1
 
     def subsumed(self, c: Clause, features=None) -> bool:
@@ -371,12 +388,13 @@ class SaturationState:
 def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> SaturationState:
     """Run the saturation loop to a fixed point or a limit.
 
-    Each pair of live clauses (i, k) of the given-clause walk
-    (ClauseIndex.pairs) is resolved in both directions, i into k first.
-    Returns the final state; status is "saturated" iff the walk ran out of
-    live pairs, else "limit_reached": the run stopped at a given clause and
-    its next partner, and the state is still usable but carries no
-    completeness guarantee.  Either way its clauses are the live ones, in
+    The inferences of each pair of live clauses of the given-clause walk
+    (ClauseIndex.pairs) are considered in turn, each by the first matching
+    case: non-maximality, redundancy, discovery.  Returns the final state;
+    status is "saturated" iff the walk ran out of live pairs, else
+    "limit_reached": the run stopped at a given clause and its next
+    partner, and the state is still usable but carries no completeness
+    guarantee.  Either way its clauses are the live ones, in
     the order they were stored, and its rules start from those of every
     input clause.
     """
@@ -387,14 +405,11 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
             state.add_clause(c)
     state.rules = rules_of(ordering, clauses)
     index = state.index
-    for i, k in index.pairs():
+    for inferences in index.pairs():
         if limits.max_steps is not None and state.stats.inferences_considered >= limits.max_steps:
             state.status = LIMIT_REACHED
             return state
         state.stats.items_processed += 1
-        inferences = index.resolvents(i, k)
-        if i != k:
-            inferences = inferences + index.resolvents(k, i)
         for inf in inferences:
             state.stats.inferences_considered += 1
             if not is_a_posteriori(ordering, inf):
@@ -428,29 +443,32 @@ class VerifyReport:
 def verify_saturated(ordering: Ordering, clauses, rules: RewriteSystem) -> VerifyReport:
     """Check saturatedness of (clauses, rules) from scratch.
 
+    The inferences are those of the loop's given-clause walk over the
+    clauses (ClauseIndex.pairs), in its order, and each is checked by the
+    loop's case split, so the violations come in the walk's order:
+    (3) an inference failing the a posteriori conditions contributed the
+    rules of its premise instances, which must be in the system; (1) every
+    other inference has a redundant conclusion, by the loop's test:
+    subsumed by a clause, or locally provable within its frozen reach set.
+    By the lemma (module docstring), an inference of the first kind whose
+    rules are in the system has a redundant conclusion too, so it is not
+    tested, and a missing rule is reported once, as condition 3.
+
     The system checked is `rules` with the rules the clauses give
-    (rules_of), as parse_state loads it, so condition 2 (the system holds
-    the clauses' rules) holds by construction.  Clause pairs are walked in
-    the all-pairs order, skipping the pairs the predicate index rules out,
-    so the violations come in the same order.  (1) every a priori
-    resolution inference has a redundant conclusion, by the loop's test:
-    subsumed by a clause, or locally provable within its frozen reach set;
-    (3) inferences failing the a posteriori conditions contributed the
-    rules of their premise instances.
+    (rules_of), as parse_state loads it.  So the condition that the system
+    holds the clauses' own rules, condition 2, holds by construction and is
+    not checked; the other two keep their numbers.
     """
     clauses = list(clauses)
     rules = rules | rules_of(ordering, clauses)
     index = ClauseIndex(ordering, clauses)
     report = VerifyReport()
-    for i in index.live:
-        for j in index.partners(i):
-            for inf in index.resolvents(i, j):
-                if not index.redundancy(rules, inf.conclusion):
-                    report.violations.append(f"condition 1: not redundant: {inf}")
-                if not is_a_posteriori(ordering, inf):
-                    harvested = rules_of(ordering, inf.premise_instances)
-                    for rule in sorted(harvested.rules - rules.rules, key=str):
-                        report.violations.append(
-                            f"condition 3: missing rule {rule} from {inf}"
-                        )
+    for inferences in index.pairs():
+        for inf in inferences:
+            if not is_a_posteriori(ordering, inf):
+                harvested = rules_of(ordering, inf.premise_instances)
+                for rule in sorted(harvested.rules - rules.rules, key=str):
+                    report.violations.append(f"condition 3: missing rule {rule} from {inf}")
+            elif not index.redundancy(rules, inf.conclusion):
+                report.violations.append(f"condition 1: not redundant: {inf}")
     return report

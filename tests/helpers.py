@@ -616,20 +616,28 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
 
 
 def ref_verify_saturated(ordering: Ordering, clauses, rules) -> VerifyReport:
+    """verify_saturated by brute force: every pair of clauses in the
+    all-pairs FIFO order (for each k, each i <= k: i into k, then k into
+    i), with the loop's case split: an inference failing the a posteriori
+    conditions needs its harvested rules (condition 3), any other a
+    redundant conclusion (condition 1)."""
     clauses = list(clauses)
     rules = rules | rules_of(ordering, clauses)
     report = VerifyReport()
-    for c1 in clauses:
-        for c2 in clauses:
-            for inf in ref_a_priori_resolvents(ordering, c1, c2):
-                if not clause_redundant(clauses, rules, inf.conclusion):
-                    report.violations.append(f"condition 1: not redundant: {inf}")
+    for k in range(len(clauses)):
+        for i in range(k + 1):
+            inferences = ref_a_priori_resolvents(ordering, clauses[i], clauses[k])
+            if i != k:
+                inferences += ref_a_priori_resolvents(ordering, clauses[k], clauses[i])
+            for inf in inferences:
                 if not is_a_posteriori(ordering, inf):
                     harvested = rules_of(ordering, inf.premise_instances)
                     for rule in sorted(harvested.rules - rules.rules, key=str):
                         report.violations.append(
                             f"condition 3: missing rule {rule} from {inf}"
                         )
+                elif not clause_redundant(clauses, rules, inf.conclusion):
+                    report.violations.append(f"condition 1: not redundant: {inf}")
     return report
 
 

@@ -29,7 +29,7 @@ from satloc.cli import state_signature
 from satloc.rewriting import rules_of
 
 LIMITS = Limits(max_clauses=400, max_steps=40000)
-OUTPUTS_SHA256 = "8bd7de5b5e5ec5ab76c1c18f6b5d312c8e624592dda1ca9c7be3df6510e7cff3"
+OUTPUTS_SHA256 = "db3b5ecf6ebd2c8892d23fcc662a5a2f7fd0af977b9f2632c65cf44afac3c0bd"
 
 
 def problems():

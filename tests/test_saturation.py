@@ -20,6 +20,7 @@ from satloc import (
 )
 from satloc.entailment import subsumes
 from satloc.rewriting import canonical_rule, rules_of
+from satloc.saturation import ClauseIndex
 
 WORKED = "order: f > g > a\nclause: -> p(g(W,W))\nclause: p(g(X,Y)), q(f(Y),X) ->\n"
 
@@ -137,7 +138,7 @@ def test_tautologies_never_discover():
     assert report.ok, report.violations
 
 
-def test_verify_examples():
+def test_verify_examples(monkeypatch):
     # a missing empty clause violates condition 1
     report = verify_saturated(Ordering([]), [cl("-> p(X)"), cl("p(X) ->")], RewriteSystem())
     assert not report.ok
@@ -149,10 +150,23 @@ def test_verify_examples():
     report2 = verify_saturated(problem.ordering, problem.clauses, RewriteSystem())
     assert report2.ok, report2.violations
 
-    # condition 3: a non-posteriori inference whose harvested rules are absent
+    # condition 3: a non-posteriori inference whose harvested rules are
+    # absent.  Like the loop, verify runs no redundancy test on it, so the
+    # missing rule is reported once, not also as a condition-1 line.
+    redundancy_calls = 0
+    redundancy = ClauseIndex.redundancy
+
+    def counted(index, rules, c):
+        nonlocal redundancy_calls
+        redundancy_calls += 1
+        return redundancy(index, rules, c)
+
+    monkeypatch.setattr(ClauseIndex, "redundancy", counted)
     worked = parse_problem(WORKED)
     report3 = verify_saturated(worked.ordering, worked.clauses, RewriteSystem())
-    assert any("condition 3" in v for v in report3.violations)
+    assert len(report3.violations) == 1, report3.violations
+    assert report3.violations[0].startswith("condition 3: missing rule q(f(V0),V0) -> p(g(V0,V0))")
+    assert redundancy_calls == 0
 
 
 def test_verify_accepts_saturate_output():

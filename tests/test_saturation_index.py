@@ -33,6 +33,7 @@ from satloc import (
     verify_saturated,
 )
 from satloc import resolution as resolution_module
+from satloc.resolution import is_a_posteriori
 from satloc import saturation as saturation_module
 from satloc.entailment import clause_redundant, subsumes
 from satloc.rewriting import reach_clause, rule_key, rules_of
@@ -136,6 +137,36 @@ def test_verify_matches_all_pairs_on_tampered_states():
             failing += not new.ok
     print(f"tampered states: {checked} checked, {failing} with violations")
     assert checked > 150 and failing > 30, (checked, failing)
+
+
+def test_non_maximal_inferences_with_their_rules_are_redundant():
+    # the lemma behind the loop's and verify's case split: an inference
+    # that fails the a posteriori conditions has a redundant conclusion
+    # once the rules of its premise instances are in the system.  Over the
+    # tampering suite's saturated states and tampered copies, and states
+    # that stopped at a limit.
+    rng = random.Random(31)
+    runs = []
+    for state in tampering_states():
+        runs.append((state.ordering, state.clauses, state.rules))
+        runs += [(state.ordering, *tampering) for tampering in tampered(state, rng)]
+    for problem in generated_problems(300, seed=23):
+        state = saturate(problem.ordering, problem.clauses, Limits(6, 40))
+        if state.status == "limit_reached":
+            runs.append((state.ordering, state.clauses, state.rules))
+    checked = 0
+    for ordering, clauses, rules in runs:
+        rules = rules | rules_of(ordering, clauses)
+        index = ClauseIndex(ordering, clauses)
+        for inferences in index.pairs():
+            for inf in inferences:
+                if is_a_posteriori(ordering, inf):
+                    continue
+                if rules_of(ordering, inf.premise_instances).rules <= rules.rules:
+                    assert index.redundancy(rules, inf.conclusion), str(inf)
+                    checked += 1
+    print(f"{len(runs)} runs, {checked} non-maximal inferences with their rules")
+    assert checked >= 400, checked
 
 
 def test_verify_reads_back_a_removed_clause_rule():
@@ -509,9 +540,10 @@ def symbols(c: Clause) -> frozenset[str]:
 def test_local_proofs_under_rules_answer_as_the_unfiltered_scan(monkeypatch):
     # a local proof is handed only the live clauses whose symbols lie within
     # the conclusion's and the rules' right sides; scan_redundancy hands it
-    # every live clause.  Every resolvent conclusion, in verify's order, of
-    # each saturated state and of its tampered copies, where some
-    # conclusions are not redundant.
+    # every live clause.  Every resolvent conclusion of verify's walk
+    # (ClauseIndex.pairs), non-maximal inferences included, of each
+    # saturated state and of its tampered copies, where some conclusions
+    # are not redundant.
     rng = random.Random(13)
     runs = []
     for state in tampering_states():
@@ -527,14 +559,13 @@ def test_local_proofs_under_rules_answer_as_the_unfiltered_scan(monkeypatch):
     live = 0
     for ordering, clauses, rules in runs:
         index = ClauseIndex(ordering, clauses)
-        for i in index.live:
-            for j in index.partners(i):
-                for inf in index.resolvents(i, j):
-                    calls = proofs.calls
-                    how = index.redundancy(rules, inf.conclusion)
-                    assert how == scan_redundancy(index, rules, inf.conclusion), str(inf)
-                    answers[how] += 1
-                    live += len(index.live) * (proofs.calls - calls)
+        for inferences in index.pairs():
+            for inf in inferences:
+                calls = proofs.calls
+                how = index.redundancy(rules, inf.conclusion)
+                assert how == scan_redundancy(index, rules, inf.conclusion), str(inf)
+                answers[how] += 1
+                live += len(index.live) * (proofs.calls - calls)
     print(answers, f"{proofs.clauses} of {live} live clauses handed to local proofs")
     assert sum(bool(rules.right_symbols) for _, _, rules in runs) > 100
     assert answers["subsumption"] > 2000 and answers["local proof"] > 400, answers
