@@ -58,8 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sat = sub.add_parser("saturate", help="saturate a problem file")
     p_sat.add_argument("file", help="problem file")
-    p_sat.add_argument("--max-clauses", type=_limit, default=None)
-    p_sat.add_argument("--max-steps", type=_limit, default=None)
+    p_sat.add_argument(
+        "--max-clauses", type=_limit, metavar="N",
+        help="stop before the next inference once a conclusion is stored while N or more"
+        " clauses are live",
+    )
+    p_sat.add_argument("--max-steps", type=_limit, metavar="N", help="consider at most N inferences")
     p_sat.add_argument("--out", default=None, help="write the state here instead of stdout")
 
     p_query = sub.add_parser("query", help="decide clause entailment against a state")

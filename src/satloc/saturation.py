@@ -102,15 +102,12 @@ RUNNING = "running"
 
 @dataclass(frozen=True)
 class Limits:
-    """Bounds on a saturation run.  A discovery made while max_clauses
-    clauses are live stops the loop once the conclusion is stored.
-    max_steps is checked at each pair of live clauses that the walk
-    reaches (ClauseIndex.pairs): once that many inferences have been
-    considered, the loop stops there.  That pair's inferences have been
-    built, but none of them is considered: the stats and the state are
-    those before the pair.  A pair that passes the check has all
-    its inferences considered, so a run may consider more than max_steps; a
-    run with no live pair left is saturated whatever the limits."""
+    """Bounds on a saturation run, both checked at one place: before each
+    inference.  The run stops there, with that inference and every later
+    one unconsidered, once it has considered max_steps inferences, or once
+    a discovery has been stored while max_clauses or more clauses were
+    live.  So a run considers at most max_steps inferences, and a run with
+    no inference left is saturated whatever the limits."""
 
     max_clauses: int | None = None
     max_steps: int | None = None
@@ -118,6 +115,13 @@ class Limits:
 
 @dataclass
 class SaturationStats:
+    """What a saturation run did.  items_processed counts the pairs of live
+    clauses (ClauseIndex.pairs) all of whose inferences were considered;
+    inferences_considered counts the inferences, each settled by one case:
+    non_maximality, redundant (redundant_by_subsumption of them settled by
+    subsumption) or discovered.  deleted counts the stored clauses that a
+    later stored clause subsumed."""
+
     items_processed: int = 0
     inferences_considered: int = 0
     non_maximality: int = 0
@@ -278,10 +282,10 @@ class ClauseIndex:
         added during the walk included, the pairs (i, k) of live partners
         i <= k in increasing order, each yielded as the list of its
         inferences: i into k, then k into i when i != k.  A pair is reached
-        only if both of its clauses are live then, and its inferences are
-        built when it is reached, before the caller looks at them; a caller
-        that stops at a pair (saturate's max_steps) has built them and
-        considered none."""
+        only if both of its clauses are live then, and both directions are
+        built when it is reached, before the caller considers any of them,
+        so the discoveries of i into k cannot delete k before k into i is
+        built."""
         k = 0
         while k < self.added:
             if k in self.live:
@@ -390,13 +394,13 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
 
     The inferences of each pair of live clauses of the given-clause walk
     (ClauseIndex.pairs) are considered in turn, each by the first matching
-    case: non-maximality, redundancy, discovery.  Returns the final state;
-    status is "saturated" iff the walk ran out of live pairs, else
-    "limit_reached": the run stopped at a given clause and its next
-    partner, and the state is still usable but carries no completeness
-    guarantee.  Either way its clauses are the live ones, in
-    the order they were stored, and its rules start from those of every
-    input clause.
+    case: non-maximality, redundancy, discovery.  The limits are checked
+    before each inference (Limits).  Returns the final state; status is
+    "saturated" iff every inference of the walk was considered, else
+    "limit_reached": an inference was left unconsidered, and the state is
+    still usable but carries no completeness guarantee.  Either way its
+    clauses are the live ones, in the order they were stored, and its rules
+    start from those of every input clause.
     """
     clauses = list(clauses)
     state = SaturationState(ordering)
@@ -405,12 +409,13 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
             state.add_clause(c)
     state.rules = rules_of(ordering, clauses)
     index = state.index
+    steps = limits.max_steps
+    full = False  # a discovery was stored while max_clauses or more were live
     for inferences in index.pairs():
-        if limits.max_steps is not None and state.stats.inferences_considered >= limits.max_steps:
-            state.status = LIMIT_REACHED
-            return state
-        state.stats.items_processed += 1
         for inf in inferences:
+            if full or (steps is not None and state.stats.inferences_considered >= steps):
+                state.status = LIMIT_REACHED
+                return state
             state.stats.inferences_considered += 1
             if not is_a_posteriori(ordering, inf):
                 state.rules = state.rules | rules_of(ordering, inf.premise_instances)
@@ -424,9 +429,7 @@ def saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Saturati
                 full = limits.max_clauses is not None and len(state.clauses) >= limits.max_clauses
                 state.add_clause(inf.conclusion)
                 state.rules = state.rules | rules_of(ordering, [inf.conclusion])
-                if full:
-                    state.status = LIMIT_REACHED
-                    return state
+        state.stats.items_processed += 1
     state.status = SATURATED
     return state
 

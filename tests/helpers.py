@@ -554,7 +554,9 @@ def ref_enumerate_local_instances(clauses, universe) -> set[Clause]:
 # tried in both directions, and forward and backward subsumption scan every
 # live clause; the differential oracle of the indexed versions.  Deleted
 # clauses keep their positions, and pairs with a deleted premise are
-# skipped uncounted, as in saturate.
+# skipped uncounted, as in saturate.  As there, the limits are checked
+# before each inference, and a pair is counted once all its inferences
+# have been considered.
 
 def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> SaturationState:
     clauses = list(clauses)
@@ -585,15 +587,15 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
         add(c)
     state.rules = rules_of(ordering, clauses)
     stats = state.stats
+    full = False
     while queue:
-        if limits.max_steps is not None and stats.inferences_considered >= limits.max_steps:
-            state.status = LIMIT_REACHED
-            return state
         i, j = queue.popleft()
         if i not in live or j not in live:
             continue
-        stats.items_processed += 1
         for inf in inferences(i, j):
+            if full or (limits.max_steps is not None and stats.inferences_considered >= limits.max_steps):
+                state.status = LIMIT_REACHED
+                return state
             stats.inferences_considered += 1
             if not is_a_posteriori(ordering, inf):
                 state.rules = state.rules | rules_of(ordering, inf.premise_instances)
@@ -608,9 +610,7 @@ def ref_saturate(ordering: Ordering, clauses, limits: Limits = Limits()) -> Satu
                 full = limits.max_clauses is not None and len(live) >= limits.max_clauses
                 add(inf.conclusion)
                 state.rules = state.rules | rules_of(ordering, [inf.conclusion])
-                if full:
-                    state.status = LIMIT_REACHED
-                    return state
+        stats.items_processed += 1
     state.status = SATURATED
     return state
 

@@ -65,40 +65,60 @@ def test_variant_equal():
     assert not variant_equal(cl("-> q(X,X), q(X,Y)"), cl("-> q(X,X), q(Y,X)"))
 
 
+DISJ = "order: a > b\nclause: -> p(a), q(a)\nclause: p(X) -> q(X)\nclause: q(X) -> q(X)\n"
+
+
 def test_limits_reached():
+    # the limits are checked before each inference: a run stops with
+    # "limit_reached" only if an inference is left unconsidered
     problem = parse_problem("clause: -> p(X)\nclause: p(X) ->")
     state = saturate(problem.ordering, problem.clauses, Limits(max_steps=0))
     assert state.status == "limit_reached"
+    assert state.stats.inferences_considered == 0
+    # the empty clause, discovered while 2 clauses are live, deletes both,
+    # and no inference is left: the run is complete
     state2 = saturate(problem.ordering, problem.clauses, Limits(max_clauses=2))
-    assert state2.status == "limit_reached"
+    assert state2.status == "saturated"
+    assert serialize_state(state2) == serialize_state(saturate(problem.ordering, problem.clauses))
     state3 = saturate(problem.ordering, problem.clauses, Limits(max_clauses=50, max_steps=50))
     assert state3.status == "saturated"
-    # max_steps is checked before each pair of live clauses, and each pair
-    # that passes the check is finished: after 1 inference, a pair with 2 more
+    # -> q(a), discovered while 3 clauses are live, with inferences left
+    disj = parse_problem(DISJ)
+    state4 = saturate(disj.ordering, disj.clauses, Limits(max_clauses=3))
+    assert state4.status == "limit_reached"
+    assert state4.stats.inferences_considered == 1
+    # max_steps is exact: the run stops inside a pair of live clauses
     text = (Path(__file__).parent / "corpus" / "g_mixed_01.p").read_text(encoding="utf-8")
     mixed = parse_problem(text)
-    state4 = saturate(mixed.ordering, mixed.clauses, Limits(max_steps=2))
-    assert state4.status == "limit_reached"
-    assert state4.stats.inferences_considered == 3
+    state5 = saturate(mixed.ordering, mixed.clauses, Limits(max_steps=2))
+    assert state5.status == "limit_reached"
+    assert state5.stats.inferences_considered == 2
 
 
 def test_step_limits_report_saturated_exactly_when_the_run_is_complete():
-    # For every limit up to one past the total, a run is "saturated" exactly
-    # when its state (header aside) and its counters are the unlimited
-    # run's.  A loop that checked the limit before pairs with a deleted
-    # clause reported a complete run as a limit in 6 of these 300 runs, as
-    # g_ground_03 at 0 steps, g_ground_08 at 1 and g_disj_02 at 10.
+    # For every step limit and every clause limit up to one past the
+    # unlimited run's count, a run is "saturated" exactly when its state
+    # (header aside) and its counters are the unlimited run's, and it
+    # considers no more than max_steps inferences.  A loop that stopped
+    # right after a discovery stored while max_clauses were live reported
+    # 28 complete clause-limit runs as limits, as g_ground_08 at 0 clauses;
+    # one that checked max_steps before each pair of live clauses overshot
+    # it in 11 step-limit runs, as g_mixed_01 at 2 steps.
     runs = 0
     for path in sorted(make_corpus.CORPUS.glob("*.p")):
         problem = parse_problem(path.read_text(encoding="utf-8"))
         full = saturate(problem.ordering, problem.clauses)
         body = serialize_state(full).split("\n", 1)[1]
-        for m in range(full.stats.inferences_considered + 2):
-            state = saturate(problem.ordering, problem.clauses, Limits(max_steps=m))
+        limits = [Limits(max_steps=m) for m in range(full.stats.inferences_considered + 2)]
+        limits += [Limits(max_clauses=m) for m in range(len(full.clauses) + 2)]
+        for lim in limits:
+            state = saturate(problem.ordering, problem.clauses, lim)
             complete = serialize_state(state).split("\n", 1)[1] == body and state.stats == full.stats
-            assert (state.status == "saturated") == complete, (path.name, m)
+            assert (state.status == "saturated") == complete, (path.name, lim)
+            if lim.max_steps is not None:
+                assert state.stats.inferences_considered <= lim.max_steps, (path.name, lim)
             runs += 1
-    assert runs == 300
+    assert runs == 656
 
 
 def test_limits_are_frozen():
@@ -226,11 +246,12 @@ def test_a_stored_clause_deletes_the_clauses_it_subsumes():
 
 
 def test_a_limit_reached_state_holds_live_clauses_only():
-    # the empty clause deletes both inputs as the clause limit stops the loop
-    problem = parse_problem("clause: -> p(X)\nclause: p(X) ->")
-    state = saturate(problem.ordering, problem.clauses, Limits(max_clauses=2))
+    # -> q(a) deletes -> p(a), q(a) as the clause limit stops the loop
+    problem = parse_problem(DISJ)
+    state = saturate(problem.ordering, problem.clauses, Limits(max_clauses=3))
     assert state.status == "limit_reached"
-    assert state.clauses == [Clause()] and state.stats.deleted == 2
+    assert [str(c) for c in state.clauses] == ["p(X) -> q(X)", "q(X) -> q(X)", "-> q(a)"]
+    assert state.stats.deleted == 1
     # step limits cut runs that deleted clauses at every point
     cut = 0
     for path in sorted((Path(__file__).parent / "corpus").glob("*.p")):

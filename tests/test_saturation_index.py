@@ -82,8 +82,19 @@ def assert_same_run(problem, limits=Limits()):
 
 
 def test_saturate_matches_all_pairs_on_corpus():
+    # unlimited, and under every step limit and every clause limit up to
+    # one past the unlimited run's count: both loops stop at the same
+    # inference
+    runs = limited = 0
     for path in CORPUS:
-        assert_same_run(parse_problem(Path(path).read_text(encoding="utf-8")))
+        problem = parse_problem(Path(path).read_text(encoding="utf-8"))
+        full = assert_same_run(problem)
+        limits = [Limits(max_steps=m) for m in range(full.stats.inferences_considered + 2)]
+        limits += [Limits(max_clauses=m) for m in range(len(full.clauses) + 2)]
+        for lim in limits:
+            limited += assert_same_run(problem, lim).status == "limit_reached"
+            runs += 1
+    assert runs == 656 and limited > 300, (runs, limited)
 
 
 def test_saturate_matches_all_pairs_on_generated_problems():
@@ -188,14 +199,15 @@ def test_verify_reads_back_a_removed_clause_rule():
 
 
 def test_step_limit_at_the_last_inference_reports_saturated():
-    # Pairs that cannot resolve are never tried, so a step limit equal to
-    # the total inference count leaves no pair to try: the state is
-    # saturated, which the all-pairs loop reported as a limit.
+    # The limit is checked before each inference, so a step limit equal to
+    # the total inference count leaves no inference unconsidered: the state
+    # is saturated, in the indexed loop and in the all-pairs loop, whose
+    # queue still holds pairs that cannot resolve.
     problem = parse_problem(WORKED)
     full = saturate(problem.ordering, problem.clauses)
     limits = Limits(max_steps=full.stats.inferences_considered)
-    assert ref_saturate(problem.ordering, problem.clauses, limits).status == "limit_reached"
-    state = saturate(problem.ordering, problem.clauses, limits)
+    assert ref_saturate(problem.ordering, problem.clauses, limits).status == "saturated"
+    state = assert_same_run(problem, limits)
     assert state.status == "saturated"
     assert serialize_state(state) == serialize_state(full)
     assert verify_saturated(state.ordering, state.clauses, state.rules).ok

@@ -32,6 +32,7 @@ from helpers import (
     tm,
     unfreeze,
 )
+from satloc import terms as terms_module
 from satloc.oracle import HerbrandBound, oracle_entails
 from satloc.terms import (
     ArityError,
@@ -247,10 +248,27 @@ def test_ground_mgu_decides_by_identity_like_the_general_algorithm(a, b, s, t):
             mgu(e1, e2)
 
 
+def _chained_pair(rng):
+    """p(X0, ..., Xn-1) and p(t0, ..., tn-1), in either order, where each ti
+    has variables among X(i+1), ..., Xn-1 and Y: a later binding rewrites
+    the range terms of the earlier ones, as Y -> a rewrites X -> f(Y) in
+    p(X, Y) against p(f(Y), a)."""
+    n = rng.randint(2, 6)
+    xs = [Var(f"X{i}") for i in range(n)]
+    ts = [
+        substitute({Var(v): rng.choice(xs[i + 1:] + [y]) for v in SIG_VARS}, rand_term(rng, 2))
+        for i in range(n)
+    ]
+    e1, e2 = Atom("p", xs), Atom("p", ts)
+    return ((e1, e2) if rng.random() < 0.5 else (e2, e1)), xs, ts
+
+
 def test_mgu_agrees_with_the_general_algorithm_on_seeded_pairs():
     rng = random.Random(29)
     other = random.Random(31)  # a2 has its own stream, so the other inputs stay as they were
-    same = unified = var_var = var_term = 0
+    chained = random.Random(41)  # and so do the chained pairs
+    same = unified = var_var = var_term = rewritten = 0
+    assert list(mgu(at("p(X,Y)"), at("p(f(Y),a)")).items()) == [(x, tm("f(a)")), (y, Fn("a"))]
     for _ in range(3000):
         g1, g2 = rand_ground_atom(rng, depth=1), rand_ground_atom(rng, depth=1)
         s1, s2 = rand_ground_term(rng, 1), rand_ground_term(rng, 1)
@@ -260,6 +278,11 @@ def test_mgu_agrees_with_the_general_algorithm_on_seeded_pairs():
             expected = ref_mgu(e1, e2)
             assert mgu(e1, e2) == expected
             unified += expected is not None
+        # the bindings and their order are the general algorithm's
+        (c1, c2), xs, ts = _chained_pair(chained)
+        expected = ref_mgu(c1, c2)
+        assert list((mgu(c1, c2) or {}).items()) == list((expected or {}).items())
+        rewritten += expected is not None and any(expected[v] is not t for v, t in zip(xs, ts))
         # two non-ground atoms bind a variable to a variable and to a term
         for t in (ref_mgu(a1, a2) or {}).values():
             var_var += isinstance(t, Var)
@@ -270,6 +293,7 @@ def test_mgu_agrees_with_the_general_algorithm_on_seeded_pairs():
                 mgu(e1, e2)
     assert same > 300 and unified > 3500, (same, unified)
     assert var_var > 5 and var_term > 100, (var_var, var_term)
+    assert rewritten > 1500, rewritten
 
 
 def test_mgu_builds_no_term_walking_two_deep_terms(monkeypatch):
@@ -291,6 +315,26 @@ def test_mgu_builds_no_term_walking_two_deep_terms(monkeypatch):
     monkeypatch.setattr(Fn, "__new__", counted)
     assert mgu(Atom("p", (open_,)), Atom("p", (ground,))) == {x: Fn("a")}
     assert built <= n, built
+
+
+def test_mgu_substitutes_a_binding_only_into_the_terms_that_hold_its_variable(monkeypatch):
+    # n bindings X_i -> f(Y_i), none of which rewrites another: substituting
+    # each new binding into every range term made n(n+1)/2 substitute
+    # calls (2 001 000 at n = 2000)
+    n = 2000
+    xs = [Var(f"X{i}") for i in range(n)]
+    fys = [Fn("f", (Var(f"Y{i}"),)) for i in range(n)]
+    calls = 0
+    original = terms_module.substitute
+
+    def counted(sigma, e):
+        nonlocal calls
+        calls += 1
+        return original(sigma, e)
+
+    monkeypatch.setattr(terms_module, "substitute", counted)
+    assert list(mgu(Atom("p", xs), Atom("p", fys)).items()) == list(zip(xs, fys))
+    assert calls <= 2 * n, calls
 
 
 def _vary(rng, t, names):
