@@ -10,8 +10,10 @@ the same term get the same object.
 
 Clauses are pairs of atom *sets* (antecedent -> succedent), stored in a
 canonical deduplicated, sorted form so that structural equality is clause
-equality.  Substitutions are plain dicts from Var to Term and are kept
-idempotent (no bound variable occurs in any range term).
+equality.  Substitutions are plain dicts from Var to Term.  Those that the
+functions here return are idempotent (no bound variable occurs in any range
+term); `mgu` keeps its working map in triangular form and resolves it once,
+at the end.
 """
 
 from __future__ import annotations
@@ -352,11 +354,13 @@ def substitute(sigma: Subst, e):
 
 
 def _decompose(e1, e2) -> list[tuple[Term, Term]] | None:
-    """Initial pair list for unification/matching; None on head clash."""
+    """Starting pair list for unification and matching, last pair first,
+    so that popping from the end walks the arguments left to right; None on
+    a head clash."""
     if isinstance(e1, Atom) and isinstance(e2, Atom):
         if e1.pred != e2.pred or len(e1.args) != len(e2.args):
             return None
-        return list(zip(e1.args, e2.args))
+        return list(zip(e1.args, e2.args))[::-1]
     if isinstance(e1, Atom) or isinstance(e2, Atom):
         raise TypeError("cannot unify an atom with a term")
     return [(e1, e2)]
@@ -369,49 +373,58 @@ def mgu(e1, e2) -> Subst | None:
     pair binds the variable with the syntactically smaller name.  Two ground
     terms, or two ground atoms, unify iff they are the same interned object.
 
-    A popped pair is not substituted: a variable in it is looked up in
-    sigma, and the two sides are compared by identity, so two applications
-    are taken apart as written and unifying two n-deep terms builds no
-    term.  sigma is idempotent, so a looked-up variable is either unbound
-    or replaced by a term with no bound variable; only the term a variable
-    gets bound to is substituted, before the occurs check.  A new binding
-    is substituted only into the range terms that hold its variable (kept
-    in `holders`), so n bindings that no later binding rewrites cost n
-    substitutions, not n squared.  The bindings, and their order, are those
-    that substituting both sides of each pair would give.
+    Solved in triangular form (Martelli and Montanari, 1982): a popped pair
+    is not substituted.  A variable in it is followed through the bindings
+    at its top only, the two sides are compared by identity, and two
+    applications are taken apart as written, so unifying two n-deep terms
+    builds no term.  A variable is bound to its term as written, with no
+    occurs check: the bindings may close a cycle, and the walk still ends,
+    as it takes each pair of applications apart at most once.  After the
+    walk, each binding is resolved once and in place, after the bindings
+    that its term holds; a binding met again on its own path is a cycle,
+    and then there is no unifier.  So n chained bindings cost n
+    substitutions, and the occurs check walks each binding once, not once
+    for each later binding.  The result is idempotent, and its bindings,
+    and their order, are those that substituting both sides of each pair
+    would give.
     """
     if e1.ground and e2.ground and type(e1) is type(e2):
         return {} if e1 is e2 else None
     pairs = _decompose(e1, e2)
     if pairs is None:
         return None
-    pairs.reverse()
     sigma: Subst = {}
-    holders: dict[Var, set[Var]] = {}  # a variable: the bound ones whose terms hold it
+    apart: set[tuple[Fn, Fn]] = set()  # the pairs of applications taken apart
     while pairs:
         s, t = pairs.pop()
-        s, t = sigma.get(s, s), sigma.get(t, t)  # only a variable is a key
+        while s in sigma or t in sigma:  # only a variable is a key
+            s, t = sigma.get(s, s), sigma.get(t, t)
         if s is t:
             continue
         # the variable to bind first: of two variables, the smaller name
         if type(t) is Var and (type(s) is not Var or t.name < s.name):
             s, t = t, s
         if type(s) is Var:
-            t = substitute(sigma, t)
-            held = vars_of(t)
-            if s in held:
-                return None
-            one, bound = {s: t}, holders.pop(s, set())
-            for x in bound:
-                sigma[x] = substitute(one, sigma[x])
-            bound.add(s)
-            for y in held:
-                holders.setdefault(y, set()).update(bound)
             sigma[s] = t
         elif s.name != t.name or len(s.args) != len(t.args):
             return None
-        else:
+        elif (s, t) not in apart:
+            apart.add((s, t))
             pairs += zip(s.args[::-1], t.args[::-1])
+    # post-order over the bindings: a variable is resolved once every bound
+    # variable of its term is; an open one (None) met again closes a cycle
+    resolved: dict[Var, Term | None] = {}
+    stack = list(sigma)
+    while stack:
+        v = stack.pop()
+        if v not in resolved:
+            resolved[v] = None
+            held = [u for u in vars_in_order(sigma[v]) if u in sigma]
+            if any(u in resolved and resolved[u] is None for u in held):
+                return None
+            stack += [v, *(u for u in held if u not in resolved)]
+        elif resolved[v] is None:
+            resolved[v] = sigma[v] = substitute(sigma, sigma[v])
     return sigma
 
 
@@ -419,27 +432,25 @@ def match_onto(pattern, target) -> Subst | None:
     """Substitution sigma with substitute(sigma, pattern) == target, or None.
 
     One-sided: only variables of the pattern are bound; the unique such
-    substitution is returned when it exists.
+    substitution is returned when it exists.  Pairs are walked as in `mgu`,
+    popped from the end.  A pattern variable is bound once and must meet
+    that very term again; any other pattern subterm that is ground, faces a
+    variable or clashes in its head must be the target subterm itself.
     """
     pairs = _decompose(pattern, target)
     if pairs is None:
         return None
     sigma: Subst = {}
     while pairs:
-        p, t = pairs.pop(0)
-        if isinstance(p, Var):
-            if p in sigma:
-                if sigma[p] != t:
-                    return None
-            else:
-                sigma[p] = t
-        elif p.ground:
+        p, t = pairs.pop()
+        if type(p) is Var:
+            if sigma.setdefault(p, t) is not t:
+                return None
+        elif p.ground or type(t) is Var or p.name != t.name or len(p.args) != len(t.args):
             if p is not t:
                 return None
-        elif isinstance(t, Fn) and p.name == t.name and len(p.args) == len(t.args):
-            pairs[0:0] = list(zip(p.args, t.args))
         else:
-            return None
+            pairs += zip(p.args[::-1], t.args[::-1])
     return sigma
 
 

@@ -509,6 +509,38 @@ def ref_mgu(e1, e2) -> Subst | None:
     return sigma
 
 
+# Reference matching: pairs taken from the front of a list and the arguments
+# of two applications spliced in there; the reference for match_onto, which
+# pops its pairs from the end.
+
+def ref_match_onto(pattern, target) -> Subst | None:
+    if isinstance(pattern, Atom) != isinstance(target, Atom):
+        raise TypeError("cannot unify an atom with a term")
+    if isinstance(pattern, Atom):
+        if pattern.pred != target.pred or len(pattern.args) != len(target.args):
+            return None
+        pairs = list(zip(pattern.args, target.args))
+    else:
+        pairs = [(pattern, target)]
+    sigma: Subst = {}
+    while pairs:
+        p, t = pairs.pop(0)
+        if isinstance(p, Var):
+            if p in sigma:
+                if sigma[p] != t:
+                    return None
+            else:
+                sigma[p] = t
+        elif p.ground:
+            if p is not t:
+                return None
+        elif isinstance(t, Fn) and p.name == t.name and len(p.args) == len(t.args):
+            pairs[0:0] = list(zip(p.args, t.args))
+        else:
+            return None
+    return sigma
+
+
 # ---------------------------------------------------------------------------
 # Reference syntactic order: the nested key the flat atom_key must agree with.
 
