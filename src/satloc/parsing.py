@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .orderings import Ordering
-from .rewriting import RewriteRule, RewriteSystem, rule_key, rules_of
+from .rewriting import RewriteRule, RewriteSystem, canonical_rule, rule_key, rules_of
 from .saturation import LIMIT_REACHED, SATURATED, SaturationState
 from .terms import ArityError, Atom, Clause, Fn, Signature, Term, Var, atom_key, clause_key
 
@@ -322,12 +322,11 @@ def parse_state(text: str) -> SaturationState:
     ordering = reader.ordering()
     rules: set[RewriteRule] = set(rules_of(ordering, clauses).rules)
     for lhs, rhs, lineno in rule_lines:
-        try:
-            rules |= RewriteSystem.of(ordering, [(lhs, rhs)]).rules
-        except ValueError:
+        if not ordering.atom_greater(lhs, rhs):
             # the sides are not echoed: either may be as long as the line
             message = "invalid rule: the left side is not above the right side"
-            raise ParseError(message, lineno, 1) from None
+            raise ParseError(message, lineno, 1)
+        rules.add(canonical_rule(lhs, rhs))
     return SaturationState(ordering, clauses, RewriteSystem(frozenset(rules)), status=status)
 
 

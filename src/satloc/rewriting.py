@@ -33,7 +33,7 @@ class RewriteRule:
     def __post_init__(self) -> None:
         if self.lhs == self.rhs:
             raise ValueError("identity rewrite rules are excluded")
-        if not vars_of(self.rhs) <= vars_of(self.lhs):
+        if not (self.rhs.ground or vars_of(self.rhs) <= vars_of(self.lhs)):
             raise ValueError(f"rule {self} introduces variables on the right")
 
     def __str__(self) -> str:
@@ -45,7 +45,13 @@ def rule_key(r: RewriteRule):
 
 
 def canonical_rule(lhs: Atom, rhs: Atom) -> RewriteRule:
-    """Rule with variables renamed V0, V1, ... in first occurrence order."""
+    """Rule with variables renamed V0, V1, ... in first occurrence order.
+
+    A rule between two ground atoms has no variable to rename, so it is
+    built from the interned atoms as they are, with no walk over them.
+    """
+    if lhs.ground and rhs.ground:
+        return RewriteRule(lhs, rhs)
     rho = canonical_renaming(vars_in_order(lhs) | vars_in_order(rhs))
     return RewriteRule(substitute(rho, lhs), substitute(rho, rhs))
 
@@ -55,16 +61,6 @@ class RewriteSystem:
     """Immutable set of rewrite rules, deduplicated modulo renaming."""
 
     rules: frozenset[RewriteRule] = frozenset()
-
-    @classmethod
-    def of(cls, ordering: Ordering, pairs: Iterable[tuple[Atom, Atom]]) -> "RewriteSystem":
-        """Build from (lhs, rhs) pairs, checking the ordering orientation."""
-        out = set()
-        for lhs, rhs in pairs:
-            if not ordering.atom_greater(lhs, rhs):
-                raise ValueError(f"rule {lhs} -> {rhs} is not ordered")
-            out.add(canonical_rule(lhs, rhs))
-        return cls(frozenset(out))
 
     def __or__(self, other: "RewriteSystem") -> "RewriteSystem":
         if other.rules <= self.rules:

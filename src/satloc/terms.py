@@ -13,7 +13,10 @@ canonical deduplicated, sorted form so that structural equality is clause
 equality.  Substitutions are plain dicts from Var to Term.  Those that the
 functions here return are idempotent (no bound variable occurs in any range
 term); `mgu` keeps its working map in triangular form and resolves it once,
-at the end.
+at the end.  Since equal terms are one object, `mgu` decides a ground pair,
+and `match_onto` a ground pattern, by identity alone: the empty
+substitution if both sides are the same object, None otherwise, with no
+walk over either side.
 """
 
 from __future__ import annotations
@@ -432,11 +435,16 @@ def match_onto(pattern, target) -> Subst | None:
     """Substitution sigma with substitute(sigma, pattern) == target, or None.
 
     One-sided: only variables of the pattern are bound; the unique such
-    substitution is returned when it exists.  Pairs are walked as in `mgu`,
-    popped from the end.  A pattern variable is bound once and must meet
-    that very term again; any other pattern subterm that is ground, faces a
-    variable or clashes in its head must be the target subterm itself.
+    substitution is returned when it exists.  A ground pattern of the
+    target's type matches only that very object, so it is decided by
+    identity, as in `mgu`, and not taken apart.  Otherwise pairs are walked
+    as in `mgu`, popped from the end.  A pattern variable is bound once and
+    must meet that very term again; any other pattern subterm that is
+    ground, faces a variable or clashes in its head must be the target
+    subterm itself.
     """
+    if pattern.ground and type(pattern) is type(target):
+        return {} if pattern is target else None
     pairs = _decompose(pattern, target)
     if pairs is None:
         return None

@@ -20,7 +20,7 @@ from satloc.orderings import Ordering
 from satloc.parsing import ParseError, Problem, parse_clause_text
 from satloc.resolution import RESOLUTION, Inference, a_priori_resolvents, eligible_atoms
 from satloc.resolution import is_a_posteriori
-from satloc.rewriting import RewriteSystem, reach, rules_of
+from satloc.rewriting import RewriteSystem, canonical_rule, reach, rules_of
 from satloc.saturation import LIMIT_REACHED, SATURATED, Limits, SaturationState, VerifyReport
 from satloc.terms import (
     ArityError,
@@ -301,6 +301,17 @@ def inference_redundant(clauses, rules: RewriteSystem, inf: Inference) -> bool:
     return clause_redundant(clauses, rules, inf.conclusion)
 
 
+def rule_system(ordering: Ordering, pairs) -> RewriteSystem:
+    """The system of canonical rules for (lhs, rhs) pairs, each of which
+    must be ordered, as parse_state checks a state file's rule lines."""
+    rules = set()
+    for lhs, rhs in pairs:
+        if not ordering.atom_greater(lhs, rhs):
+            raise ValueError(f"rule {lhs} -> {rhs} is not ordered")
+        rules.add(canonical_rule(lhs, rhs))
+    return RewriteSystem(frozenset(rules))
+
+
 def r_less(system: RewriteSystem, a: Atom, b: Atom) -> bool:
     """Derived finite-complexity order: a below b iff a reachable from b, a != b."""
     if not a.ground or not b.ground:
@@ -539,6 +550,22 @@ def ref_match_onto(pattern, target) -> Subst | None:
         else:
             return None
     return sigma
+
+
+def ref_reach(system: RewriteSystem, a: Atom) -> set[Atom]:
+    """Atoms reachable from a ground atom, each step found by trying every
+    rule of the system with ref_match_onto."""
+    seen, frontier = {a}, [a]
+    while frontier:
+        current = frontier.pop()
+        for rule in system.rules:
+            sigma = ref_match_onto(rule.lhs, current)
+            if sigma is not None:
+                nxt = substitute(sigma, rule.rhs)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
 
 
 # ---------------------------------------------------------------------------

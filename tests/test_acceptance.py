@@ -25,6 +25,7 @@ from helpers import (
     rand_term,
     rand_clause,
     ref_a_priori_resolvents,
+    rule_system,
     serialize_problem,
     sig_ordering,
     tm,
@@ -35,7 +36,6 @@ from satloc import (
     HerbrandBound,
     Limits,
     Ordering,
-    RewriteSystem,
     entails,
     oracle_entails,
     parse_clause_text,
@@ -266,7 +266,7 @@ def test_criterion_6_reach_terminates_fast():
             a, b = rand_atom(rng), rand_atom(rng)
             if ordering.atom_greater(a, b):
                 pairs.append((a, b))
-        system = RewriteSystem.of(ordering, pairs)
+        system = rule_system(ordering, pairs)
         start_atom = rand_ground_atom(rng)
         start = time.perf_counter()
         result = reach(system, start_atom)

@@ -237,6 +237,7 @@ def test_readme_lists_every_exported_name():
         (lambda: substitute({}, "p(X)"), TypeError),
         (lambda: mgu(at("p(X)"), tm("a")), TypeError),
         (lambda: match_onto(tm("X"), at("p(a)")), TypeError),
+        (lambda: match_onto(tm("a"), at("p(a)")), TypeError),
     ],
     ids=[
         "ground_sat-non-ground",
@@ -247,6 +248,7 @@ def test_readme_lists_every_exported_name():
         "substitute-string",
         "mgu-atom-term",
         "match_onto-term-atom",
+        "match_onto-ground-term-atom",
     ],
 )
 def test_input_guards_raise(call, error):

@@ -20,6 +20,7 @@ from helpers import (
     ref_subsumes,
     ref_variant_equal,
     rename_apart,
+    rule_system,
     sig_ordering,
     truth_table_satisfiable,
     variant_equal,
@@ -41,7 +42,7 @@ from satloc.terms import Atom, Fn, Var, atom_key, substitute, vars_of
 
 FG = Ordering(["f", "g", "a"])
 WORKED_S = [cl("-> p(g(W,W))"), cl("p(g(X,Y)), q(f(Y),X) ->")]
-WORKED_R = RewriteSystem.of(FG, [(at("q(f(W),W)"), at("p(g(W,W))"))])
+WORKED_R = rule_system(FG, [(at("q(f(W),W)"), at("p(g(W,W))"))])
 # one clause of 1 200 atoms, more than the default recursion limit
 WIDE = Clause([Atom("p", (Var(f"X{i}"),)) for i in range(1200)], [at("q")])
 

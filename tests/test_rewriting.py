@@ -2,12 +2,15 @@
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from helpers import at, cl, r_less, rand_atom, rand_ground_atom, sig_ordering
-from satloc import Ordering, RewriteSystem
+from helpers import at, cl, r_less, rand_atom, rand_ground_atom, ref_reach, rule_system
+from helpers import sig_ordering
+from satloc import Ordering, ParseError, RewriteSystem, parse_problem, parse_state
 from satloc import rewriting
+from satloc import terms as terms_module
 from satloc.rewriting import (
     RewriteRule,
     canonical_rule,
@@ -16,19 +19,25 @@ from satloc.rewriting import (
     rewrite_one,
     rules_of,
 )
-from satloc.terms import Atom, Fn, vars_of
+from satloc.terms import Atom, Fn, Var, canonical_renaming, vars_of
 
 FG = Ordering(["f", "g", "a"])
-WORKED_RULES = RewriteSystem.of(FG, [(at("q(f(W),W)"), at("p(g(W,W))"))])
+WORKED_RULES = rule_system(FG, [(at("q(f(W),W)"), at("p(g(W,W))"))])
+GROUND_CORPUS = [
+    parse_problem(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).parent / "corpus").glob("g_ground_*.p"))
+]
 
 
 def test_rule_invariants():
     with pytest.raises(ValueError):
         RewriteRule(at("p(X)"), at("p(X)"))
     with pytest.raises(ValueError):
-        RewriteRule(at("p(X)"), at("q(X,Y)"))
+        RewriteRule(at("p(a)"), at("p(a)"))
     with pytest.raises(ValueError):
-        RewriteSystem.of(FG, [(at("p(a)"), at("q(f(a),a)"))])  # not ordered
+        RewriteRule(at("p(X)"), at("q(X,Y)"))
+    with pytest.raises(ParseError):  # not ordered
+        parse_state("saturated: true\norder: f > g > a\nrule: p(a) -> q(f(a),a)\n")
 
 
 def test_canonical_rule_dedup():
@@ -36,6 +45,27 @@ def test_canonical_rule_dedup():
     r2 = canonical_rule(at("q(f(Z),Z)"), at("p(g(Z,Z))"))
     assert r1 == r2
     assert str(r1) == "q(f(V0),V0) -> p(g(V0,V0))"
+
+
+def test_rules_of_ground_clauses_renames_no_variable(monkeypatch):
+    # a rule between two ground atoms is built from the interned atoms as
+    # they are; a rule with variables is still renamed
+    renamings = []
+
+    def counted(variables):
+        renamings.append(list(variables))
+        return canonical_renaming(variables)
+
+    monkeypatch.setattr(rewriting, "canonical_renaming", counted)
+    harvested = 0
+    for problem in GROUND_CORPUS:
+        system = rules_of(problem.ordering, problem.clauses)
+        assert all(rule.lhs.ground and rule.rhs.ground for rule in system.rules)
+        harvested += len(system)
+    assert harvested > 40 and renamings == []
+    rule = canonical_rule(at("q(f(W),W)"), at("p(g(W,W))"))
+    assert str(rule) == "q(f(V0),V0) -> p(g(V0,V0))"
+    assert renamings == [[Var("W")]]
 
 
 def test_rules_of_examples():
@@ -68,7 +98,7 @@ def test_right_symbols_examples():
     # the right side's variables stand for subterms of the rewritten atom,
     # so they add no symbol
     assert WORKED_RULES.right_symbols == {"p", "g"}
-    both = WORKED_RULES | RewriteSystem.of(FG, [(at("q(f(a),a)"), at("r(a)"))])
+    both = WORKED_RULES | rule_system(FG, [(at("q(f(a),a)"), at("r(a)"))])
     assert both.right_symbols == {"p", "g", "r", "a"}
 
 
@@ -132,7 +162,7 @@ def rand_system(rng: random.Random, ordering: Ordering, size: int = 4) -> Rewrit
         a, b = rand_atom(rng), rand_atom(rng)
         if ordering.atom_greater(a, b):
             pairs.append((a, b))
-    return RewriteSystem.of(ordering, pairs)
+    return rule_system(ordering, pairs)
 
 
 def test_single_step_descends():
@@ -187,3 +217,44 @@ def test_reach_idempotent():
         closure = reach(system, a)
         for b in closure:
             assert reach(system, b) <= closure
+
+
+def test_reach_over_ground_rules_takes_no_pair_apart(monkeypatch):
+    # a ground left side matches only the very atom it is, so no step of a
+    # ground system decomposes a pair
+    decomposed = []
+    decompose = terms_module._decompose
+
+    def counted(e1, e2):
+        decomposed.append((e1, e2))
+        return decompose(e1, e2)
+
+    monkeypatch.setattr(terms_module, "_decompose", counted)
+    steps = 0
+    for problem in GROUND_CORPUS:
+        system = rules_of(problem.ordering, problem.clauses)
+        for c in problem.clauses + problem.queries:
+            steps += len(reach_clause(system, c)) - len(c.atom_set())
+    assert steps > 10 and decomposed == []
+    assert reach(WORKED_RULES, at("q(f(a),a)")) == {at("q(f(a),a)"), at("p(g(a,a))")}
+    assert decomposed  # a rule with variables is still taken apart
+
+
+def test_reach_agrees_with_the_reference_on_mixed_rule_sets():
+    rng = random.Random(89)
+    ordering = sig_ordering()
+    ground = non_ground = stepped = 0
+    for _ in range(300):
+        pairs = [
+            (a, b)
+            for a, b in ((rand_ground_atom(rng), rand_ground_atom(rng)) for _ in range(20))
+            if ordering.atom_greater(a, b)
+        ][:3]
+        system = rand_system(rng, ordering) | rule_system(ordering, pairs)
+        ground += sum(rule.lhs.ground for rule in system.rules)
+        non_ground += sum(not rule.lhs.ground for rule in system.rules)
+        for a in [rand_ground_atom(rng), *(lhs for lhs, _ in pairs)]:
+            expected = ref_reach(system, a)
+            assert reach(system, a) == expected
+            stepped += len(expected) > 1
+    assert ground > 300 and non_ground > 300 and stepped > 300

@@ -260,11 +260,15 @@ def test_flat_atom_key_orders_like_nested_key(a, b):
 
 @given(_GROUND_ATOMS, _GROUND_ATOMS, _GROUND_TERMS, _GROUND_TERMS)
 def test_ground_mgu_decides_by_identity_like_the_general_algorithm(a, b, s, t):
+    # match_onto makes the same identity test on a ground pattern
     for e1, e2 in ((a, b), (a, a), (s, t), (s, s), (a, Atom(a.pred, a.args))):
         assert mgu(e1, e2) == ref_mgu(e1, e2) == ({} if e1 is e2 else None)
+        assert match_onto(e1, e2) == ref_match_onto(e1, e2) == ({} if e1 is e2 else None)
     for e1, e2 in ((a, s), (s, a)):
         with pytest.raises(TypeError):
             mgu(e1, e2)
+        with pytest.raises(TypeError):
+            match_onto(e1, e2)
 
 
 def _chained_pair(rng):
