@@ -76,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the local check against an unsaturated state anyway",
     )
+    p_query.set_defaults(parser=p_query)
 
     p_verify = sub.add_parser("verify", help="re-check saturatedness of a state")
     p_verify.add_argument("state", help="saturated-state file")
@@ -92,7 +93,7 @@ def _read(path: str, parse):
     """The parse of a file's text; a parse error names the file."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -175,6 +176,8 @@ def main(argv=None) -> int:
             rest = [a for a in rest if parser._parse_optional(a)]
         if rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        if args.command == "query" and not (args.clauses or args.from_file):
+            args.parser.error("give a query clause or --from FROM_FILE")
     except SystemExit as exc:
         if exc.code == 0:  # --help
             raise

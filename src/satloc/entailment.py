@@ -66,13 +66,13 @@ def enumerate_local_instances(clauses: Iterable[Clause], universe: set[Atom]) ->
     for a in universe:
         if not a.ground:
             raise ValueError(f"universe must be ground, got {a}")
-        by_pred.setdefault(a.pred, []).append(a)
+        by_pred.setdefault(a.name, []).append(a)
     out: set[Clause] = set()
     for d in clauses:
         atoms = d.antecedent + d.succedent
-        if any(a.pred not in by_pred for a in atoms):
+        if any(a.name not in by_pred for a in atoms):
             continue
-        goals = _goals((a, universe, by_pred[a.pred]) for a in dict.fromkeys(atoms))
+        goals = _goals((a, universe, by_pred[a.name]) for a in dict.fromkeys(atoms))
         for sigma in _embeddings(goals):
             out.add(substitute(sigma, d))
     return out

@@ -82,7 +82,7 @@ class RewriteSystem:
         """
         index: dict[str, list[RewriteRule]] = {}
         for rule in self.rules:
-            index.setdefault(rule.lhs.pred, []).append(rule)
+            index.setdefault(rule.lhs.name, []).append(rule)
         return {pred: tuple(rules) for pred, rules in index.items()}
 
     @cached_property
@@ -118,7 +118,7 @@ def rewrite_one(system: RewriteSystem, a: Atom) -> set[Atom]:
     that bucket of the system's predicate index is tried.
     """
     out: set[Atom] = set()
-    for rule in system.by_predicate.get(a.pred, ()):
+    for rule in system.by_predicate.get(a.name, ()):
         sigma = match_onto(rule.lhs, a)
         if sigma is not None:
             out.add(substitute(sigma, rule.rhs))

@@ -166,7 +166,7 @@ class _Record:
         self.clause = c
         self.vars = frozenset(vars_in_order(c))
         self.atoms = eligible_atoms(ordering, c)
-        self.eligible = tuple(frozenset([a.pred for a in side]) for side in self.atoms)
+        self.eligible = tuple(frozenset([a.name for a in side]) for side in self.atoms)
         self.keys = [(side, p) for side, preds in enumerate(self.eligible) for p in preds]
         self.features = _features(c)
         self.renamed: dict[frozenset[Var], tuple[Clause, tuple[Atom, ...]]] = {}

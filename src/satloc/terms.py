@@ -1,12 +1,15 @@
 """First-order terms, atoms, clauses and substitutions.
 
-Terms and atoms are hash-consed: each of Var, Fn and Atom keeps one table
-from its fields to the single object with those fields, so equal terms are
-the same object, and equality and hashing are object identity, in constant
-time whatever the depth.  The tables are plain dicts that keep every
-distinct term the process builds, for the life of the process.  Inserting
-with dict.setdefault makes construction thread-safe: two threads that build
-the same term get the same object.
+Terms and atoms are hash-consed (Filliâtre and Conchon, "Type-Safe Modular
+Hash-Consing", 2006).  Fn and Atom are one application of a symbol `name`
+to `args`, built by one constructor; Var has its own.  Each class keeps its
+own table from its fields to the single object with those fields, so equal
+terms are the same object, an atom is never a term, and equality and
+hashing are object identity, in constant time whatever the depth.  The
+tables are plain dicts that keep every distinct term the process builds,
+for the life of the process.  Inserting with dict.setdefault makes
+construction thread-safe: two threads that build the same term get the
+same object.
 
 Clauses are pairs of atom *sets* (antecedent -> succedent), stored in a
 canonical deduplicated, sorted form so that structural equality is clause
@@ -65,65 +68,50 @@ class Var(_Interned):
         return f"Var(name={self.name!r})"
 
 
-class Fn(_Interned):
-    """Function application; constants are 0-ary functions.
-
+class _App(_Interned):
+    """Application of the symbol `name` to `args`: the constructor of Fn
+    and Atom, which looks up (name, args) in the class's own `_table`.
     `ground` (no variable occurs) is computed at construction from the
-    arguments' flags.
-    """
+    arguments' flags."""
 
     __slots__ = ("name", "args", "ground")
-    _table: dict[tuple, Fn] = {}
 
-    def __new__(cls, name: str, args: Iterable[Term] = ()) -> Fn:
+    def __new__(cls, name: str, args: Iterable[Term] = ()):
         args = tuple(args)
         key = (name, args)
-        t = Fn._table.get(key)
-        if t is None:
-            t = object.__new__(cls)
-            _set(t, "name", name)
-            _set(t, "args", args)
-            _set(t, "ground", all(a.ground for a in args))
-            t = Fn._table.setdefault(key, t)
-        return t
+        e = cls._table.get(key)
+        if e is None:
+            e = object.__new__(cls)
+            _set(e, "name", name)
+            _set(e, "args", args)
+            _set(e, "ground", all(a.ground for a in args))
+            e = cls._table.setdefault(key, e)
+        return e
 
     def __reduce__(self):
-        return Fn, (self.name, self.args)
+        return type(self), (self.name, self.args)
 
     def __repr__(self) -> str:
-        return f"Fn(name={self.name!r}, args={self.args!r})"
+        return f"{type(self).__name__}(name={self.name!r}, args={self.args!r})"
+
+
+class Fn(_App):
+    """Function application; constants are 0-ary functions."""
+
+    __slots__ = ()
+    _table: dict[tuple, Fn] = {}
 
 
 Term = Union[Var, Fn]
 
 
-class Atom(_Interned):
-    """Predicate application.  `ground` is stored as in Fn; the atom_key and
+class Atom(_App):
+    """Predicate application; `name` is the predicate.  The atom_key and
     the symbol set (atom_symbols) of the atom are stored on their first
-    use."""
+    use; until then their slots are unset."""
 
-    __slots__ = ("pred", "args", "ground", "_key", "_symbols")
+    __slots__ = ("_key", "_symbols")
     _table: dict[tuple, Atom] = {}
-
-    def __new__(cls, pred: str, args: Iterable[Term] = ()) -> Atom:
-        args = tuple(args)
-        key = (pred, args)
-        a = Atom._table.get(key)
-        if a is None:
-            a = object.__new__(cls)
-            _set(a, "pred", pred)
-            _set(a, "args", args)
-            _set(a, "ground", all(t.ground for t in args))
-            _set(a, "_key", None)
-            _set(a, "_symbols", None)
-            a = Atom._table.setdefault(key, a)
-        return a
-
-    def __reduce__(self):
-        return Atom, (self.pred, self.args)
-
-    def __repr__(self) -> str:
-        return f"Atom(pred={self.pred!r}, args={self.args!r})"
 
 
 def _text(e: Term | Atom) -> str:
@@ -143,11 +131,9 @@ def _text(e: Term | Atom) -> str:
         kind = type(e)
         if kind is str:
             parts.append(e)
-        elif kind is Var:
-            parts.append(e.name)
         else:
-            parts.append(e.pred if kind is Atom else e.name)
-            args = e.args
+            parts.append(e.name)
+            args = () if kind is Var else e.args
             if args:
                 parts.append("(")
                 stack.append(")")
@@ -172,11 +158,12 @@ def atom_key(a: Atom) -> tuple:
     The key is built once per atom and stored on it.  Two threads may both
     build it; they store equal tuples, so either write is correct.
     """
-    key = a._key
-    if key is None:
+    try:
+        return a._key
+    except AttributeError:
         key = _flat_key(a)
         _set(a, "_key", key)
-    return key
+        return key
 
 
 def _preorder(terms: tuple[Term, ...]):
@@ -193,7 +180,7 @@ def _preorder(terms: tuple[Term, ...]):
 
 
 def _flat_key(a: Atom) -> tuple:
-    out: list = [a.pred]
+    out: list = [a.name]
     for t in _preorder(a.args):
         if type(t) is Var:
             out += (0, t.name)
@@ -206,11 +193,12 @@ def atom_symbols(a: Atom) -> frozenset[str]:
     """The predicate and function symbols of an atom.  Worked out once per
     atom and stored on it; two threads may both store it, with equal
     values."""
-    symbols = a._symbols
-    if symbols is None:
-        symbols = frozenset([a.pred, *(t.name for t in _preorder(a.args) if type(t) is Fn)])
+    try:
+        return a._symbols
+    except AttributeError:
+        symbols = frozenset([a.name, *(t.name for t in _preorder(a.args) if type(t) is Fn)])
         _set(a, "_symbols", symbols)
-    return symbols
+        return symbols
 
 
 @dataclass(frozen=True, init=False)
@@ -349,11 +337,11 @@ def substitute(sigma: Subst, e):
                 break
             image = done
             args, done, a = stack.pop()
-            done.append(Atom(a.pred, image) if type(a) is Atom else Fn(a.name, image))
+            done.append(type(a)(a.name, image))
     if kind is Clause:
         n = len(e.antecedent)
         return Clause(done[:n], done[n:])
-    return kind(e.pred if kind is Atom else e.name, done)
+    return kind(e.name, done)
 
 
 def _decompose(e1, e2) -> list[tuple[Term, Term]] | None:
@@ -361,7 +349,7 @@ def _decompose(e1, e2) -> list[tuple[Term, Term]] | None:
     so that popping from the end walks the arguments left to right; None on
     a head clash."""
     if isinstance(e1, Atom) and isinstance(e2, Atom):
-        if e1.pred != e2.pred or len(e1.args) != len(e2.args):
+        if e1.name != e2.name or len(e1.args) != len(e2.args):
             return None
         return list(zip(e1.args, e2.args))[::-1]
     if isinstance(e1, Atom) or isinstance(e2, Atom):
@@ -539,7 +527,7 @@ class Signature:
     def scan_atom(self, a: Atom) -> None:
         """Note a's symbols in left-to-right preorder, so the first arity
         conflict met is the leftmost."""
-        self.note_predicate(a.pred, len(a.args))
+        self.note_predicate(a.name, len(a.args))
         for t in _preorder(a.args):
             if type(t) is Fn:
                 self.note_function(t.name, len(t.args))

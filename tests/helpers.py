@@ -232,7 +232,7 @@ def unfreeze(mapping: FreezeMap, e):
         return Fn(t.name, tuple(back(a) for a in t.args))
 
     if isinstance(e, Atom):
-        return Atom(e.pred, tuple(back(t) for t in e.args))
+        return Atom(e.name, tuple(back(t) for t in e.args))
     if isinstance(e, Clause):
         return Clause(
             (unfreeze(mapping, a) for a in e.antecedent),
@@ -493,7 +493,7 @@ def ref_mgu(e1, e2) -> Subst | None:
     if isinstance(e1, Atom) != isinstance(e2, Atom):
         raise TypeError("cannot unify an atom with a term")
     if isinstance(e1, Atom):
-        if e1.pred != e2.pred or len(e1.args) != len(e2.args):
+        if e1.name != e2.name or len(e1.args) != len(e2.args):
             return None
         pairs = list(zip(e1.args, e2.args))
     else:
@@ -528,7 +528,7 @@ def ref_match_onto(pattern, target) -> Subst | None:
     if isinstance(pattern, Atom) != isinstance(target, Atom):
         raise TypeError("cannot unify an atom with a term")
     if isinstance(pattern, Atom):
-        if pattern.pred != target.pred or len(pattern.args) != len(target.args):
+        if pattern.name != target.name or len(pattern.args) != len(target.args):
             return None
         pairs = list(zip(pattern.args, target.args))
     else:
@@ -578,7 +578,7 @@ def ref_term_key(t: Term):
 
 
 def ref_atom_key(a: Atom):
-    return (a.pred, tuple(ref_term_key(t) for t in a.args))
+    return (a.name, tuple(ref_term_key(t) for t in a.args))
 
 
 # ---------------------------------------------------------------------------

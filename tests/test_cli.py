@@ -259,6 +259,14 @@ def test_parse_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["saturate", str(tmp_path / "missing.p")]) == 3
     capsys.readouterr()
+    # a file that is not UTF-8 is named too, wherever it is read
+    latin = tmp_path / "latin.p"
+    latin.write_bytes(b"clause: -> p(\xff)\n")
+    for command in (["saturate", str(latin)], ["query", state, "--from", str(latin)]):
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {latin}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
@@ -269,6 +277,16 @@ def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
     assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
     assert main(["oracle", problem, "-> p(a)"]) == 3  # --depth is required
     assert "--depth" in capsys.readouterr().err
+    # a query needs a clause or --from, whatever options come with it
+    state = write(tmp_path, "demo.state", "")
+    assert main(["saturate", problem, "--out", state]) == 0
+    capsys.readouterr()
+    for command in (["query", state], ["query", state, "--certificate", "--unsound-ok"]):
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: satloc query")
+        assert "error: give a query clause or --from FROM_FILE" in captured.err
     with pytest.raises(SystemExit) as help_exit:
         main(["query", "--help"])
     assert help_exit.value.code == 0

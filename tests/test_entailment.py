@@ -377,7 +377,7 @@ def test_enumeration_matches_each_atom_against_its_bucket_once(monkeypatch):
     calls = count_calls(monkeypatch, "match_onto")
     # the second clause has p(X) on both sides, and it is matched once
     for d in (cl("p(X), q(Y) -> r(X)"), cl("p(X), q(Y) -> r(X), p(X)")):
-        buckets = sum(len([u for u in universe if u.pred == a.pred]) for a in d.atom_set())
+        buckets = sum(len([u for u in universe if u.name == a.name]) for a in d.atom_set())
         calls[0] = 0
         got = enumerate_local_instances([d], universe)
         assert len(got) == 4 * 5

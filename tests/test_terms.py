@@ -261,7 +261,7 @@ def test_flat_atom_key_orders_like_nested_key(a, b):
 @given(_GROUND_ATOMS, _GROUND_ATOMS, _GROUND_TERMS, _GROUND_TERMS)
 def test_ground_mgu_decides_by_identity_like_the_general_algorithm(a, b, s, t):
     # match_onto makes the same identity test on a ground pattern
-    for e1, e2 in ((a, b), (a, a), (s, t), (s, s), (a, Atom(a.pred, a.args))):
+    for e1, e2 in ((a, b), (a, a), (s, t), (s, s), (a, Atom(a.name, a.args))):
         assert mgu(e1, e2) == ref_mgu(e1, e2) == ({} if e1 is e2 else None)
         assert match_onto(e1, e2) == ref_match_onto(e1, e2) == ({} if e1 is e2 else None)
     for e1, e2 in ((a, s), (s, a)):
@@ -561,13 +561,31 @@ def test_copies_pickles_and_reprs_of_terms_are_the_interned_objects():
         deep = Fn("g", (deep, Var(f"Y{i}"))) if i % 2 else Fn("f", (deep, Fn("a")))
     atom = Atom("p", (deep, y))
     clause = Clause([atom, at("r(X)")], [at("q(X,a)")])
-    for copied in (copy.deepcopy(atom), pickle.loads(pickle.dumps(atom))):
-        assert copied is atom
     for copied in (copy.deepcopy(clause), pickle.loads(pickle.dumps(clause))):
         assert copied == clause
         atoms = zip(copied.antecedent + copied.succedent, clause.antecedent + clause.succedent)
         assert all(a is b for a, b in atoms)
-    assert eval(repr(atom), {"Atom": Atom, "Fn": Fn, "Var": Var}) is atom
+    for e in (atom, deep, y):
+        for copied in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert copied is e
+        assert eval(repr(e), {"Atom": Atom, "Fn": Fn, "Var": Var}) is e
+
+
+def test_an_atom_and_a_term_with_one_symbol_and_arguments_are_two_objects():
+    # Fn and Atom share one constructor but not its table, whichever of
+    # the two is built first
+    cases = (("p", ()), ("f", (Fn("a"), x)), ("g", (Fn("g", (y,)),)), ("s_only", (y,)))
+    for i, (name, args) in enumerate(cases):
+        if i % 2:
+            atom, term = Atom(name, args), Fn(name, args)
+        else:
+            term, atom = Fn(name, args), Atom(name, args)
+        assert type(term) is Fn and type(atom) is Atom
+        assert term is not atom and term != atom
+        assert Fn(name, args) is term and Atom(name, args) is atom
+        assert (term.name, term.args, term.ground) == (atom.name, atom.args, atom.ground)
+        assert not isinstance(atom, Fn) and not isinstance(term, Atom)
+        assert repr(atom) == "Atom" + repr(term)[len("Fn"):]
 
 
 def _ref_vars(t, out):
@@ -598,7 +616,7 @@ def test_stored_atom_symbols_agree_with_a_recursive_walk():
     rng = random.Random(31)
     for _ in range(300):
         for a in rand_clause(rng, depth=3).atom_set():
-            names = {a.pred} | {s.name for t in a.args for s in subterms(t) if isinstance(s, Fn)}
+            names = {a.name} | {s.name for t in a.args for s in subterms(t) if isinstance(s, Fn)}
             assert atom_symbols(a) == names
             assert atom_symbols(a) is atom_symbols(a)
     deep = Fn("a")
